@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -219,9 +220,12 @@ def _num(p: dict, key: str, required: bool = True) -> float | None:
             raise DomainError(f"{_flag(key)} is required")
         return None
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{_flag(key)} expects a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise DomainError(f"{_flag(key)} must be finite, got {value!r}")
+    return number
 
 
 def _eta(p: dict, key: str, required: bool = True) -> float | None:
@@ -239,14 +243,11 @@ def _positive(p: dict, key: str, required: bool = True) -> float | None:
 
 
 def _integer(p: dict, key: str, minimum: int, required: bool = True) -> int | None:
-    value = p.get(key)
-    if value is None:
-        if required:
-            raise DomainError(f"{_flag(key)} is required")
+    number = _num(p, key, required)
+    if number is None:
         return None
-    number = float(value)
     if number != int(number):
-        raise DomainError(f"{_flag(key)} must be an integer, got {value}")
+        raise DomainError(f"{_flag(key)} must be an integer, got {p[key]}")
     number = int(number)
     if number < minimum:
         raise DomainError(f"{_flag(key)} must be at least {minimum}, got {number}")

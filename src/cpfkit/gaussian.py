@@ -8,6 +8,7 @@ ordered (q₁, p₁, …, qₙ, pₙ).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,8 +21,13 @@ from .errors import DomainError, InvalidStateError, NumericError
 # eigenvalue is at least 1 - PHYSICALITY_TOL.
 PHYSICALITY_TOL = 1e-9
 
-# fidelity kernel eigenvalue moduli this close to 1 are treated as exactly 1
+# general fidelity kernel: eigenvalue moduli this close to 1 are treated as exactly 1
 SNAP_TOL = 1e-8
+
+# q/p-split fidelity kernel: eigenvalues of XY within SNAP_ULPS * eps * ||X||_F ||Y||_F
+# of 1 are treated as exactly 1
+SNAP_ULPS = 64.0
+_EPS = float(np.finfo(float).eps)
 
 _SYMMETRY_RTOL = 1e-12
 
@@ -208,38 +214,63 @@ def thermal_fidelity_oracle(n1: float, n2: float) -> float:
     return 1.0 / (math.sqrt((n1 + 1.0) * (n2 + 1.0)) * (1.0 - ratio))
 
 
-def fidelity_from_arrays(
-    cov_a: np.ndarray, cov_b: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray
-) -> np.ndarray:
-    """Uhlmann fidelity F = Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)) for Gaussian states.
+@functools.lru_cache(maxsize=None)
+def _quadrature_index(n_modes: int):
+    """Index arrays that gather the (q, p) diagonal blocks of a 2n x 2n matrix
+    as a (..., 2, n, n) stack, the mask of its q-p entries, and the n x n
+    identity."""
+    q = np.arange(0, 2 * n_modes, 2)
+    rows = np.stack((q, q + 1))[:, :, None]
+    cols = rows.swapaxes(-1, -2)
+    mask = np.add.outer(np.arange(2 * n_modes), np.arange(2 * n_modes)) % 2 == 1
+    eye = np.eye(n_modes)
+    for constant in (rows, cols, mask, eye):
+        constant.flags.writeable = False
+    return rows, cols, mask, eye
 
-    Batched core: covariances have shape (..., 2n, 2n), means (..., 2n), and
-    leading dimensions broadcast.  No physicality validation is performed here;
-    use :func:`gaussian_fidelity` for the checked scalar interface.
 
-    With G = (V_a+V_b)^-1 and V_aux = Omega^T G (Omega + V_b Omega V_a),
+def _excess_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Real parts of the eigenvalues of a batch of real n x n matrices."""
+    if m.shape[-1] != 2:
+        return np.linalg.eigvals(m).real
+    half_trace = (m[..., 0, 0] + m[..., 1, 1]) / 2.0
+    half_gap = (m[..., 0, 0] - m[..., 1, 1]) / 2.0
+    # a negative discriminant is a rounded-apart complex pair with real part half_trace
+    root = np.sqrt(np.maximum(half_gap * half_gap + m[..., 0, 1] * m[..., 1, 0], 0.0))
+    return np.stack((half_trace - root, half_trace + root), axis=-1)
 
-        F_tot^4 = det[(sqrt(I + (V_aux Omega)^-2) + I) V_aux] / det((V_a+V_b)/2)
-        F = F_tot * exp(-1/4 du^T G du),  du = u_b - u_a.
 
-    For physical inputs the eigenvalues of V_aux Omega are pairs +/- i nu_j
-    with nu_j >= 1, and the numerator determinant equals
-    prod_j (nu_j + sqrt(nu_j^2 - 1))^2, accumulated in log space as a sum of
-    arccosh(nu_j) terms (determinants overflow doubles once entries grow like
-    mu^2n).  Working with the moduli nu = |w| discards the spurious real
-    parts round-off puts on the eigenvalues, and moduli within SNAP_TOL of 1
-    are snapped to exactly 1: unit values indicate pure directions of the
-    Uhlmann product operator, where a nearly defective eigenvalue cluster
-    would otherwise turn an O(eps) eigensolver perturbation into an
-    O(sqrt(eps)) error through the square-root kink of arccosh.
-    """
-    cov_a = np.asarray(cov_a, dtype=float)
-    cov_b = np.asarray(cov_b, dtype=float)
-    mean_a = np.asarray(mean_a, dtype=float)
-    mean_b = np.asarray(mean_b, dtype=float)
-    two_n = cov_a.shape[-1]
-    omega = symplectic_form(two_n // 2)
+def _split_terms(cov_a, cov_b, delta):
+    """log_num, log det(V_a+V_b) and the mean exponent for q/p-decoupled states."""
+    rows, cols, _, eye = _quadrature_index(cov_a.shape[-1] // 2)
+    a = cov_a[..., rows, cols]  # (..., 2, n, n): V_a,q and V_a,p
+    b = cov_b[..., rows, cols]
+    total = a + b
+    sign, logdet = np.linalg.slogdet(total)
+    if not ((sign > 0.0).all() and np.isfinite(logdet).all()):
+        raise NumericError("covariance sum V_a + V_b is singular or indefinite")
+    # LU, not cofactors: a cofactor inverse carries the rounding error of
+    # det(total) as a common factor into XY and shifts every lambda by it
+    g = np.linalg.inv(total)
+    # X = G_q (I + V_b,q V_a,p) and Y = G_p (I + V_b,p V_a,q)
+    xy = g @ (eye + b @ a[..., ::-1, :, :])
+    x, y = xy[..., 0, :, :], xy[..., 1, :, :]
+    excess = _excess_eigenvalues(x @ y - eye)  # lambda_j - 1
+    if not np.isfinite(excess).all():
+        raise NumericError("eigenvalue computation for the fidelity kernel failed")
+    squares = (xy * xy).sum(axis=(-2, -1))
+    tol = SNAP_ULPS * _EPS * np.sqrt(squares[..., 0] * squares[..., 1])
+    excess = np.where(np.abs(excess) <= tol[..., None], 0.0, np.maximum(excess, 0.0))
+    # arccosh(sqrt(1 + x)) = arcsinh(sqrt(x)); each nu_j stands for a +/- pair
+    log_num = 2.0 * np.arcsinh(np.sqrt(excess)).sum(axis=-1)
+    d = delta[..., rows[..., 0]]
+    quad = np.einsum("...si,...sij,...sj->...", d, g, d)
+    return log_num, logdet.sum(axis=-1), -0.25 * quad
 
+
+def _general_terms(cov_a, cov_b, delta):
+    """log_num, log det(V_a+V_b) and the mean exponent for arbitrary states."""
+    omega = symplectic_form(cov_a.shape[-1] // 2)
     total = cov_a + cov_b
     total = (total + np.swapaxes(total, -1, -2)) / 2.0
     sign, logdet_total = np.linalg.slogdet(total)
@@ -255,11 +286,66 @@ def fidelity_from_arrays(
     nu = np.where(np.abs(nu - 1.0) <= SNAP_TOL, 1.0, np.maximum(nu, 1.0))
     # each +/- pair appears twice in nu, squaring the per-mode factor as required
     log_num = np.sum(np.arccosh(nu), axis=-1)
+    return log_num, logdet_total, -0.25 * np.einsum("...i,...ij,...j", delta, g, delta)
 
-    delta = mean_b - mean_a
-    exponent = -0.25 * np.einsum("...i,...ij,...j", delta, g, delta)
+
+def fidelity_from_arrays(
+    cov_a: np.ndarray, cov_b: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray
+) -> np.ndarray:
+    """Uhlmann fidelity F = Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)) for Gaussian states.
+
+    Batched core: covariances have shape (..., 2n, 2n), means (..., 2n), and
+    leading dimensions broadcast.  No physicality validation is performed here;
+    use :func:`gaussian_fidelity` for the checked scalar interface.
+
+    Banchi-Braunstein-Pirandola formula (PRL 115, 260501, 2015): with
+    G = (V_a+V_b)^-1 and V_aux = Omega^T G (Omega + V_b Omega V_a),
+
+        F_tot^4 = det[(sqrt(I + (V_aux Omega)^-2) + I) V_aux] / det((V_a+V_b)/2)
+        F = F_tot * exp(-1/4 du^T G du),  du = u_b - u_a.
+
+    For physical inputs the eigenvalues of V_aux Omega are pairs +/- i nu_j
+    with nu_j >= 1, and the numerator determinant equals
+    prod_j (nu_j + sqrt(nu_j^2 - 1))^2, accumulated in log space as a sum of
+    arccosh(nu_j) terms (determinants overflow doubles once entries grow like
+    mu^2n).  Two paths evaluate it, chosen by the input:
+
+    * **q/p split**, whenever neither covariance has q-p entries (true of
+      every state cpfkit builds).  Then V = V_q (+) V_p, V_aux Omega squares
+      to -(YX) (+) -(XY) with X = G_q (I + V_b,q V_a,p) and
+      Y = G_p (I + V_b,p V_a,q), so nu_j^2 = lambda_j are the eigenvalues of
+      the real n x n product XY (closed form for n = 2), log det and the
+      exponent split into q and p parts, and
+      arccosh(nu) = arcsinh(sqrt(lambda - 1)) with lambda - 1 taken from the
+      eigenvalues of XY - I.  A pure direction of the Uhlmann product operator has
+      lambda = 1 exactly, where a rounding error delta in lambda would cost
+      sqrt(delta) through the square-root kink, so lambda is set to 1 when
+      |lambda - 1| <= SNAP_ULPS * eps * ||X||_F ||Y||_F, a multiple of the
+      rounding error of the product XY.
+    * **general**, for states with q-p correlations: the complex eigenvalues
+      of the 2n x 2n V_aux Omega, with moduli within SNAP_TOL of 1 snapped
+      to 1.
+
+    Accuracy of the split path against a 60-digit mpmath evaluation of the
+    same formula, on the output pairs of the audit grid in
+    tests/test_kernel_oracle.py (m in {2, 3, 5}, n_s from 1e-6 to 1e6, kappa
+    from 0 to 1, eta pairs including 0, 1 and eta_b ~ eta_t): at most 2.4e-7
+    absolute when both eta < 1, the largest errors coming from the snap on
+    nearly vacuum outputs; at most 6.6e-5 when an eta equals 1, where XY - I
+    is nearly nilpotent and its eigenvalues lose half the digits (the
+    general path loses as much there).
+    """
+    cov_a = np.asarray(cov_a, dtype=float)
+    cov_b = np.asarray(cov_b, dtype=float)
+    delta = np.asarray(mean_b, dtype=float) - np.asarray(mean_a, dtype=float)
+    two_n = cov_a.shape[-1]
+    qp = _quadrature_index(two_n // 2)[2]
+    if (cov_a * qp).any() or (cov_b * qp).any():
+        log_num, logdet_total, exponent = _general_terms(cov_a, cov_b, delta)
+    else:
+        log_num, logdet_total, exponent = _split_terms(cov_a, cov_b, delta)
     log_f = 0.25 * (log_num - logdet_total + two_n * math.log(2.0)) + exponent
-    return np.clip(np.exp(log_f), 0.0, 1.0)
+    return np.minimum(np.exp(log_f), 1.0)
 
 
 def gaussian_fidelity(a: GaussianState, b: GaussianState, validate: bool = True) -> float:

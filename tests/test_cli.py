@@ -314,6 +314,26 @@ def test_config_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_config_rejects_non_numeric_integer(capsys, tmp_path):
+    config = tmp_path / "bad_m.json"
+    config.write_text(json.dumps({"m": "abc"}))
+    code, _, err = run_cli(
+        capsys, "kappa", "--config", str(config),
+        "--eta-b", "0.3", "--eta-t", "0.5", "--ns", "1",
+    )
+    assert code == 2
+    assert "--m" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_numbers_rejected(capsys, value):
+    code, _, err = run_cli(
+        capsys, "kappa", "--m", "2", "--eta-b", "0.3", "--eta-t", "0.5", "--ns", value,
+    )
+    assert code == 2
+    assert "--ns" in err
+
+
 # ------------------------------------------------------------------ output
 
 
