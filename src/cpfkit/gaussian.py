@@ -229,7 +229,7 @@ def _quadrature_index(n_modes: int):
     return rows, cols, mask, eye
 
 
-def _excess_eigenvalues(m: np.ndarray) -> np.ndarray:
+def _real_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real parts of the eigenvalues of a batch of real n x n matrices."""
     if m.shape[-1] != 2:
         return np.linalg.eigvals(m).real
@@ -255,7 +255,7 @@ def _split_terms(cov_a, cov_b, delta):
     # X = G_q (I + V_b,q V_a,p) and Y = G_p (I + V_b,p V_a,q)
     xy = g @ (eye + b @ a[..., ::-1, :, :])
     x, y = xy[..., 0, :, :], xy[..., 1, :, :]
-    excess = _excess_eigenvalues(x @ y - eye)  # lambda_j - 1
+    excess = _real_eigenvalues(x @ y - eye)  # lambda_j - 1
     if not np.isfinite(excess).all():
         raise NumericError("eigenvalue computation for the fidelity kernel failed")
     squares = (xy * xy).sum(axis=(-2, -1))
@@ -317,9 +317,10 @@ def fidelity_from_arrays(
       the real n x n product XY (closed form for n = 2), log det and the
       exponent split into q and p parts, and
       arccosh(nu) = arcsinh(sqrt(lambda - 1)) with lambda - 1 taken from the
-      eigenvalues of XY - I.  A pure direction of the Uhlmann product operator has
-      lambda = 1 exactly, where a rounding error delta in lambda would cost
-      sqrt(delta) through the square-root kink, so lambda is set to 1 when
+      eigenvalues of XY - I.  A pure direction of the Uhlmann product
+      operator has lambda = 1 exactly, where a rounding error delta in
+      lambda would cost sqrt(delta) through the square-root kink, so
+      lambda is set to 1 when
       |lambda - 1| <= SNAP_ULPS * eps * ||X||_F ||Y||_F, a multiple of the
       rounding error of the product XY.
     * **general**, for states with q-p correlations: the complex eigenvalues
@@ -329,7 +330,7 @@ def fidelity_from_arrays(
     Accuracy of the split path against a 60-digit mpmath evaluation of the
     same formula, on the output pairs of the audit grid in
     tests/test_kernel_oracle.py (m in {2, 3, 5}, n_s from 1e-6 to 1e6, kappa
-    from 0 to 1, eta pairs including 0, 1 and eta_b ~ eta_t): at most 2.4e-7
+    from 0 to 1, eta pairs including 0, 1 and eta_b ~ eta_t): at most 2.3e-7
     absolute when both eta < 1, the largest errors coming from the snap on
     nearly vacuum outputs; at most 6.6e-5 when an eta equals 1, where XY - I
     is nearly nilpotent and its eigenvalues lose half the digits (the

@@ -18,9 +18,9 @@ Run as a script to rewrite the audit fixture::
 
 Each fixture point holds the oracle value and the value of the kernel that
 was current when the fixture was written (the complex 2k x 2k ``eigvals``
-kernel, before the q/p split).  Regenerating it today would overwrite those
-reference values with the current kernel's, so the script keeps the
-``seed_kernel`` entries of an existing fixture and only adds missing ones.
+kernel, before the q/p split).  Regenerating the fixture must not replace
+those reference values with the current kernel's, so the script keeps the
+``seed_kernel`` entries of an existing fixture and only fills in missing ones.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ import sys
 from pathlib import Path
 
 import mpmath
+
+from cpfkit.gaussian import fidelity_from_arrays
+from cpfkit.protocols import output_pair_arrays
 
 DIGITS = 60
 
@@ -142,11 +145,7 @@ def output_fidelity(m, eta_b, eta_t, n_s, kappa, digits=DIGITS):
 
 
 def _kernel_value(point):
-    from cpfkit.protocols import output_pair_arrays
-    from cpfkit.gaussian import fidelity_from_arrays
-
-    m, eta_b, eta_t, n_s, kappa = point
-    return float(fidelity_from_arrays(*output_pair_arrays(m, eta_b, eta_t, n_s, kappa)))
+    return float(fidelity_from_arrays(*output_pair_arrays(*point)))
 
 
 FIELDS = ("m", "eta_b", "eta_t", "n_s", "kappa", "oracle", "seed_kernel")
