@@ -25,22 +25,15 @@ import numpy as np
 
 from .bounds import perr_lower, perr_upper
 from .errors import CpfError, DomainError
-from .probes import ProtocolKind
-from .protocols import (
-    Scenario,
-    bipartite_fidelity,
-    classical_fidelity,
-    output_fidelity,
-)
+from .protocols import Scenario, listed_protocols, output_fidelity
 from .scan import (
     PROTOCOL_IDS,
     RegionSpec,
     SweepSpec,
-    idler_free_fidelity,
-    optimize_kappa,
+    fidelity,
     region_scan,
     sweep,
-    _optimize_kappa_batch,
+    _sweep_columns,
 )
 
 _FLOAT_FMT = "{:.11e}"  # 12 significant digits round-trips a double
@@ -284,10 +277,7 @@ def _fidelity_table(p: dict) -> Table:
     scenario = _scenario_from(p)
     protocol = _choice(p, "protocol", _FIDELITY_PROTOCOLS)
     path = _choice(p, "path", ("auto", "direct"))
-    if protocol == "all":
-        names = [n for n in PROTOCOL_IDS if n != "idler_free_reversed" or scenario.m > 2]
-    else:
-        names = [protocol]
+    names = listed_protocols(scenario.m) if protocol == "all" else [protocol]
 
     columns = [
         "protocol", "fidelity", "kappa", "path",
@@ -295,23 +285,17 @@ def _fidelity_table(p: dict) -> Table:
     ]
     rows, notes = [], []
     for name in names:
-        kappa_used = None
         if name == "mixed" and scenario.kappa is None:
-            best = optimize_kappa(scenario)
-            value, label, min_nu, kappa_used = best.fidelity, "optimized", None, best.kappa
+            # the one case output_fidelity cannot answer: kappa is optimized
+            value, kappa_used, label = fidelity(
+                name, scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s
+            )
+            kappa_used, min_nu = float(kappa_used), None
         else:
-            if name == "idler_free_reversed":
-                point = Scenario(
-                    scenario.m, scenario.eta_t, scenario.eta_b, scenario.n_s,
-                    scenario.m_probes, scenario.kappa,
-                )
-                report = output_fidelity(point, ProtocolKind.IDLER_FREE, path)
-            else:
-                report = output_fidelity(scenario, name, path)
-                if name == "mixed":
-                    kappa_used = scenario.kappa
+            report = output_fidelity(scenario, name, path)
             notes.extend(report.warnings)
             value, label = report.value, report.path
+            kappa_used = scenario.kappa if name == "mixed" else None
             min_nu = report.diagnostics.get("min_symplectic_eigenvalue")
         rows.append([
             name, float(value), kappa_used, label, min_nu,
@@ -414,7 +398,7 @@ def _region_table(p: dict) -> Table:
     scenario = _scenario_from(p, placeholder=(x_name, y_name))
     spec = RegionSpec(
         scenario, x_name, tuple(map(float, x_values)), y_name,
-        tuple(map(float, y_values)), quantum, "log_ratio", total_energy,
+        tuple(map(float, y_values)), quantum, total_energy,
     )
     grid = region_scan(spec, workers)
     columns, rows = _region_rows(grid, quantum == "mixed", total_energy is not None)
@@ -425,13 +409,12 @@ def _region_table(p: dict) -> Table:
 
 def _kappa_table(p: dict) -> Table:
     scenario = _scenario_from(p)
-    best = optimize_kappa(scenario)
-    f_class = float(classical_fidelity(scenario.eta_b, scenario.eta_t, scenario.n_s))
-    f_if = float(idler_free_fidelity(scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s))
+    point = (scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s)
+    f_mix, kappa, _ = fidelity("mixed", *point)
+    f_class, f_if = (float(fidelity(name, *point)[0]) for name in ("classical", "idler_free"))
     columns = ["m", "eta_b", "eta_t", "n_s", "kappa_star", "fidelity",
                "f_classical", "f_idler_free"]
-    rows = [[scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s,
-             best.kappa, best.fidelity, f_class, f_if]]
+    rows = [[*point, float(kappa), float(f_mix), f_class, f_if]]
     parameters = {"m": scenario.m, "eta_b": scenario.eta_b, "eta_t": scenario.eta_t,
                   "n_s": scenario.n_s}
     return Table("kappa", parameters, columns, rows,
@@ -441,82 +424,43 @@ def _kappa_table(p: dict) -> Table:
 # ----------------------------------------------------------------- figures
 
 
-def _figure_1(resolution: int, workers) -> Table:
-    eta_b, eta_t, n_s = 0.2, 0.7, 1.0
-    f_class = float(classical_fidelity(eta_b, eta_t, n_s))
-    f_bip = float(bipartite_fidelity(eta_b, eta_t, n_s))
-    rows = [
-        [m, f_class, f_bip,
-         float(idler_free_fidelity(m, eta_b, eta_t, n_s)),
-         float(idler_free_fidelity(m, eta_t, eta_b, n_s))]
-        for m in range(2, 13)
-    ]
-    return Table(
-        "figure", {"id": 1, "eta_b": eta_b, "eta_t": eta_t, "n_s": n_s},
-        ["m", "f_classical", "f_bipartite", "f_idler_free", "f_idler_free_reversed"],
-        rows,
-        ("f_classical", "f_bipartite", "f_idler_free", "f_idler_free_reversed"),
+_CLOSED = ("classical", "bipartite", "idler_free")
+_WITH_REVERSED = _CLOSED + ("idler_free_reversed",)
+
+# figures 1-5: base scenario (the swept field's value is a placeholder), swept
+# variable, grid at a given resolution, and protocols
+_SWEEP_FIGURES = {
+    1: (Scenario(2, 0.2, 0.7, 1.0), "m", lambda res: range(2, 13), _WITH_REVERSED),
+    2: (Scenario(3, 0.95, 0.5, 50.0), "eta_t", lambda res: np.linspace(0.0, 1.0, res),
+        _WITH_REVERSED),
+    3: (Scenario(3, 0.05, 0.5, 50.0), "eta_t", lambda res: np.linspace(0.0, 1.0, res),
+        _WITH_REVERSED),
+    4: (Scenario(2, 0.9, 0.95, 1.0), "n_s", lambda res: np.logspace(0.0, 5.0, res), _CLOSED),
+    5: (Scenario(2, 0.55, 0.5, 50.0), "eta_t", lambda res: np.linspace(0.0, 1.0, res),
+        _CLOSED + ("mixed",)),
+}
+
+
+def _sweep_figure(fig_id: int, resolution: int) -> Table:
+    """One row per grid value: the variable, f_<protocol> per protocol, and
+    kappa_star when the mixed protocol is among them."""
+    scenario, variable, grid, protocols = _SWEEP_FIGURES[fig_id]
+    values = tuple(float(v) for v in grid(resolution))
+    columns = _sweep_columns(SweepSpec(scenario, variable, values, protocols))
+    fidelity_columns = tuple(f"f_{p}" for p in columns)
+    names, data = [variable, *fidelity_columns], [fids for fids, _ in columns.values()]
+    if "mixed" in columns:
+        names.append("kappa_star")
+        data.append(columns["mixed"][1])
+    axis = [int(v) for v in values] if variable == "m" else values
+    rows = [[x, *map(float, cells)] for x, cells in zip(axis, zip(*data))]
+    parameters = {"id": fig_id}
+    parameters.update(
+        (k, getattr(scenario, k)) for k in ("m", "eta_b", "eta_t", "n_s") if k != variable
     )
-
-
-def _figure_eta_sweep(fig_id: int, eta_b: float, resolution: int) -> Table:
-    m, n_s = 3, 50.0
-    grid = np.linspace(0.0, 1.0, resolution)
-    f_class = classical_fidelity(eta_b, grid, n_s)
-    f_bip = bipartite_fidelity(eta_b, grid, n_s)
-    f_if = idler_free_fidelity(m, eta_b, grid, n_s)
-    f_rev = idler_free_fidelity(m, grid, eta_b, n_s)
-    rows = [
-        [float(grid[i]), float(f_class[i]), float(f_bip[i]), float(f_if[i]), float(f_rev[i])]
-        for i in range(resolution)
-    ]
-    return Table(
-        "figure",
-        {"id": fig_id, "m": m, "eta_b": eta_b, "n_s": n_s, "resolution": resolution},
-        ["eta_t", "f_classical", "f_bipartite", "f_idler_free", "f_idler_free_reversed"],
-        rows,
-        ("f_classical", "f_bipartite", "f_idler_free", "f_idler_free_reversed"),
-    )
-
-
-def _figure_4(resolution: int, workers) -> Table:
-    eta_b, eta_t = 0.9, 0.95
-    grid = np.logspace(0.0, 5.0, resolution)
-    f_class = classical_fidelity(eta_b, eta_t, grid)
-    f_bip = bipartite_fidelity(eta_b, eta_t, grid)
-    f_if = idler_free_fidelity(2, eta_b, eta_t, grid)
-    rows = [
-        [float(grid[i]), float(f_class[i]), float(f_bip[i]), float(f_if[i])]
-        for i in range(resolution)
-    ]
-    return Table(
-        "figure",
-        {"id": 4, "m": 2, "eta_b": eta_b, "eta_t": eta_t, "resolution": resolution},
-        ["n_s", "f_classical", "f_bipartite", "f_idler_free"],
-        rows,
-        ("f_classical", "f_bipartite", "f_idler_free"),
-    )
-
-
-def _figure_5(resolution: int, workers) -> Table:
-    eta_b, n_s, m = 0.55, 50.0, 2
-    grid = np.linspace(0.0, 1.0, resolution)
-    f_class = classical_fidelity(eta_b, grid, n_s)
-    f_bip = bipartite_fidelity(eta_b, grid, n_s)
-    f_if = idler_free_fidelity(m, eta_b, grid, n_s)
-    kappa, f_mix = _optimize_kappa_batch(m, eta_b, grid, np.asarray(n_s))
-    rows = [
-        [float(grid[i]), float(f_class[i]), float(f_bip[i]), float(f_if[i]),
-         float(f_mix[i]), float(kappa[i])]
-        for i in range(resolution)
-    ]
-    return Table(
-        "figure",
-        {"id": 5, "m": m, "eta_b": eta_b, "n_s": n_s, "resolution": resolution},
-        ["eta_t", "f_classical", "f_bipartite", "f_idler_free", "f_mixed", "kappa_star"],
-        rows,
-        ("f_classical", "f_bipartite", "f_idler_free", "f_mixed"),
-    )
+    if variable != "m":  # figure 1's grid is fixed
+        parameters["resolution"] = resolution
+    return Table("figure", parameters, names, rows, fidelity_columns)
 
 
 def _figure_6(resolution: int, workers) -> Table:
@@ -577,25 +521,19 @@ def _figure_8(resolution: int, workers) -> Table:
     )
 
 
-_FIGURES = {
-    1: _figure_1,
-    2: lambda res, workers: _figure_eta_sweep(2, 0.95, res),
-    3: lambda res, workers: _figure_eta_sweep(3, 0.05, res),
-    4: _figure_4,
-    5: _figure_5,
-    6: _figure_6,
-    7: _figure_7,
-    8: _figure_8,
-}
+_FIGURES = {6: _figure_6, 7: _figure_7, 8: _figure_8}
 
 
 def _figure_table(p: dict) -> Table:
     fig_id = _integer(p, "id", 1)
-    if fig_id not in _FIGURES:
+    if fig_id not in _SWEEP_FIGURES and fig_id not in _FIGURES:
         raise DomainError(f"--id must lie in 1..8, got {fig_id}")
     resolution = _integer(p, "resolution", 2)
     workers = _integer(p, "workers", 1, required=False)
-    table = _FIGURES[fig_id](resolution, workers)
+    if fig_id in _SWEEP_FIGURES:
+        table = _sweep_figure(fig_id, resolution)
+    else:
+        table = _FIGURES[fig_id](resolution, workers)
     if fig_id == 4:
         p["db"] = True  # that figure's axis is decibels
     return table

@@ -11,7 +11,7 @@ paths (full-size "direct" and three-mode "reduced") where they do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 import numpy as np
@@ -68,6 +68,32 @@ class FidelityReport:
     kind: ProtocolKind
     diagnostics: dict = field(default_factory=dict)
     warnings: Tuple[str, ...] = ()
+
+
+# protocol id -> (probe family, whether eta_b and eta_t swap roles), in the
+# canonical emission order for tables
+_PROTOCOLS = {
+    "classical": (ProtocolKind.CLASSICAL, False),
+    "bipartite": (ProtocolKind.BIPARTITE, False),
+    "idler_free": (ProtocolKind.IDLER_FREE, False),
+    "idler_free_reversed": (ProtocolKind.IDLER_FREE, True),
+    "mixed": (ProtocolKind.MIXED, False),
+}
+PROTOCOL_IDS = tuple(_PROTOCOLS)
+
+
+def listed_protocols(m: int) -> tuple:
+    """The protocol ids worth a row at m boxes: at m = 2 the idler-free
+    fidelity is symmetric in eta_b and eta_t, so a swapped row repeats it."""
+    return tuple(p for p, (_, swapped) in _PROTOCOLS.items() if m > 2 or not swapped)
+
+
+def _oriented(protocol, eta_b, eta_t):
+    """The probe family of a protocol id and the (eta_b, eta_t) it sees."""
+    if protocol not in _PROTOCOLS:
+        raise DomainError(f"unknown protocol {protocol!r}; valid: {PROTOCOL_IDS}")
+    kind, swapped = _PROTOCOLS[protocol]
+    return (kind, eta_t, eta_b) if swapped else (kind, eta_b, eta_t)
 
 
 def _check_eta(name: str, value) -> np.ndarray:
@@ -309,59 +335,64 @@ def _direct_fidelity(scenario: Scenario, kind: ProtocolKind) -> Tuple[float, flo
     return value, min(r.min_symplectic_eigenvalue for r in reports)
 
 
+def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
+    """Fixed-kappa fidelity of one protocol, batched: (value, path, pair).
+
+    Classical, bipartite and the two-box idler-free protocol use their closed
+    forms (path "closed-form", ``pair`` None).  The idler-free protocol at
+    m >= 3 and the mixed protocol at the given ``kappa`` run on the output
+    pair of :func:`output_pair_arrays`, "direct" at m = 2 and "reduced"
+    beyond, and ``pair`` holds its arrays.
+    """
+    kind, eta_b, eta_t = _oriented(protocol, eta_b, eta_t)
+    if kind is ProtocolKind.CLASSICAL:
+        return classical_fidelity(eta_b, eta_t, n_s), "closed-form", None
+    if kind is ProtocolKind.BIPARTITE:
+        return bipartite_fidelity(eta_b, eta_t, n_s), "closed-form", None
+    if kind is ProtocolKind.IDLER_FREE and m == 2:
+        return idler_free_binary_fidelity(eta_b, eta_t, n_s), "closed-form", None
+    if kind is ProtocolKind.MIXED and kappa is None:
+        raise DomainError("the mixed protocol needs a kappa")
+    # the idler-free probe is the kappa = 1 member of the mixed family
+    kappa = 1.0 if kind is ProtocolKind.IDLER_FREE else kappa
+    pair = output_pair_arrays(m, eta_b, eta_t, n_s, kappa)
+    return fidelity_from_arrays(*pair), "direct" if m == 2 else "reduced", pair
+
+
 def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityReport:
     """One-shot output fidelity for a protocol, with the evaluation path taken.
 
-    Dispatch: classical and bipartite use closed forms; the idler-free
-    protocol uses its closed form at m = 2 and the reduced three-mode pair
-    for m >= 3; the mixed protocol (kappa required) uses the direct two-mode
-    pair at m = 2 and the reduced pair for m >= 3.  ``path="direct"`` forces
-    the full m-mode (2m for bipartite) computation for any protocol, which
-    exists as a cross-check of the fast paths.
+    ``kind`` is a :class:`ProtocolKind` or any id in :data:`PROTOCOL_IDS`;
+    the auto path is :func:`route`'s, and the mixed protocol needs
+    scenario.kappa.  ``path="direct"`` forces the full m-mode (2m for
+    bipartite) computation for any protocol, which exists as a cross-check
+    of the fast paths.
     """
-    kind = ProtocolKind(kind)
     if path not in ("auto", "direct"):
         raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
-    if kind is ProtocolKind.MIXED and scenario.kappa is None:
-        raise DomainError("the mixed protocol needs scenario.kappa to be set")
-
+    probe, eta_b, eta_t = _oriented(kind, scenario.eta_b, scenario.eta_t)
     if path == "direct":
-        value, min_nu = _direct_fidelity(scenario, kind)
-        return FidelityReport(
-            value, "direct", kind, {"min_symplectic_eigenvalue": min_nu}
-        )
+        oriented = replace(scenario, eta_b=eta_b, eta_t=eta_t)
+        value, min_nu = _direct_fidelity(oriented, probe)
+        return FidelityReport(value, "direct", probe, {"min_symplectic_eigenvalue": min_nu})
 
-    if kind is ProtocolKind.CLASSICAL:
-        value = float(classical_fidelity(scenario.eta_b, scenario.eta_t, scenario.n_s))
-        return FidelityReport(value, "closed-form", kind)
-    if kind is ProtocolKind.BIPARTITE:
-        value = float(bipartite_fidelity(scenario.eta_b, scenario.eta_t, scenario.n_s))
-        return FidelityReport(value, "closed-form", kind)
-    if kind is ProtocolKind.IDLER_FREE and scenario.m == 2:
-        value = float(
-            idler_free_binary_fidelity(scenario.eta_b, scenario.eta_t, scenario.n_s)
-        )
-        return FidelityReport(value, "closed-form", kind)
-
-    # remaining cases run on the two- or three-mode output pair
-    kappa = 1.0 if kind is ProtocolKind.IDLER_FREE else _scenario_kappa(scenario)
-    cov_1, cov_2, mean_1, mean_2 = output_pair_arrays(
-        scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s, kappa
+    value, label, pair = route(
+        kind, scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s, scenario.kappa
     )
-    states = (GaussianState(mean_1, cov_1), GaussianState(mean_2, cov_2))
-    label = "direct" if scenario.m == 2 else "reduced"
-
-    reports = tuple(check_physical(s) for s in states)
+    if pair is None:
+        return FidelityReport(float(value), label, probe)
+    cov_1, cov_2, mean_1, mean_2 = pair
+    reports = (check_physical(GaussianState(mean_1, cov_1)),
+               check_physical(GaussianState(mean_2, cov_2)))
     warnings = tuple(
         f"output state {i} has min symplectic eigenvalue {r.min_symplectic_eigenvalue:.12g}"
         for i, r in enumerate(reports)
         if not r.ok
     )
-    value = gaussian_fidelity(states[0], states[1], validate=False)
     return FidelityReport(
-        value,
+        float(value),
         label,
-        kind,
+        probe,
         {"min_symplectic_eigenvalue": min(r.min_symplectic_eigenvalue for r in reports)},
         warnings,
     )

@@ -17,19 +17,15 @@ import numpy as np
 
 from .bounds import classical_perr_lower, log10_bound_ratio, perr_upper_raw
 from .errors import DomainError
-from .gaussian import fidelity_from_arrays
 from .probes import ProtocolKind
 from .protocols import (
+    PROTOCOL_IDS,
     Scenario,
     bipartite_fidelity,
     classical_fidelity,
     idler_free_binary_fidelity,
-    output_pair_arrays,
+    route,
 )
-
-# canonical emission order for sweep rows; "idler_free_reversed" evaluates the
-# idler-free protocol with the roles of eta_b and eta_t exchanged
-PROTOCOL_IDS = ("classical", "bipartite", "idler_free", "idler_free_reversed", "mixed")
 
 KAPPA_GRID_POINTS = 101
 KAPPA_TOL = 1e-6
@@ -46,21 +42,22 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _symmetric_pair_fidelity(m: int, eta_b, eta_t, n_s, kappa):
-    """Output fidelity of the symmetric-probe family (idler-free at kappa = 1),
-    batched over broadcastable parameter arrays."""
-    cov_1, cov_2, mean_1, mean_2 = output_pair_arrays(m, eta_b, eta_t, n_s, kappa)
-    return fidelity_from_arrays(cov_1, cov_2, mean_1, mean_2)
+def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
+    """Output fidelity of any protocol in :data:`PROTOCOL_IDS`, vectorized.
 
-
-def idler_free_fidelity(m: int, eta_b, eta_t, n_s):
-    """Idler-free output fidelity for any m >= 2, vectorized.
-
-    Closed form at m = 2, reduced three-mode pair otherwise.
+    Returns (fidelity, kappa_used, path).  Parameters broadcast.  The mixed
+    protocol uses ``kappa`` when given and otherwise minimizes over it per
+    element (path "optimized"); its kappa_used has the fidelity's shape, and
+    every other protocol's is None.  The rest is :func:`protocols.route`:
+    closed forms, the two-mode pair at m = 2 or the reduced three-mode pair.
     """
-    if m == 2:
-        return idler_free_binary_fidelity(eta_b, eta_t, n_s)
-    return _symmetric_pair_fidelity(m, eta_b, eta_t, n_s, 1.0)
+    if protocol == "mixed" and kappa is None:
+        kappa, value = _optimize_kappa_batch(m, eta_b, eta_t, n_s)
+        return value, kappa, "optimized"
+    value, path, _ = route(protocol, m, eta_b, eta_t, n_s, kappa)
+    if protocol != "mixed":
+        return value, None, path
+    return value, np.broadcast_to(np.asarray(kappa, dtype=float), np.shape(value)), path
 
 
 @dataclass(frozen=True)
@@ -86,15 +83,13 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     eta_b, eta_t, n_s = (np.broadcast_to(v, batch) for v in (eta_b, eta_t, n_s))
 
     grid = np.linspace(0.0, 1.0, KAPPA_GRID_POINTS)
-    f_grid = _symmetric_pair_fidelity(
-        m, eta_b[..., None], eta_t[..., None], n_s[..., None], grid
-    )
+    f_grid = route("mixed", m, eta_b[..., None], eta_t[..., None], n_s[..., None], grid)[0]
     idx = np.argmin(f_grid, axis=-1)  # ties resolve to the smallest kappa
     best_f = np.take_along_axis(f_grid, idx[..., None], axis=-1)[..., 0]
     best_k = grid[idx]
 
     def evaluate(kappa):
-        return _symmetric_pair_fidelity(m, eta_b, eta_t, n_s, kappa)
+        return route("mixed", m, eta_b, eta_t, n_s, kappa)[0]
 
     def absorb(kappa, value):
         nonlocal best_k, best_f
@@ -170,57 +165,30 @@ class SweepSpec:
             raise DomainError(f"unknown protocols {unknown}; valid: {PROTOCOL_IDS}")
 
 
-def _sweep_parameters(spec: SweepSpec, values: np.ndarray):
+def _sweep_column(spec: SweepSpec, protocol: str, values: np.ndarray):
+    """Fidelity grid and kappa grid (None unless mixed) for one protocol."""
     base = spec.scenario
-    eta_b = values if spec.variable == "eta_b" else np.full(values.shape, base.eta_b)
-    eta_t = values if spec.variable == "eta_t" else np.full(values.shape, base.eta_t)
-    n_s = values if spec.variable == "n_s" else np.full(values.shape, base.n_s)
-    return eta_b, eta_t, n_s
-
-
-def _sweep_protocol(spec: SweepSpec, protocol: str, values: np.ndarray):
-    """Fidelity grid (and kappa grid for the mixed protocol) for one protocol."""
-    scenario = spec.scenario
     if spec.variable == "m":
         # structural variable: matrix sizes change, evaluate point by point
-        fids, kappas = [], []
-        for m in values:
-            sub = SweepSpec(
-                Scenario(
-                    int(m),
-                    scenario.eta_b,
-                    scenario.eta_t,
-                    scenario.n_s,
-                    scenario.m_probes,
-                    scenario.kappa,
-                ),
-                "eta_t",
-                (scenario.eta_t,),
-                (protocol,),
-            )
-            f, k = _sweep_protocol(sub, protocol, np.asarray([scenario.eta_t]))
-            fids.append(f[0])
-            kappas.append(None if k is None else k[0])
-        kappa_arr = None if kappas[0] is None else np.asarray(kappas)
-        return np.asarray(fids), kappa_arr
-
-    eta_b, eta_t, n_s = _sweep_parameters(spec, values)
+        points = [
+            fidelity(protocol, int(m), base.eta_b, base.eta_t, base.n_s, base.kappa)
+            for m in values
+        ]
+        fids, kappas = np.stack([p[0] for p in points]), [p[1] for p in points]
+        return fids, None if kappas[0] is None else np.stack(kappas)
+    eta_b, eta_t, n_s = (
+        values if spec.variable == name else np.full(values.shape, getattr(base, name))
+        for name in ("eta_b", "eta_t", "n_s")
+    )
     if spec.variable == "n_s" and np.any(values <= 0.0):
         raise DomainError("n_s grid values must be positive")
-    if protocol == "classical":
-        return classical_fidelity(eta_b, eta_t, n_s), None
-    if protocol == "bipartite":
-        return bipartite_fidelity(eta_b, eta_t, n_s), None
-    if protocol == "idler_free":
-        return idler_free_fidelity(scenario.m, eta_b, eta_t, n_s), None
-    if protocol == "idler_free_reversed":
-        return idler_free_fidelity(scenario.m, eta_t, eta_b, n_s), None
-    # mixed: fixed kappa when the scenario pins one, otherwise optimized per point
-    if scenario.kappa is not None:
-        kappa = np.full(values.shape, scenario.kappa)
-        return _symmetric_pair_fidelity(scenario.m, eta_b, eta_t, n_s, kappa), kappa
-    kappa, fidelity = _optimize_kappa_batch(scenario.m, eta_b, eta_t, n_s)
-    return fidelity, kappa
+    return fidelity(protocol, base.m, eta_b, eta_t, n_s, base.kappa)[:2]
+
+
+def _sweep_columns(spec: SweepSpec) -> dict:
+    """(fidelity, kappa) grids per requested protocol, in canonical order."""
+    values = np.asarray(spec.values, dtype=float)
+    return {p: _sweep_column(spec, p, values) for p in PROTOCOL_IDS if p in spec.protocols}
 
 
 def sweep(spec: SweepSpec) -> list[dict]:
@@ -231,19 +199,16 @@ def sweep(spec: SweepSpec) -> list[dict]:
     row carries the variable name, value, protocol, fidelity and (for the
     mixed protocol) the kappa used.
     """
-    protocols = tuple(p for p in PROTOCOL_IDS if p in spec.protocols)
-    values = np.asarray(spec.values, dtype=float)
-    columns = {p: _sweep_protocol(spec, p, values) for p in protocols}
+    columns = _sweep_columns(spec)
     rows = []
-    for i, value in enumerate(values):
-        for protocol in protocols:
-            fidelity, kappa = columns[protocol]
+    for i, value in enumerate(spec.values):
+        for protocol, (fids, kappa) in columns.items():
             rows.append(
                 {
                     "variable": spec.variable,
                     "value": float(value),
                     "protocol": protocol,
-                    "fidelity": float(fidelity[i]),
+                    "fidelity": float(fids[i]),
                     "kappa": None if kappa is None else float(kappa[i]),
                 }
             )
@@ -268,7 +233,6 @@ class RegionSpec:
     y_name: str
     y_values: Tuple[float, ...]
     quantum: str = "idler_free"
-    mode: str = "log_ratio"
     total_energy: float | None = None
 
     def __post_init__(self):
@@ -279,8 +243,6 @@ class RegionSpec:
             raise DomainError("region axes must differ")
         if self.quantum not in ("idler_free", "bipartite", "mixed"):
             raise DomainError(f"unknown quantum protocol {self.quantum!r}")
-        if self.mode not in ("log_ratio", "certificate"):
-            raise DomainError(f"mode must be 'log_ratio' or 'certificate', got {self.mode!r}")
         object.__setattr__(self, "x_values", tuple(float(v) for v in self.x_values))
         object.__setattr__(self, "y_values", tuple(float(v) for v in self.y_values))
         if not self.x_values or not self.y_values:
@@ -346,13 +308,9 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
             m_rounds = spec.total_energy / (base.m * n_s)
         else:
             m_rounds = np.full(nx, float(base.m_probes))
-        f_c = classical_fidelity(eta_b, eta_t, n_s)
-        if spec.quantum == "bipartite":
-            f_q = bipartite_fidelity(eta_b, eta_t, n_s)
-        elif spec.quantum == "idler_free":
-            f_q = idler_free_fidelity(base.m, eta_b, eta_t, n_s)
-        else:
-            kappa, f_q = _optimize_kappa_batch(base.m, eta_b, eta_t, n_s)
+        f_c = fidelity("classical", base.m, eta_b, eta_t, n_s)[0]
+        f_q, kappa, _ = fidelity(spec.quantum, base.m, eta_b, eta_t, n_s)
+        if kappa_star is not None:
             kappa_star[iy] = kappa
         with np.errstate(divide="ignore", under="ignore"):
             ub[iy] = perr_upper_raw(f_q, base.m, m_rounds)
@@ -377,7 +335,7 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
         "eta_t": base.eta_t,
         "m_probes": base.m_probes,
         "quantum": spec.quantum,
-        "mode": spec.mode,
+        "mode": "log_ratio",
         "total_energy": spec.total_energy,
     }
     return RegionGrid(

@@ -18,8 +18,8 @@ from cpfkit import (
     classical_perr_lower,
     expansion_coefficient,
     extreme_point_check,
+    fidelity,
     idler_free_binary_fidelity,
-    idler_free_fidelity,
     optimize_kappa,
     output_fidelity,
     perr_lower,
@@ -146,7 +146,7 @@ def test_idler_free_crossover_three_boxes():
     eta_b, n_s, m = 0.95, 50.0, 3
     crossover = None
     for eta_t in np.arange(0.50, 0.94, 0.001):
-        f_if = float(idler_free_fidelity(m, eta_b, float(eta_t), n_s))
+        f_if = float(fidelity("idler_free", m, eta_b, float(eta_t), n_s)[0])
         f_cl = float(classical_fidelity(eta_b, float(eta_t), n_s))
         if f_if < f_cl:
             crossover = float(eta_t)
@@ -231,7 +231,7 @@ def test_large_energy_scaling_slopes():
 
 
 def test_idler_free_levels_off_with_more_boxes():
-    values = [float(idler_free_fidelity(m, 0.2, 0.7, 1.0)) for m in range(2, 11)]
+    values = [float(fidelity("idler_free", m, 0.2, 0.7, 1.0)[0]) for m in range(2, 11)]
     increasing = all(b > a for a, b in zip(values, values[1:]))
     flattens = abs(values[-1] - values[-2]) < abs(values[1] - values[0])
     _report(

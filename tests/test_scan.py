@@ -11,25 +11,25 @@ from cpfkit import (
     classical_fidelity,
     expansion_coefficient,
     extreme_point_check,
+    fidelity,
     idler_free_binary_fidelity,
-    idler_free_fidelity,
     optimize_kappa,
     output_fidelity,
     region_scan,
     sweep,
 )
-from cpfkit.scan import WORKERS_ENV_VAR, _resolve_workers, _symmetric_pair_fidelity
+from cpfkit.scan import WORKERS_ENV_VAR, _resolve_workers
 
 
 # ------------------------------------------------------- fidelity wrappers
 
 
 def test_idler_free_fidelity_dispatch():
-    assert idler_free_fidelity(2, 0.6, 0.9, 5.0) == pytest.approx(
+    assert fidelity("idler_free", 2, 0.6, 0.9, 5.0)[0] == pytest.approx(
         float(idler_free_binary_fidelity(0.6, 0.9, 5.0)), rel=1e-14
     )
     etas = np.linspace(0.1, 0.9, 5)
-    batch = idler_free_fidelity(4, 0.6, etas, 5.0)
+    batch = fidelity("idler_free", 4, 0.6, etas, 5.0)[0]
     for i, eta in enumerate(etas):
         point = output_fidelity(Scenario(4, 0.6, float(eta), 5.0), "idler_free")
         assert batch[i] == pytest.approx(point.value, abs=1e-12)
@@ -37,9 +37,9 @@ def test_idler_free_fidelity_dispatch():
 
 def test_symmetric_pair_fidelity_endpoints():
     etas = np.linspace(0.05, 0.95, 7)
-    classical = _symmetric_pair_fidelity(2, 0.7, etas, 8.0, 0.0)
+    classical = fidelity("mixed", 2, 0.7, etas, 8.0, 0.0)[0]
     assert np.allclose(classical, classical_fidelity(0.7, etas, 8.0), atol=1e-12)
-    idler_free = _symmetric_pair_fidelity(2, 0.7, etas, 8.0, 1.0)
+    idler_free = fidelity("mixed", 2, 0.7, etas, 8.0, 1.0)[0]
     assert np.allclose(idler_free, idler_free_binary_fidelity(0.7, etas, 8.0), atol=1e-12)
 
 
@@ -50,7 +50,7 @@ def test_optimize_kappa_matches_brute_force():
     for eta_b, eta_t, n_s in [(0.55, 0.9, 50.0), (0.2, 0.7, 1.0), (0.95, 0.5, 10.0)]:
         result = optimize_kappa(Scenario(2, eta_b, eta_t, n_s))
         grid = np.linspace(0.0, 1.0, 2001)
-        brute = _symmetric_pair_fidelity(2, eta_b, eta_t, n_s, grid)
+        brute = fidelity("mixed", 2, eta_b, eta_t, n_s, grid)[0]
         assert result.fidelity <= float(brute.min()) + 1e-9
         assert 0.0 <= result.kappa <= 1.0
 
@@ -82,7 +82,7 @@ def test_optimize_kappa_degenerate_diagonal():
 
 def test_optimize_kappa_three_boxes():
     result = optimize_kappa(Scenario(3, 0.55, 0.9, 50.0))
-    f_if = float(idler_free_fidelity(3, 0.55, 0.9, 50.0))
+    f_if = float(fidelity("idler_free", 3, 0.55, 0.9, 50.0)[0])
     f_cl = float(classical_fidelity(0.55, 0.9, 50.0))
     assert result.fidelity <= min(f_if, f_cl) + 1e-12
 
@@ -141,10 +141,10 @@ def test_sweep_reversed_swaps_roles():
     )
     rows = {r["protocol"]: r["fidelity"] for r in sweep(spec)}
     assert rows["idler_free"] == pytest.approx(
-        float(idler_free_fidelity(3, 0.9, 0.4, 5.0)), rel=1e-12
+        float(fidelity("idler_free", 3, 0.9, 0.4, 5.0)[0]), rel=1e-12
     )
     assert rows["idler_free_reversed"] == pytest.approx(
-        float(idler_free_fidelity(3, 0.4, 0.9, 5.0)), rel=1e-12
+        float(fidelity("idler_free", 3, 0.4, 0.9, 5.0)[0]), rel=1e-12
     )
 
 
@@ -155,7 +155,7 @@ def test_sweep_mixed_respects_pinned_kappa():
     row = sweep(pinned)[0]
     assert row["kappa"] == 0.25
     assert row["fidelity"] == pytest.approx(
-        float(_symmetric_pair_fidelity(2, 0.55, 0.9, 50.0, 0.25)), rel=1e-12
+        float(fidelity("mixed", 2, 0.55, 0.9, 50.0, 0.25)[0]), rel=1e-12
     )
     free = SweepSpec(Scenario(2, 0.55, 0.5, 50.0), "eta_t", (0.9,), ("mixed",))
     optimized = sweep(free)[0]
@@ -167,7 +167,7 @@ def test_sweep_over_m_recurses():
     rows = sweep(spec)
     for row, m in zip(rows, (2, 3, 5)):
         assert row["fidelity"] == pytest.approx(
-            float(idler_free_fidelity(m, 0.2, 0.7, 1.0)), rel=1e-12
+            float(fidelity("idler_free", m, 0.2, 0.7, 1.0)[0]), rel=1e-12
         )
 
 
