@@ -43,8 +43,8 @@ class ProbeSpec:
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or self.m < 2:
             raise DomainError(f"m must be an integer >= 2, got {self.m}")
-        if self.n_s < 0:
-            raise DomainError(f"n_s must be nonnegative, got {self.n_s}")
+        if not (self.n_s >= 0 and math.isfinite(self.n_s)):
+            raise DomainError(f"n_s must be nonnegative and finite, got {self.n_s}")
         if self.kind is ProtocolKind.MIXED:
             if self.kappa is None or not 0.0 <= self.kappa <= 1.0:
                 raise DomainError(

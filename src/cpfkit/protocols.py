@@ -51,10 +51,10 @@ class Scenario:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {value}")
-        if not self.n_s > 0:
-            raise DomainError(f"n_s must be positive, got {self.n_s}")
-        if not self.m_probes >= 1:
-            raise DomainError(f"m_probes must be at least 1, got {self.m_probes}")
+        if not (self.n_s > 0 and math.isfinite(self.n_s)):
+            raise DomainError(f"n_s must be positive and finite, got {self.n_s}")
+        if not (self.m_probes >= 1 and math.isfinite(self.m_probes)):
+            raise DomainError(f"m_probes must be finite and at least 1, got {self.m_probes}")
         if self.kappa is not None and not 0.0 <= self.kappa <= 1.0:
             raise DomainError(f"kappa must lie in [0, 1], got {self.kappa}")
 
@@ -98,15 +98,15 @@ def _oriented(protocol, eta_b, eta_t):
 
 def _check_eta(name: str, value) -> np.ndarray:
     value = np.asarray(value, dtype=float)
-    if np.any((value < 0.0) | (value > 1.0)):
+    if not np.all((value >= 0.0) & (value <= 1.0)):  # also refuses nan
         raise DomainError(f"{name} must lie in [0, 1]")
     return value
 
 
 def _check_n_s(value) -> np.ndarray:
     value = np.asarray(value, dtype=float)
-    if np.any(value < 0.0):
-        raise DomainError("n_s must be nonnegative")
+    if not np.all((value >= 0.0) & (value < math.inf)):  # also refuses nan
+        raise DomainError("n_s must be nonnegative and finite")
     return value
 
 
@@ -231,7 +231,7 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     eta_b, eta_t = _check_eta("eta_b", eta_b), _check_eta("eta_t", eta_t)
     n_s = _check_n_s(n_s)
     kappa = np.asarray(kappa, dtype=float)
-    if np.any((kappa < 0.0) | (kappa > 1.0)):
+    if not np.all((kappa >= 0.0) & (kappa <= 1.0)):
         raise DomainError("kappa must lie in [0, 1]")
 
     batch = np.broadcast_shapes(eta_b.shape, eta_t.shape, n_s.shape, kappa.shape)
@@ -344,6 +344,8 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     pair of :func:`output_pair_arrays`, "direct" at m = 2 and "reduced"
     beyond, and ``pair`` holds its arrays.
     """
+    # checked before the swap, so that a message names the caller's field
+    eta_b, eta_t = _check_eta("eta_b", eta_b), _check_eta("eta_t", eta_t)
     kind, eta_b, eta_t = _oriented(protocol, eta_b, eta_t)
     if kind is ProtocolKind.CLASSICAL:
         return classical_fidelity(eta_b, eta_t, n_s), "closed-form", None

@@ -35,11 +35,36 @@ WORKERS_ENV_VAR = "CPFKIT_WORKERS"
 
 
 def _resolve_workers(workers: int | None) -> int:
+    source = "workers"
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+        source, raw = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise DomainError(f"{source} must be an integer, got {raw!r}") from None
     if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
+        raise DomainError(f"{source} must be at least 1, got {workers}")
     return workers
+
+
+# scenario fields a grid may vary, with the domain of their values
+_GRID_DOMAINS = {
+    "eta_b": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "eta_t": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "n_s": ("be positive", lambda v: v > 0.0),
+    "m": ("be integers >= 2", lambda v: (v >= 2.0) & (v == np.round(v))),
+    "m_probes": ("be at least 1", lambda v: v >= 1.0),
+}
+
+
+def _check_grid(name: str, values) -> np.ndarray:
+    """The grid of scenario field ``name`` as floats, each finite and in its domain."""
+    values = np.asarray(values, dtype=float)
+    rule, inside = _GRID_DOMAINS[name]
+    bad = ~(np.isfinite(values) & inside(values))
+    if bad.any():
+        raise DomainError(f"{name} grid values must be finite and {rule}, got {values[bad][0]}")
+    return values
 
 
 def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
@@ -180,14 +205,12 @@ def _sweep_column(spec: SweepSpec, protocol: str, values: np.ndarray):
         values if spec.variable == name else np.full(values.shape, getattr(base, name))
         for name in ("eta_b", "eta_t", "n_s")
     )
-    if spec.variable == "n_s" and np.any(values <= 0.0):
-        raise DomainError("n_s grid values must be positive")
     return fidelity(protocol, base.m, eta_b, eta_t, n_s, base.kappa)[:2]
 
 
 def _sweep_columns(spec: SweepSpec) -> dict:
     """(fidelity, kappa) grids per requested protocol, in canonical order."""
-    values = np.asarray(spec.values, dtype=float)
+    values = _check_grid(spec.variable, spec.values)
     return {p: _sweep_column(spec, p, values) for p in PROTOCOL_IDS if p in spec.protocols}
 
 
@@ -247,8 +270,11 @@ class RegionSpec:
         object.__setattr__(self, "y_values", tuple(float(v) for v in self.y_values))
         if not self.x_values or not self.y_values:
             raise DomainError("region axes need at least one value each")
-        if self.total_energy is not None and not self.total_energy > 0:
-            raise DomainError(f"total_energy must be positive, got {self.total_energy}")
+        _check_grid(self.x_name, self.x_values)
+        _check_grid(self.y_name, self.y_values)
+        energy = self.total_energy
+        if energy is not None and not (energy > 0 and math.isfinite(energy)):
+            raise DomainError(f"total_energy must be positive and finite, got {energy}")
 
 
 @dataclass(frozen=True)

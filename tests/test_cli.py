@@ -153,6 +153,19 @@ def test_figure_deterministic_across_worker_counts(capsys, monkeypatch):
     assert serial == threaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("figure", "--id", "6", "--resolution", "3"),
+     ("region", "--x-points", "3", "--y-points", "2", "--ns", "5")],
+)
+def test_bad_workers_env_var_exits_two(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CPFKIT_WORKERS", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "CPFKIT_WORKERS" in err and "Traceback" not in err
+
+
 # ----------------------------------------------------------- sweep, region
 
 

@@ -101,6 +101,13 @@ def test_build_probe_bipartite_is_product_of_pairs():
     assert np.count_nonzero(probe.cm) == np.count_nonzero(pair.cm) * 3
 
 
+@pytest.mark.parametrize("kind", [ProtocolKind.CLASSICAL, ProtocolKind.IDLER_FREE])
+@pytest.mark.parametrize("n_s", [float("nan"), float("inf")])
+def test_probe_spec_rejects_non_finite_energy(kind, n_s):
+    with pytest.raises(DomainError, match="n_s"):
+        ProbeSpec(kind, 2, n_s)
+
+
 def test_probe_spec_validation():
     with pytest.raises(DomainError):
         ProbeSpec(ProtocolKind.CLASSICAL, 1, 1.0)

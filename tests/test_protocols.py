@@ -41,6 +41,19 @@ def test_scenario_validation():
         Scenario(2, 0.5, 0.5, 1.0, 1.0, 1.5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("eta_b", float("nan")), ("eta_t", float("inf")), ("n_s", float("inf")),
+     ("n_s", float("nan")), ("m_probes", float("inf")), ("m_probes", float("nan")),
+     ("kappa", float("nan"))],
+)
+def test_scenario_rejects_non_finite(field, value):
+    fields = {"m": 2, "eta_b": 0.3, "eta_t": 0.5, "n_s": 1.0, "m_probes": 1.0, "kappa": None}
+    fields[field] = value
+    with pytest.raises(DomainError, match=field):
+        Scenario(**fields)
+
+
 # ------------------------------------------------------------ closed forms
 
 

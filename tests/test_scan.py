@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpfkit import (
+    PROTOCOL_IDS,
     DomainError,
     RegionSpec,
     Scenario,
@@ -33,6 +34,19 @@ def test_idler_free_fidelity_dispatch():
     for i, eta in enumerate(etas):
         point = output_fidelity(Scenario(4, 0.6, float(eta), 5.0), "idler_free")
         assert batch[i] == pytest.approx(point.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+@pytest.mark.parametrize(
+    "field, value",
+    [("eta_b", float("nan")), ("eta_t", float("nan")), ("eta_t", float("inf")),
+     ("n_s", float("inf")), ("n_s", float("nan"))],
+)
+def test_dispatcher_rejects_non_finite(protocol, field, value):
+    point = {"eta_b": 0.3, "eta_t": 0.5, "n_s": 1.0}
+    point[field] = np.array([0.4, value])
+    with pytest.raises(DomainError, match=field):
+        fidelity(protocol, 3, **point)
 
 
 def test_symmetric_pair_fidelity_endpoints():
@@ -171,6 +185,19 @@ def test_sweep_over_m_recurses():
         )
 
 
+@pytest.mark.parametrize(
+    "variable, value",
+    [("eta_t", float("nan")), ("eta_b", float("inf")), ("n_s", float("inf")),
+     ("n_s", float("nan")), ("m", float("nan")), ("m", float("inf")),
+     ("m_probes", float("inf"))],
+)
+def test_sweep_rejects_non_finite_grid(variable, value):
+    first = 2.0 if variable == "m" else 0.5
+    spec = SweepSpec(Scenario(2, 0.5, 0.6, 1.0), variable, (first, value), PROTOCOL_IDS)
+    with pytest.raises(DomainError, match=variable):
+        sweep(spec)
+
+
 def test_sweep_rejects_nonpositive_energy_grid():
     spec = SweepSpec(Scenario(2, 0.5, 0.6, 1.0), "n_s", (0.0, 1.0))
     with pytest.raises(DomainError):
@@ -204,6 +231,23 @@ def test_region_spec_validation():
         RegionSpec(base, "eta_t", (0.1,), "eta_b", (0.2,), quantum="bogus")
     with pytest.raises(DomainError):
         RegionSpec(base, "eta_t", (0.1,), "eta_b", (0.2,), total_energy=0.0)
+
+
+@pytest.mark.parametrize(
+    "axes, total_energy, field",
+    [((("eta_t", (0.1, float("nan"))), ("eta_b", (0.2,))), None, "eta_t"),
+     ((("eta_t", (0.1,)), ("eta_b", (float("nan"),))), None, "eta_b"),
+     ((("eta_t", (0.1,)), ("n_s", (1.0, float("inf")))), None, "n_s"),
+     ((("eta_t", (0.1,)), ("n_s", (-1.0,))), None, "n_s"),
+     ((("eta_t", (0.1,)), ("eta_b", (1.5,))), None, "eta_b"),
+     ((("eta_t", (0.1,)), ("eta_b", (0.2,))), float("inf"), "total_energy"),
+     ((("eta_t", (0.1,)), ("eta_b", (0.2,))), float("nan"), "total_energy")],
+)
+def test_region_spec_rejects_non_finite(axes, total_energy, field):
+    (x_name, x_values), (y_name, y_values) = axes
+    with pytest.raises(DomainError, match=field):
+        RegionSpec(Scenario(2, 0.5, 0.5, 1.0), x_name, x_values, y_name, y_values,
+                   total_energy=total_energy)
 
 
 def test_region_scan_shapes_and_certificate():
@@ -267,6 +311,13 @@ def test_workers_resolution(monkeypatch):
     assert _resolve_workers(2) == 2
     with pytest.raises(DomainError):
         _resolve_workers(0)
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "", "0", "-2"])
+def test_workers_env_var_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv(WORKERS_ENV_VAR, raw)
+    with pytest.raises(DomainError, match=WORKERS_ENV_VAR):
+        _resolve_workers(None)
 
 
 # ------------------------------------------------- expansions and extremes
