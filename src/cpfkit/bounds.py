@@ -42,7 +42,11 @@ def _check_m_and_rounds(m: int, m_probes) -> None:
 
 
 def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
-    """Unclamped (m-1) F^M, useful for ratios; may exceed 1."""
+    """Unclamped (m-1) F^M, useful for ratios; may exceed 1.
+
+    The uniform-prior case of the pretty-good-measurement bound of
+    Barnum and Knill, J. Math. Phys. 43, 2097 (2002).
+    """
     fidelity = _check_fidelity(fidelity)
     _check_m_and_rounds(m, m_probes)
     return (m - 1.0) * fidelity**m_probes
@@ -50,12 +54,13 @@ def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
 
 def perr_upper(fidelity, m: int, m_probes: float = 1.0):
     """Upper bound on the error probability with equiprobable hypotheses,
-    (m-1) F^M clamped to [0, 1]."""
+    (m-1) F^M clamped to [0, 1] (Barnum and Knill, J. Math. Phys. 43, 2097 (2002))."""
     return np.minimum(1.0, perr_upper_raw(fidelity, m, m_probes))
 
 
 def perr_lower(fidelity, m: int, m_probes: float = 1.0):
-    """Lower bound (m-1)/(2m) F^(2M) on the error probability."""
+    """Lower bound (m-1)/(2m) F^(2M) on the error probability with
+    equiprobable hypotheses (Montanaro, IEEE Information Theory Workshop (ITW) 2008)."""
     fidelity = _check_fidelity(fidelity)
     _check_m_and_rounds(m, m_probes)
     return (m - 1.0) / (2.0 * m) * fidelity ** (2.0 * m_probes)
@@ -77,7 +82,8 @@ def _check_priors_and_matrix(priors, fidelities) -> tuple:
 
 
 def perr_upper_general(priors, fidelities, m_probes: float = 1.0):
-    """General-prior upper bound, sum over i != j of sqrt(pi_i pi_j) F_ij^M."""
+    """General-prior upper bound, sum over i != j of sqrt(pi_i pi_j) F_ij^M,
+    clamped to 1 (Barnum and Knill, J. Math. Phys. 43, 2097 (2002))."""
     priors, fidelities = _check_priors_and_matrix(priors, fidelities)
     if not m_probes >= 1:
         raise DomainError(f"m_probes must be at least 1, got {m_probes}")
@@ -88,7 +94,8 @@ def perr_upper_general(priors, fidelities, m_probes: float = 1.0):
 
 
 def perr_lower_general(priors, fidelities, m_probes: float = 1.0):
-    """General-prior lower bound, 1/2 sum over i != j of pi_i pi_j F_ij^(2M)."""
+    """General-prior lower bound, 1/2 sum over i != j of pi_i pi_j F_ij^(2M)
+    (Montanaro, IEEE Information Theory Workshop (ITW) 2008)."""
     priors, fidelities = _check_priors_and_matrix(priors, fidelities)
     if not m_probes >= 1:
         raise DomainError(f"m_probes must be at least 1, got {m_probes}")
