@@ -93,7 +93,10 @@ def _oriented(protocol, eta_b, eta_t):
     if protocol not in _PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}; valid: {PROTOCOL_IDS}")
     kind, swapped = _PROTOCOLS[protocol]
-    return (kind, eta_t, eta_b) if swapped else (kind, eta_b, eta_t)
+    if not swapped:
+        return kind, eta_b, eta_t
+    # checked before the swap, so that a message names the caller's field
+    return kind, _check_eta("eta_t", eta_t), _check_eta("eta_b", eta_b)
 
 
 def _check_eta(name: str, value) -> np.ndarray:
@@ -344,8 +347,6 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     pair of :func:`output_pair_arrays`, "direct" at m = 2 and "reduced"
     beyond, and ``pair`` holds its arrays.
     """
-    # checked before the swap, so that a message names the caller's field
-    eta_b, eta_t = _check_eta("eta_b", eta_b), _check_eta("eta_t", eta_t)
     kind, eta_b, eta_t = _oriented(protocol, eta_b, eta_t)
     if kind is ProtocolKind.CLASSICAL:
         return classical_fidelity(eta_b, eta_t, n_s), "closed-form", None

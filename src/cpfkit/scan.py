@@ -49,11 +49,11 @@ def _resolve_workers(workers: int | None) -> int:
 
 # scenario fields a grid may vary, with the domain of their values
 _GRID_DOMAINS = {
-    "eta_b": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
-    "eta_t": ("lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
-    "n_s": ("be positive", lambda v: v > 0.0),
-    "m": ("be integers >= 2", lambda v: (v >= 2.0) & (v == np.round(v))),
-    "m_probes": ("be at least 1", lambda v: v >= 1.0),
+    "eta_b": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "eta_t": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "n_s": ("positive", lambda v: v > 0.0),
+    "m": ("integers >= 2", lambda v: (v >= 2.0) & (v == np.round(v))),
+    "m_probes": ("at least 1", lambda v: v >= 1.0),
 }
 
 
