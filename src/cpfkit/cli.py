@@ -33,6 +33,7 @@ from .scan import (
     fidelity,
     region_scan,
     sweep,
+    _GRID_DOMAINS,
     _sweep_columns,
 )
 
@@ -321,6 +322,10 @@ def _sweep_table(p: dict) -> Table:
     if bad:
         raise DomainError(f"--protocols has unknown entries {bad}; valid: {list(PROTOCOL_IDS)}")
 
+    rule, inside = _GRID_DOMAINS[variable]
+    for key, value in (("start", start), ("stop", stop)):
+        if not inside(value):
+            raise DomainError(f"{_flag(key)} must be {rule} for {variable}, got {value}")
     if logspace:
         if start <= 0 or stop <= 0:
             raise DomainError("--log needs positive --start and --stop")
@@ -396,6 +401,12 @@ def _region_table(p: dict) -> Table:
 
     x_values, y_values = axis("x", x_name), axis("y", y_name)
     scenario = _scenario_from(p, placeholder=(x_name, y_name))
+    if total_energy is not None:
+        n_s = x_values if x_name == "n_s" else y_values if y_name == "n_s" else [scenario.n_s]
+        fewest = total_energy / (scenario.m * max(n_s))
+        if fewest < 1.0:
+            raise DomainError(f"--total-energy leaves {fewest:.12g} rounds per cell, "
+                              "total/(m*n_s), below 1")
     spec = RegionSpec(
         scenario, x_name, tuple(map(float, x_values)), y_name,
         tuple(map(float, y_values)), quantum, total_energy,
