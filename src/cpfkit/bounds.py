@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,8 @@ def _check_fidelity(fidelity, name: str = "fidelity") -> np.ndarray:
 
 
 def _check_m_and_rounds(m: int, m_probes) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise DomainError(f"m must be an integer >= 2, got {m}")
-    if not np.all(np.asarray(m_probes, dtype=float) >= 1.0):
-        raise DomainError(f"m_probes must be at least 1, got {m_probes}")
+    check("m", m)
+    check("m_probes", m_probes)
 
 
 def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
@@ -70,8 +68,7 @@ def _check_priors_and_matrix(priors, fidelities) -> tuple:
     priors = np.asarray(priors, dtype=float)
     fidelities = _check_fidelity(fidelities, "fidelities")
     m = priors.size
-    if m < 2:
-        raise DomainError(f"need at least two hypotheses, got {m}")
+    check("m", m, "priors")  # one prior per hypothesis
     if np.any(priors < 0.0) or abs(float(priors.sum()) - 1.0) > 1e-9:
         raise DomainError("priors must be nonnegative and sum to 1")
     if fidelities.shape != (m, m):
@@ -85,8 +82,7 @@ def perr_upper_general(priors, fidelities, m_probes: float = 1.0):
     """General-prior upper bound, sum over i != j of sqrt(pi_i pi_j) F_ij^M,
     clamped to 1 (Barnum and Knill, J. Math. Phys. 43, 2097 (2002))."""
     priors, fidelities = _check_priors_and_matrix(priors, fidelities)
-    if not m_probes >= 1:
-        raise DomainError(f"m_probes must be at least 1, got {m_probes}")
+    check("m_probes", m_probes)
     root = np.sqrt(np.outer(priors, priors))
     total = root * fidelities**m_probes
     value = float(total.sum() - np.trace(total))
@@ -97,8 +93,7 @@ def perr_lower_general(priors, fidelities, m_probes: float = 1.0):
     """General-prior lower bound, 1/2 sum over i != j of pi_i pi_j F_ij^(2M)
     (Montanaro, IEEE Information Theory Workshop (ITW) 2008)."""
     priors, fidelities = _check_priors_and_matrix(priors, fidelities)
-    if not m_probes >= 1:
-        raise DomainError(f"m_probes must be at least 1, got {m_probes}")
+    check("m_probes", m_probes)
     weight = np.outer(priors, priors)
     total = weight * fidelities ** (2.0 * m_probes)
     return 0.5 * float(total.sum() - np.trace(total))
@@ -113,7 +108,7 @@ def pgm_pure_upper(fidelity, m: int):
     algebraically (sqrt(1+(m-1)F) - sqrt(1-F))^2 but exact at F = 0 and 1.
     """
     fidelity = _check_fidelity(fidelity)
-    _check_m_and_rounds(m, 1.0)
+    check("m", m)
     square = 2.0 + (m - 2.0) * fidelity - 2.0 * np.sqrt(
         (1.0 + (m - 1.0) * fidelity) * (1.0 - fidelity)
     )
@@ -123,13 +118,7 @@ def pgm_pure_upper(fidelity, m: int):
 def classical_perr_lower(eta_b, eta_t, n_s, m: int, m_probes: float = 1.0):
     """Error-probability floor for every classical strategy of total energy
     M n_s per box, (m-1)/(2m) exp(-2 M n_s (sqrt(eta_b)-sqrt(eta_t))^2)."""
-    eta_b = np.asarray(eta_b, dtype=float)
-    eta_t = np.asarray(eta_t, dtype=float)
-    if np.any((eta_b < 0.0) | (eta_b > 1.0)) or np.any((eta_t < 0.0) | (eta_t > 1.0)):
-        raise DomainError("transmissivities must lie in [0, 1]")
-    n_s = np.asarray(n_s, dtype=float)
-    if np.any(n_s < 0.0):
-        raise DomainError("n_s must be nonnegative")
+    eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
     _check_m_and_rounds(m, m_probes)
     gap = (np.sqrt(eta_b) - np.sqrt(eta_t)) ** 2
     return (m - 1.0) / (2.0 * m) * np.exp(-2.0 * m_probes * n_s * gap)

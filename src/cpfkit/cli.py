@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import signal
 import sys
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import perr_lower, perr_upper
-from .errors import CpfError, DomainError
+from .errors import CpfError, DomainError, check
 from .protocols import Scenario, listed_protocols, output_fidelity
 from .scan import (
     PROTOCOL_IDS,
@@ -33,7 +32,6 @@ from .scan import (
     fidelity,
     region_scan,
     sweep,
-    _GRID_DOMAINS,
     _sweep_columns,
 )
 
@@ -176,11 +174,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise DomainError(f"--config: cannot read {args.config}: {exc}") from exc
+            raise DomainError(f"names {args.config}, which cannot be read: {exc}",
+                              "config") from exc
         except json.JSONDecodeError as exc:
-            raise DomainError(f"--config: {args.config} is not valid JSON: {exc}") from exc
+            raise DomainError(f"names {args.config}, which is not valid JSON: {exc}",
+                              "config") from exc
         if not isinstance(loaded, dict):
-            raise DomainError("--config must hold a JSON object of flag values")
+            raise DomainError("must hold a JSON object of flag values", "config")
         # keys mirror the flags: "ns" and dashed spellings map to dest names
         loaded = {
             {"ns": "n_s"}.get(k.replace("-", "_"), k.replace("-", "_")): v
@@ -188,9 +188,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         }
         unknown = sorted(set(loaded) - known)
         if unknown:
-            raise DomainError(
-                f"--config has keys {unknown} not recognised by '{args.command}'"
-            )
+            raise DomainError(f"has keys {unknown} not recognised by '{args.command}'", "config")
         merged.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -200,7 +198,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-# ------------------------------------------------------------ validation
+# ----------------------------------------------------------------- values
+#
+# Values are only parsed here.  The engines check every scenario field and
+# grid against its domain and name the field at fault, which main() turns
+# into the flag.
 
 
 def _flag(key: str) -> str:
@@ -211,64 +213,58 @@ def _num(p: dict, key: str, required: bool = True) -> float | None:
     value = p.get(key)
     if value is None:
         if required:
-            raise DomainError(f"{_flag(key)} is required")
+            raise DomainError("is required", key)
         return None
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{_flag(key)} expects a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise DomainError(f"{_flag(key)} must be finite, got {value!r}")
-    return number
-
-
-def _eta(p: dict, key: str, required: bool = True) -> float | None:
-    value = _num(p, key, required)
-    if value is not None and not 0.0 <= value <= 1.0:
-        raise DomainError(f"{_flag(key)} must lie in [0, 1], got {value}")
-    return value
-
-
-def _positive(p: dict, key: str, required: bool = True) -> float | None:
-    value = _num(p, key, required)
-    if value is not None and not value > 0.0:
-        raise DomainError(f"{_flag(key)} must be positive, got {value}")
-    return value
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"expects a number, got {value!r}", key) from None
 
 
 def _integer(p: dict, key: str, minimum: int, required: bool = True) -> int | None:
     number = _num(p, key, required)
     if number is None:
         return None
-    if number != int(number):
-        raise DomainError(f"{_flag(key)} must be an integer, got {p[key]}")
-    number = int(number)
+    if not number.is_integer():
+        raise DomainError(f"must be an integer, got {p[key]}", key)
     if number < minimum:
-        raise DomainError(f"{_flag(key)} must be at least {minimum}, got {number}")
-    return number
+        raise DomainError(f"must be at least {minimum}, got {int(number)}", key)
+    return int(number)
 
 
 def _choice(p: dict, key: str, choices: tuple) -> str:
     value = p.get(key)
     if value is None:
-        raise DomainError(f"{_flag(key)} is required")
+        raise DomainError("is required", key)
     if value not in choices:
-        raise DomainError(f"{_flag(key)} must be one of {', '.join(map(str, choices))}, got {value!r}")
+        raise DomainError(f"must be one of {', '.join(map(str, choices))}, got {value!r}", key)
     return value
 
 
 def _scenario_from(p: dict, *, placeholder: tuple = ()) -> Scenario:
     """Build the Scenario; fields named in ``placeholder`` get dummy values
     because a grid overrides them."""
-    m = _integer(p, "m", 2)
-    eta_b = 0.5 if "eta_b" in placeholder else _eta(p, "eta_b")
-    eta_t = 0.5 if "eta_t" in placeholder else _eta(p, "eta_t")
-    n_s = 1.0 if "n_s" in placeholder else _positive(p, "n_s")
-    m_probes = _num(p, "m_probes")
-    if m_probes < 1.0:
-        raise DomainError(f"--m-probes must be at least 1, got {m_probes}")
-    kappa = _eta(p, "kappa", required=False) if "kappa" in p else None
-    return Scenario(m, eta_b, eta_t, n_s, m_probes, kappa)
+    dummies = {"eta_b": 0.5, "eta_t": 0.5, "n_s": 1.0}
+    eta_b, eta_t, n_s = (dummies[k] if k in placeholder else _num(p, k) for k in dummies)
+    return Scenario(_num(p, "m"), eta_b, eta_t, n_s, _num(p, "m_probes"),
+                    _num(p, "kappa", required=False))
+
+
+def _grid(p: dict, prefix: str, variable: str, logspace: bool = False) -> tuple:
+    """(start, stop, points, values) of the grid of ``variable`` that the
+    flags <prefix>start, <prefix>stop and <prefix>points set."""
+    start, stop = (float(check(variable, _num(p, prefix + end), prefix + end))
+                   for end in ("start", "stop"))
+    points = _integer(p, prefix + "points", 1)
+    if not logspace:
+        values = np.linspace(start, stop, points)
+    elif start > 0 and stop > 0:
+        values = np.logspace(np.log10(start), np.log10(stop), points)
+    else:
+        raise DomainError("needs positive --start and --stop", "log")
+    # between valid endpoints only m can leave its domain, at non-integers
+    check(variable, values, prefix + "start")
+    return start, stop, points, values
 
 
 # --------------------------------------------------------- table builders
@@ -314,30 +310,14 @@ def _fidelity_table(p: dict) -> Table:
 
 def _sweep_table(p: dict) -> Table:
     variable = _choice(p, "variable", _SWEEP_VARIABLES)
-    start, stop = _num(p, "start"), _num(p, "stop")
-    points = _integer(p, "points", 1)
     logspace = bool(p.get("log"))
+    start, stop, points, values = _grid(p, "", variable, logspace)
     protocols = tuple(s.strip() for s in str(p["protocols"]).split(",") if s.strip())
     bad = [s for s in protocols if s not in PROTOCOL_IDS]
     if bad:
-        raise DomainError(f"--protocols has unknown entries {bad}; valid: {list(PROTOCOL_IDS)}")
+        raise DomainError(f"has unknown entries {bad}; valid: {list(PROTOCOL_IDS)}", "protocols")
 
-    rule, inside = _GRID_DOMAINS[variable]
-    for key, value in (("start", start), ("stop", stop)):
-        if not inside(value):
-            raise DomainError(f"{_flag(key)} must be {rule} for {variable}, got {value}")
-    if logspace:
-        if start <= 0 or stop <= 0:
-            raise DomainError("--log needs positive --start and --stop")
-        values = np.logspace(np.log10(start), np.log10(stop), points)
-    else:
-        values = np.linspace(start, stop, points)
-    if variable in ("m", "m_probes") and np.any(values != np.round(values)):
-        raise DomainError(f"--start/--stop/--points give non-integer {variable} values")
-    if variable == "m" and np.any(values < 2):
-        raise DomainError("--start: m values must be at least 2")
-
-    scenario = _scenario_from(p, placeholder=(variable,) if variable != "m_probes" else ())
+    scenario = _scenario_from(p, placeholder=(variable,))
     spec = SweepSpec(scenario, variable, tuple(float(v) for v in values), protocols)
     rows = [
         [r["variable"], r["value"], r["protocol"], r["fidelity"], r["kappa"]]
@@ -383,30 +363,12 @@ def _region_table(p: dict) -> Table:
     x_name = _choice(p, "x", _REGION_AXES)
     y_name = _choice(p, "y", _REGION_AXES)
     if x_name == y_name:
-        raise DomainError("--x and --y must name different parameters")
+        raise DomainError("and --y must name different parameters", "x")
     quantum = _choice(p, "quantum", _QUANTUM_PROTOCOLS)
-    total_energy = _positive(p, "total_energy", required=False)
+    total_energy = _num(p, "total_energy", required=False)
     workers = _integer(p, "workers", 1, required=False)
-
-    def axis(prefix: str, name: str) -> np.ndarray:
-        start, stop = _num(p, f"{prefix}_start"), _num(p, f"{prefix}_stop")
-        points = _integer(p, f"{prefix}_points", 1)
-        if name in ("eta_b", "eta_t"):
-            for label, v in ((f"{prefix}_start", start), (f"{prefix}_stop", stop)):
-                if not 0.0 <= v <= 1.0:
-                    raise DomainError(f"{_flag(label)} must lie in [0, 1] for {name}, got {v}")
-        elif start <= 0 or stop <= 0:
-            raise DomainError(f"--{prefix}-start/--{prefix}-stop must be positive for n_s")
-        return np.linspace(start, stop, points)
-
-    x_values, y_values = axis("x", x_name), axis("y", y_name)
+    x_values, y_values = _grid(p, "x_", x_name)[3], _grid(p, "y_", y_name)[3]
     scenario = _scenario_from(p, placeholder=(x_name, y_name))
-    if total_energy is not None:
-        n_s = x_values if x_name == "n_s" else y_values if y_name == "n_s" else [scenario.n_s]
-        fewest = total_energy / (scenario.m * max(n_s))
-        if fewest < 1.0:
-            raise DomainError(f"--total-energy leaves {fewest:.12g} rounds per cell, "
-                              "total/(m*n_s), below 1")
     spec = RegionSpec(
         scenario, x_name, tuple(map(float, x_values)), y_name,
         tuple(map(float, y_values)), quantum, total_energy,
@@ -538,7 +500,7 @@ _FIGURES = {6: _figure_6, 7: _figure_7, 8: _figure_8}
 def _figure_table(p: dict) -> Table:
     fig_id = _integer(p, "id", 1)
     if fig_id not in _SWEEP_FIGURES and fig_id not in _FIGURES:
-        raise DomainError(f"--id must lie in 1..8, got {fig_id}")
+        raise DomainError(f"must lie in 1..8, got {fig_id}", "id")
     resolution = _integer(p, "resolution", 2)
     workers = _integer(p, "workers", 1, required=False)
     if fig_id in _SWEEP_FIGURES:
@@ -630,13 +592,14 @@ def main(argv=None) -> int:
             _apply_db(table)
         fmt = params.get("format", "csv")
         if fmt not in ("csv", "json"):
-            raise DomainError(f"--format must be csv or json, got {fmt!r}")
+            raise DomainError(f"must be csv or json, got {fmt!r}", "format")
         for note in table.notes:
             print(f"warning: {note}", file=sys.stderr)
         _emit(_render_csv(table) if fmt == "csv" else _render_json(table),
               params.get("output"))
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = exc.reason if exc.field is None else f"{_flag(exc.field)} {exc.reason}"
+        print(f"error: {where}", file=sys.stderr)
         return 2
     except (CpfError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the domains of the
+scenario fields, which every entry point checks its inputs against."""
+
+from __future__ import annotations
+
+import numpy as np
 
 
 class CpfError(Exception):
@@ -6,7 +11,16 @@ class CpfError(Exception):
 
 
 class DomainError(CpfError, ValueError):
-    """A parameter lies outside its mathematical domain (e.g. eta > 1)."""
+    """A parameter lies outside its mathematical domain (e.g. eta > 1).
+
+    ``field`` names the parameter at fault, when there is one; the message
+    is then ``field`` followed by ``reason``.
+    """
+
+    def __init__(self, reason: str, field: str | None = None):
+        super().__init__(reason if field is None else f"{field} {reason}")
+        self.reason = reason
+        self.field = field
 
 
 class InvalidStateError(CpfError, ValueError):
@@ -15,3 +29,35 @@ class InvalidStateError(CpfError, ValueError):
 
 class NumericError(CpfError, ArithmeticError):
     """A numerical computation failed (singular matrix, non-finite result)."""
+
+
+# scenario field -> (rule, test of a float array); check() also refuses
+# every non-finite value
+DOMAINS = {
+    "m": ("an integer >= 2", lambda v: (v >= 2.0) & (v == np.round(v))),
+    "eta_b": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "eta_t": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "n_s": ("finite and positive", lambda v: v > 0.0),
+    "m_probes": ("finite and at least 1", lambda v: v >= 1.0),
+    "kappa": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "total_energy": ("finite and positive", lambda v: v > 0.0),
+}
+
+
+def check(field: str, values, name: str | None = None) -> np.ndarray:
+    """``values`` as a float array, each finite and in ``field``'s domain.
+
+    Otherwise raises a :class:`DomainError` whose ``field`` is ``name``
+    (default ``field``), quoting the first offending value.
+    """
+    name = field if name is None else name
+    rule, inside = DOMAINS[field]
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"must be a number, got {values!r}", name) from None
+    bad = ~(np.isfinite(array) & inside(array))
+    if bad.any():
+        where = "" if name == field else f" for {field}"
+        raise DomainError(f"must be {rule}{where}, got {array[bad][0]:.12g}", name)
+    return array

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check
 from .gaussian import GaussianState
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -41,17 +41,14 @@ class ProbeSpec:
     kappa: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {self.m}")
-        if not (self.n_s >= 0 and math.isfinite(self.n_s)):
-            raise DomainError(f"n_s must be nonnegative and finite, got {self.n_s}")
+        object.__setattr__(self, "m", int(check("m", self.m)))
+        check("n_s", self.n_s)
         if self.kind is ProtocolKind.MIXED:
-            if self.kappa is None or not 0.0 <= self.kappa <= 1.0:
-                raise DomainError(
-                    f"mixed probes need kappa in [0, 1], got {self.kappa}"
-                )
+            if self.kappa is None:
+                raise DomainError("is needed by mixed probes", "kappa")
+            check("kappa", self.kappa)
         elif self.kappa is not None:
-            raise DomainError(f"kappa is only meaningful for mixed probes, got {self.kappa}")
+            raise DomainError(f"is only meaningful for mixed probes, got {self.kappa}", "kappa")
 
 
 def symmetric_cm(m: int, mu: float, c: float) -> np.ndarray:
@@ -66,8 +63,7 @@ def symmetric_cm(m: int, mu: float, c: float) -> np.ndarray:
 
 def max_symmetric_correlation(m: int, mu: float) -> float:
     """Largest physical c for the fully symmetric covariance, sqrt(mu^2-1)/(m-1)."""
-    if m < 2:
-        raise DomainError(f"m must be at least 2, got {m}")
+    check("m", m)
     if mu < 1.0:
         raise DomainError(f"mu must be at least 1, got {mu}")
     return math.sqrt(mu * mu - 1.0) / (m - 1)
@@ -83,9 +79,7 @@ def classical_probe(m: int, n_s: float) -> GaussianState:
 
 def bipartite_probe(n_s: float) -> GaussianState:
     """Two-mode squeezed vacuum with signal energy n_s: mode 0 idler, mode 1 signal."""
-    if n_s < 0:
-        raise DomainError(f"n_s must be nonnegative, got {n_s}")
-    mu = 2.0 * n_s + 1.0
+    mu = 2.0 * float(check("n_s", n_s)) + 1.0
     return GaussianState(np.zeros(4), symmetric_cm(2, mu, math.sqrt(mu * mu - 1.0)))
 
 

@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidStateError
+from .errors import DomainError, InvalidStateError, check
 from .gaussian import (
     GaussianState,
     check_physical,
@@ -45,18 +45,11 @@ class Scenario:
     kappa: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {self.m}")
-        for name in ("eta_b", "eta_t"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {value}")
-        if not (self.n_s > 0 and math.isfinite(self.n_s)):
-            raise DomainError(f"n_s must be positive and finite, got {self.n_s}")
-        if not (self.m_probes >= 1 and math.isfinite(self.m_probes)):
-            raise DomainError(f"m_probes must be finite and at least 1, got {self.m_probes}")
-        if self.kappa is not None and not 0.0 <= self.kappa <= 1.0:
-            raise DomainError(f"kappa must lie in [0, 1], got {self.kappa}")
+        object.__setattr__(self, "m", int(check("m", self.m)))
+        for name in ("eta_b", "eta_t", "n_s", "m_probes"):
+            check(name, getattr(self, name))
+        if self.kappa is not None:
+            check("kappa", self.kappa)
 
 
 @dataclass(frozen=True)
@@ -96,21 +89,11 @@ def _oriented(protocol, eta_b, eta_t):
     if not swapped:
         return kind, eta_b, eta_t
     # checked before the swap, so that a message names the caller's field
-    return kind, _check_eta("eta_t", eta_t), _check_eta("eta_b", eta_b)
+    return kind, check("eta_t", eta_t), check("eta_b", eta_b)
 
 
-def _check_eta(name: str, value) -> np.ndarray:
-    value = np.asarray(value, dtype=float)
-    if not np.all((value >= 0.0) & (value <= 1.0)):  # also refuses nan
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return value
-
-
-def _check_n_s(value) -> np.ndarray:
-    value = np.asarray(value, dtype=float)
-    if not np.all((value >= 0.0) & (value < math.inf)):  # also refuses nan
-        raise DomainError("n_s must be nonnegative and finite")
-    return value
+def _check_point(eta_b, eta_t, n_s) -> tuple:
+    return check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
 
 
 def classical_fidelity(eta_b, eta_t, n_s):
@@ -119,15 +102,13 @@ def classical_fidelity(eta_b, eta_t, n_s):
     The two hypotheses differ on two modes, each a coherent state, giving
     exp(-n_s (sqrt(eta_b) - sqrt(eta_t))^2) independent of m.
     """
-    eta_b, eta_t = _check_eta("eta_b", eta_b), _check_eta("eta_t", eta_t)
-    n_s = _check_n_s(n_s)
+    eta_b, eta_t, n_s = _check_point(eta_b, eta_t, n_s)
     return np.exp(-n_s * (np.sqrt(eta_b) - np.sqrt(eta_t)) ** 2)
 
 
 def bipartite_fidelity(eta_b, eta_t, n_s):
     """Output fidelity with one two-mode squeezed pair per box, idlers retained."""
-    eta_b, eta_t = _check_eta("eta_b", eta_b), _check_eta("eta_t", eta_t)
-    n_s = _check_n_s(n_s)
+    eta_b, eta_t, n_s = _check_point(eta_b, eta_t, n_s)
     gap = 1.0 - np.sqrt((1.0 - eta_b) * (1.0 - eta_t)) - np.sqrt(eta_b * eta_t)
     # the gap is nonnegative by Cauchy-Schwarz; round-off can leave -1e-16
     return (1.0 + n_s * np.maximum(0.0, gap)) ** -2.0
@@ -136,8 +117,7 @@ def bipartite_fidelity(eta_b, eta_t, n_s):
 def idler_free_binary_fidelity(eta_b, eta_t, n_s):
     """Output fidelity of the two-box idler-free probe (a squeezed pair split
     across the boxes)."""
-    eta_b, eta_t = _check_eta("eta_b", eta_b), _check_eta("eta_t", eta_t)
-    n_s = _check_n_s(n_s)
+    eta_b, eta_t, n_s = _check_point(eta_b, eta_t, n_s)
     gap = (
         eta_b
         + eta_t
@@ -229,13 +209,9 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
 
     Returns (cov_1, cov_2, mean_1, mean_2) with the target at box 0 resp. 1.
     """
-    if m < 2:
-        raise DomainError(f"m must be at least 2, got {m}")
-    eta_b, eta_t = _check_eta("eta_b", eta_b), _check_eta("eta_t", eta_t)
-    n_s = _check_n_s(n_s)
-    kappa = np.asarray(kappa, dtype=float)
-    if not np.all((kappa >= 0.0) & (kappa <= 1.0)):
-        raise DomainError("kappa must lie in [0, 1]")
+    check("m", m)
+    eta_b, eta_t, n_s = _check_point(eta_b, eta_t, n_s)
+    kappa = check("kappa", kappa)
 
     batch = np.broadcast_shapes(eta_b.shape, eta_t.shape, n_s.shape, kappa.shape)
     eta_b, eta_t, n_s, kappa = (

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .bounds import classical_perr_lower, log10_bound_ratio, perr_upper_raw
-from .errors import DomainError
+from .errors import DomainError, check
 from .probes import ProtocolKind
 from .protocols import (
     PROTOCOL_IDS,
@@ -45,26 +45,6 @@ def _resolve_workers(workers: int | None) -> int:
     if workers < 1:
         raise DomainError(f"{source} must be at least 1, got {workers}")
     return workers
-
-
-# scenario fields a grid may vary, with the domain of their values
-_GRID_DOMAINS = {
-    "eta_b": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
-    "eta_t": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
-    "n_s": ("positive", lambda v: v > 0.0),
-    "m": ("integers >= 2", lambda v: (v >= 2.0) & (v == np.round(v))),
-    "m_probes": ("at least 1", lambda v: v >= 1.0),
-}
-
-
-def _check_grid(name: str, values) -> np.ndarray:
-    """The grid of scenario field ``name`` as floats, each finite and in its domain."""
-    values = np.asarray(values, dtype=float)
-    rule, inside = _GRID_DOMAINS[name]
-    bad = ~(np.isfinite(values) & inside(values))
-    if bad.any():
-        raise DomainError(f"{name} grid values must be finite and {rule}, got {values[bad][0]}")
-    return values
 
 
 def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
@@ -210,7 +190,7 @@ def _sweep_column(spec: SweepSpec, protocol: str, values: np.ndarray):
 
 def _sweep_columns(spec: SweepSpec) -> dict:
     """(fidelity, kappa) grids per requested protocol, in canonical order."""
-    values = _check_grid(spec.variable, spec.values)
+    values = check(spec.variable, spec.values)
     return {p: _sweep_column(spec, p, values) for p in PROTOCOL_IDS if p in spec.protocols}
 
 
@@ -270,11 +250,19 @@ class RegionSpec:
         object.__setattr__(self, "y_values", tuple(float(v) for v in self.y_values))
         if not self.x_values or not self.y_values:
             raise DomainError("region axes need at least one value each")
-        _check_grid(self.x_name, self.x_values)
-        _check_grid(self.y_name, self.y_values)
-        energy = self.total_energy
-        if energy is not None and not (energy > 0 and math.isfinite(energy)):
-            raise DomainError(f"total_energy must be positive and finite, got {energy}")
+        check(self.x_name, self.x_values)
+        check(self.y_name, self.y_values)
+        if self.total_energy is not None:
+            check("total_energy", self.total_energy)
+            n_s = self.x_values if self.x_name == "n_s" else (
+                self.y_values if self.y_name == "n_s" else self.scenario.n_s)
+            # the rounds per cell region_scan will use
+            rounds = self.total_energy / (self.scenario.m * np.asarray(n_s))
+            try:
+                check("m_probes", rounds)
+            except DomainError as exc:
+                raise DomainError(f"sets rounds per cell, total/(m*n_s), that {exc.reason}",
+                                  "total_energy") from None
 
 
 @dataclass(frozen=True)
