@@ -5,6 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Largest mean photon number per probe mode accepted.  Every evaluation path
+# stays finite beyond it; the first to overflow is the mixed protocol at
+# m = 2, from n_s = 1e87.
+N_S_MAX = 1e75
+
 
 class CpfError(Exception):
     """Base class for all errors raised by cpfkit."""
@@ -37,7 +42,7 @@ DOMAINS = {
     "m": ("an integer >= 2", lambda v: (v >= 2.0) & (v == np.round(v))),
     "eta_b": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
     "eta_t": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
-    "n_s": ("finite and positive", lambda v: v > 0.0),
+    "n_s": (f"in (0, {N_S_MAX:g}]", lambda v: (v > 0.0) & (v <= N_S_MAX)),
     "m_probes": ("finite and at least 1", lambda v: v >= 1.0),
     "kappa": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
     "total_energy": ("finite and positive", lambda v: v > 0.0),

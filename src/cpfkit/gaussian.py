@@ -259,7 +259,8 @@ def _split_terms(cov_a, cov_b, delta):
     if not np.isfinite(excess).all():
         raise NumericError("eigenvalue computation for the fidelity kernel failed")
     squares = (xy * xy).sum(axis=(-2, -1))
-    tol = SNAP_ULPS * _EPS * np.sqrt(squares[..., 0] * squares[..., 1])
+    # a product of the norms, not of their squares, which overflows from n_s ~ 1e77
+    tol = SNAP_ULPS * _EPS * np.sqrt(squares[..., 0]) * np.sqrt(squares[..., 1])
     excess = np.where(np.abs(excess) <= tol[..., None], 0.0, np.maximum(excess, 0.0))
     # arccosh(sqrt(1 + x)) = arcsinh(sqrt(x)); each nu_j stands for a +/- pair
     log_num = 2.0 * np.arcsinh(np.sqrt(excess)).sum(axis=-1)
