@@ -201,19 +201,6 @@ def check_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> Physic
     return PhysicalityReport(min_nu, pd, pd and min_nu >= 1.0 - tol)
 
 
-def thermal_fidelity_oracle(n1: float, n2: float) -> float:
-    """Closed-form fidelity between two thermal states, from the Fock-basis sum.
-
-    Both states are diagonal in the number basis, so
-    F = sum_k sqrt(p_k q_k) is a geometric series with ratio
-    sqrt(n1 n2 / ((n1+1)(n2+1))).
-    """
-    if n1 < 0 or n2 < 0:
-        raise DomainError(f"mean photon numbers must be nonnegative, got {n1}, {n2}")
-    ratio = math.sqrt(n1 * n2 / ((n1 + 1.0) * (n2 + 1.0)))
-    return 1.0 / (math.sqrt((n1 + 1.0) * (n2 + 1.0)) * (1.0 - ratio))
-
-
 @functools.lru_cache(maxsize=None)
 def _quadrature_index(n_modes: int):
     """Index arrays that gather the (q, p) diagonal blocks of a 2n x 2n matrix

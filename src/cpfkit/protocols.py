@@ -24,7 +24,7 @@ from .gaussian import (
     gaussian_fidelity,
     pure_loss,
 )
-from .probes import ProbeSpec, ProtocolKind, bipartite_probe, build_probe
+from .probes import ProbeSpec, ProtocolKind, build_probe
 
 
 @dataclass(frozen=True)
@@ -128,19 +128,6 @@ def idler_free_binary_fidelity(eta_b, eta_t, n_s):
     return (1.0 + n_s * np.maximum(0.0, gap)) ** -1.0
 
 
-def bipartite_fidelity_numeric(eta_b: float, eta_t: float, n_s: float) -> float:
-    """Bipartite fidelity via Gaussian numerics on a single retained pair.
-
-    The outputs differ only on two boxes, and each differing box contributes
-    the fidelity between a pair whose signal passed eta_t and one whose signal
-    passed eta_b, so the total is that pair fidelity squared.
-    """
-    probe = bipartite_probe(n_s)
-    through_t = pure_loss(probe, 1, eta_t)
-    through_b = pure_loss(probe, 1, eta_b)
-    return gaussian_fidelity(through_t, through_b) ** 2
-
-
 def apply_hypothesis(probe: GaussianState, target: int, scenario: Scenario) -> GaussianState:
     """Send a probe through the boxes with the target at position ``target``.
 
@@ -162,31 +149,6 @@ def apply_hypothesis(probe: GaussianState, target: int, scenario: Scenario) -> G
     for box, mode in enumerate(box_modes):
         out = pure_loss(out, mode, scenario.eta_t if box == target else scenario.eta_b)
     return out
-
-
-def reduction_symplectic(m: int) -> np.ndarray:
-    """Symplectic of the collective rotation that decouples boxes 3..m.
-
-    Acts as the identity on modes 0 and 1 (the two boxes that differ between
-    the hypotheses) and mixes modes 2..m-1 so that only their balanced
-    combination stays correlated with the first two.  Orthogonal as well as
-    symplectic, so it preserves both the trace and the vacuum.
-    """
-    if m < 3:
-        raise DomainError(f"the reduction needs m >= 3, got {m}")
-    size = m - 2
-    s = np.eye(2 * m)
-    phi = 2.0 * math.pi / size
-    norm = 1.0 / math.sqrt(size)
-    for j in range(size):
-        for k in range(size):
-            cos, sin = math.cos(j * k * phi), math.sin(j * k * phi)
-            r, c = 2 * (2 + j), 2 * (2 + k)
-            s[r, c] = norm * cos
-            s[r, c + 1] = -norm * sin
-            s[r + 1, c] = norm * sin
-            s[r + 1, c + 1] = norm * cos
-    return s
 
 
 def _set_block(cov: np.ndarray, i: int, j: int, alpha, beta) -> None:
@@ -255,51 +217,6 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
         mean_2[..., 4] = root * a_b
 
     return cov_1, cov_2, mean_1, mean_2
-
-
-def _scenario_kappa(scenario: Scenario) -> float:
-    # the idler-free probe is the kappa = 1 member of the mixed family
-    return 1.0 if scenario.kappa is None else scenario.kappa
-
-
-def reduced_output_pair(scenario: Scenario) -> Tuple[GaussianState, GaussianState]:
-    """The three-mode output pair equivalent to the full m-mode outputs (m >= 3).
-
-    Uses scenario.kappa when set, otherwise the idler-free probe.  Fidelities
-    computed on this pair match the full direct computation because the
-    decoupled collective modes are identical under both hypotheses.
-    """
-    if scenario.m < 3:
-        raise DomainError(f"the reduced pair needs m >= 3, got m = {scenario.m}")
-    cov_1, cov_2, mean_1, mean_2 = output_pair_arrays(
-        scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s, _scenario_kappa(scenario)
-    )
-    return GaussianState(mean_1, cov_1), GaussianState(mean_2, cov_2)
-
-
-def traced_block_cm(scenario: Scenario) -> np.ndarray:
-    """Covariance of the m-3 collective modes the reduction discards (m >= 4).
-
-    Hypothesis-independent: d_b on the diagonal, and a +/- gamma_b
-    anti-diagonal coupling (+ for p, - for q) between collective indices
-    j and k with j + k = m - 2.
-    """
-    if scenario.m < 4:
-        raise DomainError(f"there are no traced modes unless m >= 4, got m = {scenario.m}")
-    kappa = _scenario_kappa(scenario)
-    mu = 1.0 + 2.0 * kappa * scenario.n_s
-    c = math.sqrt(max(mu * mu - 1.0, 0.0)) / (scenario.m - 1)
-    d_b = scenario.eta_b * mu + 1.0 - scenario.eta_b
-    g_b = scenario.eta_b * c
-    size = scenario.m - 3
-    cm = np.zeros((2 * size, 2 * size))
-    for j in range(1, size + 1):
-        for k in range(1, size + 1):
-            alpha = d_b if j == k else 0.0
-            beta = g_b if j + k == scenario.m - 2 else 0.0
-            cm[2 * (j - 1), 2 * (k - 1)] = alpha - beta
-            cm[2 * (j - 1) + 1, 2 * (k - 1) + 1] = alpha + beta
-    return cm
 
 
 def _direct_fidelity(scenario: Scenario, kind: ProtocolKind) -> Tuple[float, float]:

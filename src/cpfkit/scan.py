@@ -17,15 +17,7 @@ import numpy as np
 
 from .bounds import classical_perr_lower, log10_bound_ratio, perr_upper_raw
 from .errors import DomainError, check
-from .probes import ProtocolKind
-from .protocols import (
-    PROTOCOL_IDS,
-    Scenario,
-    bipartite_fidelity,
-    classical_fidelity,
-    idler_free_binary_fidelity,
-    route,
-)
+from .protocols import PROTOCOL_IDS, Scenario, route
 
 KAPPA_GRID_POINTS = 101
 KAPPA_TOL = 1e-6
@@ -367,80 +359,3 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
         kappa_star,
         metadata,
     )
-
-
-_EXPANSION_FORMS = {
-    ProtocolKind.CLASSICAL: classical_fidelity,
-    ProtocolKind.BIPARTITE: bipartite_fidelity,
-    ProtocolKind.IDLER_FREE: idler_free_binary_fidelity,
-}
-
-_EXPANSION_STEPS = (1e-3, 5e-4)
-
-
-def expansion_coefficient(kind, eta: float, n_s: float) -> float:
-    """Quadratic coefficient c2 of 1 - F at eta_t = eta_b = eta.
-
-    Evaluates (1 - F(eta_b = eta + eps, eta_t = eta)) / eps^2 at two steps and
-    Richardson-extrapolates the linear error away.  Defined for the three
-    closed-form protocols (binary idler-free for the idler-free kind).
-    """
-    kind = ProtocolKind(kind)
-    if kind not in _EXPANSION_FORMS:
-        raise DomainError(f"no expansion for protocol {kind.value!r}")
-    big = max(_EXPANSION_STEPS)
-    if not 0.0 < eta <= 1.0 - big:
-        raise DomainError(f"eta must lie in (0, {1.0 - big}], got {eta}")
-    if not n_s > 0:
-        raise DomainError(f"n_s must be positive, got {n_s}")
-    form = _EXPANSION_FORMS[kind]
-
-    def quotient(eps: float) -> float:
-        return (1.0 - float(form(eta + eps, eta, n_s))) / eps**2
-
-    f_big, f_small = quotient(_EXPANSION_STEPS[0]), quotient(_EXPANSION_STEPS[1])
-    return 2.0 * f_small - f_big
-
-
-@dataclass(frozen=True)
-class ExtremePointCheck:
-    """Protocol fidelity at a boundary point against its simplified form."""
-
-    fidelity: float
-    reference: float
-    abs_error: float
-
-
-def extreme_point_check(kind, which: str, epsilon: float, n_s: float) -> ExtremePointCheck:
-    """Evaluate a protocol at an extreme transmissivity pair.
-
-    ``which`` = "eta_b_zero" evaluates F(eta_b = 0, eta_t = epsilon);
-    "eta_b_one" evaluates F(eta_b = 1, eta_t = 1 - epsilon).  The reference
-    is the simplified boundary expression for that protocol.
-    """
-    kind = ProtocolKind(kind)
-    if kind not in _EXPANSION_FORMS:
-        raise DomainError(f"no closed form for protocol {kind.value!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not n_s > 0:
-        raise DomainError(f"n_s must be positive, got {n_s}")
-    form = _EXPANSION_FORMS[kind]
-    if which == "eta_b_zero":
-        value = float(form(0.0, epsilon, n_s))
-        references = {
-            ProtocolKind.CLASSICAL: math.exp(-n_s * epsilon),
-            ProtocolKind.IDLER_FREE: 1.0 / (1.0 + n_s * epsilon),
-            ProtocolKind.BIPARTITE: (1.0 + n_s * (1.0 - math.sqrt(1.0 - epsilon))) ** -2.0,
-        }
-    elif which == "eta_b_one":
-        value = float(form(1.0, 1.0 - epsilon, n_s))
-        references = {
-            ProtocolKind.CLASSICAL: math.exp(-n_s * (1.0 - math.sqrt(1.0 - epsilon)) ** 2),
-            ProtocolKind.IDLER_FREE: 1.0 / (1.0 + n_s * epsilon),
-            ProtocolKind.BIPARTITE: (1.0 + n_s * (1.0 - math.sqrt(1.0 - epsilon))) ** -2.0,
-        }
-    else:
-        raise DomainError(f"which must be 'eta_b_zero' or 'eta_b_one', got {which!r}")
-    reference = references[kind]
-    return ExtremePointCheck(value, reference, abs(value - reference))

@@ -1,0 +1,195 @@
+"""Helpers only the tests use: independent references and checks built on
+cpfkit's public API, kept out of the package."""
+
+import math
+from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
+
+from cpfkit import (
+    DomainError,
+    GaussianState,
+    ProtocolKind,
+    Scenario,
+    bipartite_fidelity,
+    bipartite_probe,
+    classical_fidelity,
+    gaussian_fidelity,
+    idler_free_binary_fidelity,
+    output_pair_arrays,
+    pure_loss,
+)
+
+
+def thermal_fidelity_oracle(n1: float, n2: float) -> float:
+    """Closed-form fidelity between two thermal states, from the Fock-basis sum.
+
+    Both states are diagonal in the number basis, so
+    F = sum_k sqrt(p_k q_k) is a geometric series with ratio
+    sqrt(n1 n2 / ((n1+1)(n2+1))).
+    """
+    if n1 < 0 or n2 < 0:
+        raise DomainError(f"mean photon numbers must be nonnegative, got {n1}, {n2}")
+    ratio = math.sqrt(n1 * n2 / ((n1 + 1.0) * (n2 + 1.0)))
+    return 1.0 / (math.sqrt((n1 + 1.0) * (n2 + 1.0)) * (1.0 - ratio))
+
+
+def bipartite_fidelity_numeric(eta_b: float, eta_t: float, n_s: float) -> float:
+    """Bipartite fidelity via Gaussian numerics on a single retained pair.
+
+    The outputs differ only on two boxes, and each differing box contributes
+    the fidelity between a pair whose signal passed eta_t and one whose signal
+    passed eta_b, so the total is that pair fidelity squared.
+    """
+    probe = bipartite_probe(n_s)
+    through_t = pure_loss(probe, 1, eta_t)
+    through_b = pure_loss(probe, 1, eta_b)
+    return gaussian_fidelity(through_t, through_b) ** 2
+
+
+def reduction_symplectic(m: int) -> np.ndarray:
+    """Symplectic of the collective rotation that decouples boxes 3..m.
+
+    Acts as the identity on modes 0 and 1 (the two boxes that differ between
+    the hypotheses) and mixes modes 2..m-1 so that only their balanced
+    combination stays correlated with the first two.  Orthogonal as well as
+    symplectic, so it preserves both the trace and the vacuum.
+    """
+    if m < 3:
+        raise DomainError(f"the reduction needs m >= 3, got {m}")
+    size = m - 2
+    s = np.eye(2 * m)
+    phi = 2.0 * math.pi / size
+    norm = 1.0 / math.sqrt(size)
+    for j in range(size):
+        for k in range(size):
+            cos, sin = math.cos(j * k * phi), math.sin(j * k * phi)
+            r, c = 2 * (2 + j), 2 * (2 + k)
+            s[r, c] = norm * cos
+            s[r, c + 1] = -norm * sin
+            s[r + 1, c] = norm * sin
+            s[r + 1, c + 1] = norm * cos
+    return s
+
+
+def _scenario_kappa(scenario: Scenario) -> float:
+    # the idler-free probe is the kappa = 1 member of the mixed family
+    return 1.0 if scenario.kappa is None else scenario.kappa
+
+
+def reduced_output_pair(scenario: Scenario) -> Tuple[GaussianState, GaussianState]:
+    """The three-mode output pair equivalent to the full m-mode outputs (m >= 3).
+
+    Uses scenario.kappa when set, otherwise the idler-free probe.  Fidelities
+    computed on this pair match the full direct computation because the
+    decoupled collective modes are identical under both hypotheses.
+    """
+    if scenario.m < 3:
+        raise DomainError(f"the reduced pair needs m >= 3, got m = {scenario.m}")
+    cov_1, cov_2, mean_1, mean_2 = output_pair_arrays(
+        scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s, _scenario_kappa(scenario)
+    )
+    return GaussianState(mean_1, cov_1), GaussianState(mean_2, cov_2)
+
+
+def traced_block_cm(scenario: Scenario) -> np.ndarray:
+    """Covariance of the m-3 collective modes the reduction discards (m >= 4).
+
+    Hypothesis-independent: d_b on the diagonal, and a +/- gamma_b
+    anti-diagonal coupling (+ for p, - for q) between collective indices
+    j and k with j + k = m - 2.
+    """
+    if scenario.m < 4:
+        raise DomainError(f"there are no traced modes unless m >= 4, got m = {scenario.m}")
+    kappa = _scenario_kappa(scenario)
+    mu = 1.0 + 2.0 * kappa * scenario.n_s
+    c = math.sqrt(max(mu * mu - 1.0, 0.0)) / (scenario.m - 1)
+    d_b = scenario.eta_b * mu + 1.0 - scenario.eta_b
+    g_b = scenario.eta_b * c
+    size = scenario.m - 3
+    cm = np.zeros((2 * size, 2 * size))
+    for j in range(1, size + 1):
+        for k in range(1, size + 1):
+            alpha = d_b if j == k else 0.0
+            beta = g_b if j + k == scenario.m - 2 else 0.0
+            cm[2 * (j - 1), 2 * (k - 1)] = alpha - beta
+            cm[2 * (j - 1) + 1, 2 * (k - 1) + 1] = alpha + beta
+    return cm
+
+
+_EXPANSION_FORMS = {
+    ProtocolKind.CLASSICAL: classical_fidelity,
+    ProtocolKind.BIPARTITE: bipartite_fidelity,
+    ProtocolKind.IDLER_FREE: idler_free_binary_fidelity,
+}
+
+_EXPANSION_STEPS = (1e-3, 5e-4)
+
+
+def expansion_coefficient(kind, eta: float, n_s: float) -> float:
+    """Quadratic coefficient c2 of 1 - F at eta_t = eta_b = eta.
+
+    Evaluates (1 - F(eta_b = eta + eps, eta_t = eta)) / eps^2 at two steps and
+    Richardson-extrapolates the linear error away.  Defined for the three
+    closed-form protocols (binary idler-free for the idler-free kind).
+    """
+    kind = ProtocolKind(kind)
+    if kind not in _EXPANSION_FORMS:
+        raise DomainError(f"no expansion for protocol {kind.value!r}")
+    big = max(_EXPANSION_STEPS)
+    if not 0.0 < eta <= 1.0 - big:
+        raise DomainError(f"eta must lie in (0, {1.0 - big}], got {eta}")
+    if not n_s > 0:
+        raise DomainError(f"n_s must be positive, got {n_s}")
+    form = _EXPANSION_FORMS[kind]
+
+    def quotient(eps: float) -> float:
+        return (1.0 - float(form(eta + eps, eta, n_s))) / eps**2
+
+    f_big, f_small = quotient(_EXPANSION_STEPS[0]), quotient(_EXPANSION_STEPS[1])
+    return 2.0 * f_small - f_big
+
+
+@dataclass(frozen=True)
+class ExtremePointCheck:
+    """Protocol fidelity at a boundary point against its simplified form."""
+
+    fidelity: float
+    reference: float
+    abs_error: float
+
+
+def extreme_point_check(kind, which: str, epsilon: float, n_s: float) -> ExtremePointCheck:
+    """Evaluate a protocol at an extreme transmissivity pair.
+
+    ``which`` = "eta_b_zero" evaluates F(eta_b = 0, eta_t = epsilon);
+    "eta_b_one" evaluates F(eta_b = 1, eta_t = 1 - epsilon).  The reference
+    is the simplified boundary expression for that protocol.
+    """
+    kind = ProtocolKind(kind)
+    if kind not in _EXPANSION_FORMS:
+        raise DomainError(f"no closed form for protocol {kind.value!r}")
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not n_s > 0:
+        raise DomainError(f"n_s must be positive, got {n_s}")
+    form = _EXPANSION_FORMS[kind]
+    if which == "eta_b_zero":
+        value = float(form(0.0, epsilon, n_s))
+        references = {
+            ProtocolKind.CLASSICAL: math.exp(-n_s * epsilon),
+            ProtocolKind.IDLER_FREE: 1.0 / (1.0 + n_s * epsilon),
+            ProtocolKind.BIPARTITE: (1.0 + n_s * (1.0 - math.sqrt(1.0 - epsilon))) ** -2.0,
+        }
+    elif which == "eta_b_one":
+        value = float(form(1.0, 1.0 - epsilon, n_s))
+        references = {
+            ProtocolKind.CLASSICAL: math.exp(-n_s * (1.0 - math.sqrt(1.0 - epsilon)) ** 2),
+            ProtocolKind.IDLER_FREE: 1.0 / (1.0 + n_s * epsilon),
+            ProtocolKind.BIPARTITE: (1.0 + n_s * (1.0 - math.sqrt(1.0 - epsilon))) ** -2.0,
+        }
+    else:
+        raise DomainError(f"which must be 'eta_b_zero' or 'eta_b_one', got {which!r}")
+    reference = references[kind]
+    return ExtremePointCheck(value, reference, abs(value - reference))

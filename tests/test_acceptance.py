@@ -16,8 +16,6 @@ from cpfkit import (
     bipartite_fidelity,
     classical_fidelity,
     classical_perr_lower,
-    expansion_coefficient,
-    extreme_point_check,
     fidelity,
     idler_free_binary_fidelity,
     optimize_kappa,
@@ -27,6 +25,7 @@ from cpfkit import (
     pgm_pure_upper,
     region_scan,
 )
+from helpers import expansion_coefficient, extreme_point_check
 
 CLOSED_FORMS = {
     "classical": classical_fidelity,

@@ -22,10 +22,10 @@ from cpfkit import (
     symplectic_eigenvalues,
     symplectic_form,
     tensor,
-    thermal_fidelity_oracle,
     thermal_state,
     vacuum_state,
 )
+from helpers import thermal_fidelity_oracle
 
 
 # ------------------------------------------------------------- structure

@@ -10,7 +10,6 @@ from cpfkit import (
     Scenario,
     apply_hypothesis,
     bipartite_fidelity,
-    bipartite_fidelity_numeric,
     build_probe,
     classical_fidelity,
     gaussian_fidelity,
@@ -19,9 +18,12 @@ from cpfkit import (
     mixed_probe,
     output_fidelity,
     output_pair_arrays,
+    symplectic_form,
+)
+from helpers import (
+    bipartite_fidelity_numeric,
     reduced_output_pair,
     reduction_symplectic,
-    symplectic_form,
     traced_block_cm,
 )
 

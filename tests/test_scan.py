@@ -10,8 +10,6 @@ from cpfkit import (
     Scenario,
     SweepSpec,
     classical_fidelity,
-    expansion_coefficient,
-    extreme_point_check,
     fidelity,
     idler_free_binary_fidelity,
     optimize_kappa,
@@ -20,6 +18,7 @@ from cpfkit import (
     sweep,
 )
 from cpfkit.scan import WORKERS_ENV_VAR, _resolve_workers
+from helpers import expansion_coefficient, extreme_point_check
 
 
 # ------------------------------------------------------- fidelity wrappers
