@@ -20,6 +20,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cpfkit.cli import main
 
@@ -172,6 +174,37 @@ def test_refusal_keeps_exit_code_and_flag(case, pinned, tmp_path):
 
 def test_every_pinned_case_is_run(pinned):
     assert set(pinned) == {_case_id(case) for case in _invocations()}
+
+
+# what a config file can hold in a numeric field
+_JSON_VALUES = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([1e300, 1e100, -1e300, 1e75, 1e76, 5e-324, 0, -1, 3, 0.5]),
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.lists(st.floats(), max_size=2),
+)
+_VALID = {"m": 2, "eta_b": 0.3, "eta_t": 0.5, "ns": 1.0, "m_probes": 1.0}
+_NUMERIC_KEYS = {"fidelity": (*_VALID, "kappa"), "kappa": tuple(_VALID)}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(sorted(_NUMERIC_KEYS)))
+def test_any_config_value_is_answered_or_refused(data, command, tmp_path, capsys):
+    values = data.draw(st.dictionaries(st.sampled_from(_NUMERIC_KEYS[command]), _JSON_VALUES,
+                                       min_size=1, max_size=2))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_VALID, **values}), encoding="utf-8")
+    code = main([command, "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == ""
+        assert named_flags(err), err
+    assert "Traceback" not in err
 
 
 def _capture() -> None:
