@@ -200,9 +200,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 # ----------------------------------------------------------------- values
 #
-# Values are only parsed here.  The engines check every scenario field and
-# grid against its domain and name the field at fault, which main() turns
-# into the flag.
+# Values are only parsed here.  Their domains are checked by errors.check,
+# in the engines or, for grid endpoints, under the flag's own field; main()
+# turns the field a DomainError names into the flag.
 
 
 def _flag(key: str) -> str:
@@ -598,8 +598,8 @@ def main(argv=None) -> int:
         _emit(_render_csv(table) if fmt == "csv" else _render_json(table),
               params.get("output"))
     except DomainError as exc:
-        where = exc.reason if exc.field is None else f"{_flag(exc.field)} {exc.reason}"
-        print(f"error: {where}", file=sys.stderr)
+        message = exc.reason if exc.field is None else f"{_flag(exc.field)} {exc.reason}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except (CpfError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

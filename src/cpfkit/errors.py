@@ -39,7 +39,7 @@ class NumericError(CpfError, ArithmeticError):
 # scenario field -> (rule, test of a float array); check() also refuses
 # every non-finite value
 DOMAINS = {
-    "m": ("an integer >= 2", lambda v: (v >= 2.0) & (v == np.round(v))),
+    "m": ("an integer >= 2", lambda v: (v >= 2.0) & (np.floor(v) == v)),
     "eta_b": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
     "eta_t": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
     "n_s": (f"in (0, {N_S_MAX:g}]", lambda v: (v > 0.0) & (v <= N_S_MAX)),
@@ -61,8 +61,8 @@ def check(field: str, values, name: str | None = None) -> np.ndarray:
         array = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"must be a number, got {values!r}", name) from None
-    bad = ~(np.isfinite(array) & inside(array))
-    if bad.any():
+    ok = np.isfinite(array) & inside(array)
+    if not ok.all():
         where = "" if name == field else f" for {field}"
-        raise DomainError(f"must be {rule}{where}, got {array[bad][0]:.12g}", name)
+        raise DomainError(f"must be {rule}{where}, got {array[~ok][0]:.12g}", name)
     return array
