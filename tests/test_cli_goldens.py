@@ -51,6 +51,18 @@ def _invocations() -> list:
          "--y-start", "1", "--y-stop", "40", "--y-points", "3", "--eta-b", "0.9",
          "--total-energy", "400", "--workers", "2"],
     ]
+    # --db on every table shape: None cells, map rows, a total-energy map, figures
+    base += [
+        ["fidelity", "--protocol", "all", "--m", "2", *_POINT, "--db"],
+        ["fidelity", "--protocol", "all", "--m", "3", *_POINT, "--db"],
+        ["kappa", "--m", "3", "--eta-b", "0.95", "--eta-t", "0.5", "--ns", "10", "--db"],
+        [*region, "--quantum", "mixed", "--db"],
+        ["region", "--quantum", "idler_free", "--x-points", "3", "--y", "n_s",
+         "--y-start", "1", "--y-stop", "40", "--y-points", "3", "--eta-b", "0.9",
+         "--total-energy", "400", "--db"],
+        ["figure", "--id", "6", "--resolution", "5", "--db"],
+        ["figure", "--id", "8", "--resolution", "5", "--db"],
+    ]
     return [[*argv, "--format", fmt] for argv in base for fmt in ("csv", "json")]
 
 
