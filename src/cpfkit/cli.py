@@ -45,7 +45,9 @@ _QUANTUM_PROTOCOLS = ("idler_free", "bipartite", "mixed")
 
 @dataclass
 class Table:
-    """One result table: what gets serialized."""
+    """One result table: what gets serialized.  Each row is a tuple of plain
+    Python values (None, bool, int, str or float), as :func:`_rows` makes
+    them, so the renderers take cells as they are."""
 
     command: str
     parameters: dict
@@ -318,45 +320,34 @@ def _sweep_table(p: dict) -> Table:
         raise DomainError(f"has unknown entries {bad}; valid: {list(PROTOCOL_IDS)}", "protocols")
 
     scenario = _scenario_from(p, placeholder=(variable,))
-    spec = SweepSpec(scenario, variable, tuple(float(v) for v in values), protocols)
-    rows = [
-        [r["variable"], r["value"], r["protocol"], r["fidelity"], r["kappa"]]
-        for r in sweep(spec)
-    ]
+    spec = SweepSpec(scenario, variable, tuple(values.tolist()), protocols)
+    columns = ["variable", "value", "protocol", "fidelity", "kappa"]
+    rows = [tuple(r[c] for c in columns) for r in sweep(spec)]
     parameters = {
         "m": scenario.m, "eta_b": scenario.eta_b, "eta_t": scenario.eta_t,
         "n_s": scenario.n_s, "m_probes": scenario.m_probes, "kappa": scenario.kappa,
         "variable": variable, "start": start, "stop": stop, "points": points,
         "log": logspace, "protocols": list(protocols),
     }
-    return Table("sweep", parameters, ["variable", "value", "protocol", "fidelity", "kappa"],
-                 rows, ("fidelity",))
+    return Table("sweep", parameters, columns, rows, ("fidelity",))
 
 
-def _region_rows(grid, include_kappa: bool, include_rounds: bool) -> tuple:
-    columns = [
-        grid.x_name, grid.y_name, "f_quantum", "f_classical",
-        "ub_quantum", "lb_classical", "log10_ratio", "certificate",
-    ]
-    if include_rounds:
-        columns.append("m_probes")
-    if include_kappa:
-        columns.append("kappa_star")
-    rows = []
-    for iy, yv in enumerate(grid.y_values):
-        for ix, xv in enumerate(grid.x_values):
-            row = [
-                float(xv), float(yv),
-                float(grid.f_quantum[iy, ix]), float(grid.f_classical[iy, ix]),
-                float(grid.ub_quantum[iy, ix]), float(grid.lb_classical[iy, ix]),
-                float(grid.log10_ratio[iy, ix]), bool(grid.certificate[iy, ix]),
-            ]
-            if include_rounds:
-                row.append(float(grid.m_probes[iy, ix]))
-            if include_kappa:
-                row.append(float(grid.kappa_star[iy, ix]))
-            rows.append(row)
-    return columns, rows
+def _rows(*columns) -> list:
+    """Row tuples of plain Python values from equal-length NumPy columns."""
+    return list(zip(*(np.ravel(c).tolist() for c in columns)))
+
+
+def _region_rows(grid) -> tuple:
+    """(columns, rows) of a map, y-major; the rounds per cell are a column
+    under a total-energy budget, and kappa_star for the mixed protocol."""
+    names = ["f_quantum", "f_classical", "ub_quantum", "lb_classical", "log10_ratio",
+             "certificate"]
+    if grid.metadata["total_energy"] is not None:
+        names.append("m_probes")
+    if grid.kappa_star is not None:
+        names.append("kappa_star")
+    x, y = np.meshgrid(grid.x_values, grid.y_values)
+    return [grid.x_name, grid.y_name, *names], _rows(x, y, *(getattr(grid, n) for n in names))
 
 
 def _region_table(p: dict) -> Table:
@@ -370,11 +361,11 @@ def _region_table(p: dict) -> Table:
     x_values, y_values = _grid(p, "x_", x_name)[3], _grid(p, "y_", y_name)[3]
     scenario = _scenario_from(p, placeholder=(x_name, y_name))
     spec = RegionSpec(
-        scenario, x_name, tuple(map(float, x_values)), y_name,
-        tuple(map(float, y_values)), quantum, total_energy,
+        scenario, x_name, tuple(x_values.tolist()), y_name, tuple(y_values.tolist()),
+        quantum, total_energy,
     )
     grid = region_scan(spec, workers)
-    columns, rows = _region_rows(grid, quantum == "mixed", total_energy is not None)
+    columns, rows = _region_rows(grid)
     parameters = dict(grid.metadata)
     parameters.update({"x": x_name, "y": y_name, "workers": workers})
     return Table("region", parameters, columns, rows, ("f_quantum", "f_classical"))
@@ -414,126 +405,99 @@ _SWEEP_FIGURES = {
 }
 
 
-def _sweep_figure(fig_id: int, resolution: int) -> Table:
+def _sweep_figure(fig_id: int, resolution: int, workers) -> Table:
     """One row per grid value: the variable, f_<protocol> per protocol, and
     kappa_star when the mixed protocol is among them."""
     scenario, variable, grid, protocols = _SWEEP_FIGURES[fig_id]
-    values = tuple(float(v) for v in grid(resolution))
-    columns = _sweep_columns(SweepSpec(scenario, variable, values, protocols))
+    values = np.asarray(grid(resolution), dtype=float)
+    columns = _sweep_columns(SweepSpec(scenario, variable, tuple(values.tolist()), protocols))
     fidelity_columns = tuple(f"f_{p}" for p in columns)
     names, data = [variable, *fidelity_columns], [fids for fids, _ in columns.values()]
     if "mixed" in columns:
         names.append("kappa_star")
         data.append(columns["mixed"][1])
-    axis = [int(v) for v in values] if variable == "m" else values
-    rows = [[x, *map(float, cells)] for x, cells in zip(axis, zip(*data))]
+    axis = values.astype(int) if variable == "m" else values
     parameters = {"id": fig_id}
     parameters.update(
         (k, getattr(scenario, k)) for k in ("m", "eta_b", "eta_t", "n_s") if k != variable
     )
     if variable != "m":  # figure 1's grid is fixed
         parameters["resolution"] = resolution
-    return Table("figure", parameters, names, rows, fidelity_columns)
+    return Table("figure", parameters, names, _rows(axis, *data), fidelity_columns)
 
 
-def _figure_6(resolution: int, workers) -> Table:
-    n_s, m, m_probes = 20.0, 2, 20.0
-    grid = tuple(map(float, np.linspace(0.0, 1.0, resolution)))
-    scenario = Scenario(m, 0.5, 0.5, n_s, m_probes)
-    spec = RegionSpec(scenario, "eta_t", grid, "eta_b", grid, "idler_free")
-    result = region_scan(spec, workers)
-    columns, rows = _region_rows(result, include_kappa=False, include_rounds=False)
+# figures 6 and 8, idler-free maps over eta_t in [0, 1]: base scenario (the
+# axes' fields are placeholders), y axis and its range, energy budget, and the
+# reported parameters
+_REGION_FIGURES = {
+    6: (Scenario(2, 0.5, 0.5, 20.0, 20.0), "eta_b", (0.0, 1.0), None,
+        ("m", "n_s", "m_probes", "quantum")),
+    8: (Scenario(3, 1.0, 0.5, 1.0, 1.0), "n_s", (1.0, 50.0), 1800.0,
+        ("m", "eta_b", "total_energy", "quantum")),
+}
+
+
+def _region_figure(fig_id: int, resolution: int, workers) -> Table:
+    """An idler-free map from its row of :data:`_REGION_FIGURES`."""
+    scenario, y_name, y_range, budget, keys = _REGION_FIGURES[fig_id]
+    x, y = (tuple(np.linspace(*r, resolution).tolist()) for r in ((0.0, 1.0), y_range))
+    spec = RegionSpec(scenario, "eta_t", x, y_name, y, "idler_free", budget)
+    grid = region_scan(spec, workers)
+    columns, rows = _region_rows(grid)
+    parameters = {"id": fig_id, **{k: grid.metadata[k] for k in keys}, "resolution": resolution}
+    return Table("figure", parameters, columns, rows, ("f_quantum", "f_classical"))
+
+
+def _figure_7(fig_id: int, resolution: int, workers) -> Table:
+    scenario = Scenario(2, 0.5, 0.5, 20.0, 1.0)
+    grid = tuple(np.linspace(0.0, 1.0, resolution).tolist())
+    maps = [region_scan(RegionSpec(scenario, "eta_t", grid, "eta_b", grid, protocol), workers)
+            for protocol in ("idler_free", "bipartite", "mixed")]
+    x, y = np.meshgrid(grid, grid)
+    rows = _rows(x, y, *(g.certificate for g in maps), maps[-1].kappa_star)
     return Table(
-        "figure",
-        {"id": 6, "m": m, "n_s": n_s, "m_probes": m_probes, "quantum": "idler_free",
-         "resolution": resolution},
-        columns, rows, ("f_quantum", "f_classical"),
-    )
-
-
-def _figure_7(resolution: int, workers) -> Table:
-    n_s, m = 20.0, 2
-    grid = tuple(map(float, np.linspace(0.0, 1.0, resolution)))
-    scenario = Scenario(m, 0.5, 0.5, n_s, 1.0)
-    results = {}
-    for protocol in ("idler_free", "bipartite", "mixed"):
-        spec = RegionSpec(scenario, "eta_t", grid, "eta_b", grid, protocol)
-        results[protocol] = region_scan(spec, workers)
-    mixed = results["mixed"]
-    rows = []
-    for iy, yv in enumerate(grid):
-        for ix, xv in enumerate(grid):
-            rows.append([
-                float(xv), float(yv),
-                bool(results["idler_free"].certificate[iy, ix]),
-                bool(results["bipartite"].certificate[iy, ix]),
-                bool(mixed.certificate[iy, ix]),
-                float(mixed.kappa_star[iy, ix]),
-            ])
-    return Table(
-        "figure", {"id": 7, "m": m, "n_s": n_s, "resolution": resolution},
+        "figure", {"id": 7, "m": scenario.m, "n_s": scenario.n_s, "resolution": resolution},
         ["eta_t", "eta_b", "cert_idler_free", "cert_bipartite", "cert_mixed", "kappa_star"],
         rows, (),
     )
 
 
-def _figure_8(resolution: int, workers) -> Table:
-    m, eta_b, budget = 3, 1.0, 1800.0
-    x = tuple(map(float, np.linspace(0.0, 1.0, resolution)))
-    y = tuple(map(float, np.linspace(1.0, 50.0, resolution)))
-    scenario = Scenario(m, eta_b, 0.5, 1.0, 1.0)
-    spec = RegionSpec(scenario, "eta_t", x, "n_s", y, "idler_free",
-                      total_energy=budget)
-    result = region_scan(spec, workers)
-    columns, rows = _region_rows(result, include_kappa=False, include_rounds=True)
-    return Table(
-        "figure",
-        {"id": 8, "m": m, "eta_b": eta_b, "total_energy": budget,
-         "quantum": "idler_free", "resolution": resolution},
-        columns, rows, ("f_quantum", "f_classical"),
-    )
-
-
-_FIGURES = {6: _figure_6, 7: _figure_7, 8: _figure_8}
+_FIGURES = {**dict.fromkeys(_SWEEP_FIGURES, _sweep_figure), 6: _region_figure, 7: _figure_7,
+            8: _region_figure}
 
 
 def _figure_table(p: dict) -> Table:
     fig_id = _integer(p, "id", 1)
-    if fig_id not in _SWEEP_FIGURES and fig_id not in _FIGURES:
+    if fig_id not in _FIGURES:
         raise DomainError(f"must lie in 1..8, got {fig_id}", "id")
     resolution = _integer(p, "resolution", 2)
     workers = _integer(p, "workers", 1, required=False)
-    if fig_id in _SWEEP_FIGURES:
-        table = _sweep_figure(fig_id, resolution)
-    else:
-        table = _FIGURES[fig_id](resolution, workers)
     if fig_id == 4:
         p["db"] = True  # that figure's axis is decibels
-    return table
+    return _FIGURES[fig_id](fig_id, resolution, workers)
 
 
 # ------------------------------------------------------------- rendering
 
 
+def _db(value) -> float | None:
+    return 10.0 * float(np.log10(value)) if value and value > 0.0 else None
+
+
 def _apply_db(table: Table) -> None:
     indices = [table.columns.index(c) for c in table.fidelity_columns]
-    table.columns.extend(f"{table.columns[i]}_db" for i in indices)
-    for row in table.rows:
-        for i in indices:
-            value = row[i]
-            row.append(10.0 * float(np.log10(value)) if value and value > 0.0 else None)
+    table.columns = [*table.columns, *(f"{table.columns[i]}_db" for i in indices)]
+    table.rows = [(*row, *(_db(row[i]) for i in indices)) for row in table.rows]
 
 
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return _FLOAT_FMT.format(float(value))
+    if isinstance(value, (int, str)):
+        return str(value)
+    return _FLOAT_FMT.format(value)
 
 
 def _render_csv(table: Table) -> str:
@@ -542,24 +506,9 @@ def _render_csv(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_cell(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
 def _render_json(table: Table) -> str:
-    document = {
-        "command": table.command,
-        "parameters": {k: _json_cell(v) if not isinstance(v, (list, dict)) else v
-                       for k, v in table.parameters.items()},
-        "columns": list(table.columns),
-        "rows": [[_json_cell(v) for v in row] for row in table.rows],
-    }
+    document = {"command": table.command, "parameters": table.parameters,
+                "columns": table.columns, "rows": table.rows}
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
