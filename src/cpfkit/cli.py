@@ -192,6 +192,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise DomainError(f"has keys {unknown} not recognised by '{args.command}'", "config")
         merged.update(loaded)
+        for key in ("db", "log"):  # the switches take JSON true, false or null only
+            if not isinstance(merged.get(key), (bool, type(None))):
+                raise DomainError(f"takes true, false or null, got {merged[key]!r}", key)
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -512,11 +515,16 @@ def _render_json(table: Table) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    if not isinstance(output, str):
+        raise DomainError(f"expects a file path, got {output!r}", "output")
+    try:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise DomainError(f"names {output}, which cannot be written: {exc}", "output") from None
 
 
 _BUILDERS = {

@@ -6,7 +6,8 @@ must refuse.  The file pins its exit code and the flags (or
 one of them first, or none when none are pinned.  The wording itself is not
 pinned.  A case may carry a config file (written to a temporary path that
 replaces ``{config}`` in its argv; with no ``config`` text the path does not
-exist) and environment variables.  To capture the file again, run
+exist) and environment variables; ``{dir}`` in its argv stands for an empty
+temporary directory.  To capture the file again, run
 ``python tests/test_cli_errors.py`` from the repository root with ``src`` on
 the path.
 """
@@ -111,6 +112,15 @@ def _invocations() -> list:
         ([*_FID, *_CFG], {}, '{"format": "xml"}'),
         ([*_FID, *_CFG], {}, '{"protocol": "bogus"}'),
         (["figure", *_CFG], {}, '{"id": 12}'),
+        # switches and the output path
+        ([*_FID, *_CFG], {}, '{"db": "false"}'),
+        ([*_FID, *_CFG], {}, '{"db": 1}'),
+        (["sweep", "--variable", "n_s", "--start", "1", "--stop", "100", "--points", "3",
+          "--eta-b", "0.5", "--eta-t", "0.9", *_CFG], {}, '{"log": "false"}'),
+        ([*_SWP, *_CFG], {}, '{"log": 0}'),
+        ([*_KAP, *_CFG], {}, '{"output": 5}'),
+        ([*_KAP, "--output", "{dir}"], {}, None),
+        ([*_KAP, "--output", "{dir}/missing/x.csv"], {}, None),
     ]
     return cases
 
@@ -135,7 +145,7 @@ def _run(case, directory: Path) -> tuple:
     path = directory / "config.json"
     if config is not None:
         path.write_text(config, encoding="utf-8")
-    argv = [str(path) if a == "{config}" else a for a in argv]
+    argv = [a.replace("{config}", str(path)).replace("{dir}", str(directory)) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     saved = {k: os.environ.get(k) for k in ("CPFKIT_WORKERS", *env)}
     os.environ.pop("CPFKIT_WORKERS", None)
