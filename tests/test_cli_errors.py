@@ -200,14 +200,9 @@ _VALID = {"m": 2, "eta_b": 0.3, "eta_t": 0.5, "ns": 1.0, "m_probes": 1.0}
 _NUMERIC_KEYS = {"fidelity": (*_VALID, "kappa"), "kappa": tuple(_VALID)}
 
 
-@settings(max_examples=250, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), command=st.sampled_from(sorted(_NUMERIC_KEYS)))
-def test_any_config_value_is_answered_or_refused(data, command, tmp_path, capsys):
-    values = data.draw(st.dictionaries(st.sampled_from(_NUMERIC_KEYS[command]), _JSON_VALUES,
-                                       min_size=1, max_size=2))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({**_VALID, **values}), encoding="utf-8")
+def _answered_or_refused(command: str, config: dict, directory: Path, capsys) -> None:
+    path = directory / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
     code = main([command, "--config", str(path)])
     out, err = capsys.readouterr()
     assert code in (0, 2), err
@@ -215,6 +210,43 @@ def test_any_config_value_is_answered_or_refused(data, command, tmp_path, capsys
         assert out == ""
         assert named_flags(err), err
     assert "Traceback" not in err
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(sorted(_NUMERIC_KEYS)))
+def test_any_config_value_is_answered_or_refused(data, command, tmp_path, capsys):
+    values = data.draw(st.dictionaries(st.sampled_from(_NUMERIC_KEYS[command]), _JSON_VALUES,
+                                       min_size=1, max_size=2))
+    _answered_or_refused(command, {**_VALID, **values}, tmp_path, capsys)
+
+
+# the non-numeric fields, on a valid base whose grid sizes stay small; each
+# field also draws its valid spellings, so accepted values are reached too
+_CHOICE_BASES = {
+    "fidelity": _VALID,
+    "sweep": {**_VALID, "variable": "eta_t", "start": 0.1, "stop": 0.9, "points": 3},
+    "region": {**_VALID, "x_points": 3, "y_points": 2, "workers": 1},
+}
+_CHOICE_KEYS = {
+    "fidelity": ("db", "format", "protocol", "path", "output"),
+    "sweep": ("db", "log", "format", "protocols", "variable", "output"),
+    "region": ("db", "format", "x", "y", "quantum", "output"),
+}
+_SPELLINGS = st.sampled_from(["csv", "json", "all", "auto", "direct", "mixed", "idler_free",
+                              "classical,mixed", "eta_b", "n_s", "m", "m_probes"])
+# a drawn string output is a path the test would write to
+_CHOICE_VALUES = {"output": _JSON_VALUES.filter(lambda v: not isinstance(v, str))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(sorted(_CHOICE_KEYS)))
+def test_any_config_choice_is_answered_or_refused(data, command, tmp_path, capsys):
+    keys = data.draw(st.lists(st.sampled_from(_CHOICE_KEYS[command]), min_size=1, max_size=2,
+                              unique=True))
+    values = {k: data.draw(_CHOICE_VALUES.get(k, _JSON_VALUES | _SPELLINGS)) for k in keys}
+    _answered_or_refused(command, {**_CHOICE_BASES[command], **values}, tmp_path, capsys)
 
 
 def _capture() -> None:
