@@ -219,8 +219,16 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     return cov_1, cov_2, mean_1, mean_2
 
 
+# Largest m the direct path takes: it builds 2m x 2m covariances in O(m^2)
+# Python loops and runs a 2m-mode kernel (25 s at m = 256).
+DIRECT_M_MAX = 128
+
+
 def _direct_fidelity(scenario: Scenario, kind: ProtocolKind) -> Tuple[float, float]:
     """Full-size output fidelity and the smaller min symplectic eigenvalue."""
+    if scenario.m > DIRECT_M_MAX:
+        raise DomainError(f"must be at most {DIRECT_M_MAX} on the direct path, "
+                          f"got {scenario.m}", "m")
     kappa = scenario.kappa if kind is ProtocolKind.MIXED else None
     spec = ProbeSpec(kind, scenario.m, scenario.n_s, kappa)
     probe = build_probe(spec)

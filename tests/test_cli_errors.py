@@ -58,6 +58,7 @@ def _invocations() -> list:
         ["fidelity", "--m", "2", "--eta-t", "0.5", "--ns", "1"],
         ["fidelity", "--m", "3", "--eta-b", ".3", "--eta-t", ".5", "--ns", "1e300",
          "--protocol", "all"],
+        [*_FID, "--m", "129", "--path", "direct"],
         # sweep: grid endpoints, grid shape, protocol list
         [*_SWP, "--stop", "1.5"],
         [*_SWP, "--start", "-0.5"],

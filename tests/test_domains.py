@@ -1,4 +1,5 @@
-"""The table of scenario-field domains and the ceiling on n_s."""
+"""The table of scenario-field domains, the ceiling on n_s and the direct
+path's ceiling on m."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from cpfkit import N_S_MAX, DomainError, NumericError, Scenario, fidelity, outpu
 from cpfkit.cli import main
 from cpfkit.errors import DOMAINS, check
 from cpfkit.probes import bipartite_probe
+from cpfkit.protocols import DIRECT_M_MAX
 
 _FIXED = [(p, None) for p in ("classical", "bipartite", "idler_free", "idler_free_reversed")]
 _FIXED += [("mixed", kappa) for kappa in (0.0, 1e-4, 0.5, 1.0)]
@@ -60,6 +62,24 @@ def test_scenario_refuses_energy_above_the_ceiling():
     with pytest.raises(DomainError) as info:
         Scenario(2, 0.3, 0.5, 10 * N_S_MAX)
     assert info.value.field == "n_s"
+
+
+def test_direct_path_refuses_m_above_its_ceiling(monkeypatch, capsys):
+    def built(spec):
+        raise RuntimeError("probe built")
+
+    monkeypatch.setattr("cpfkit.protocols.build_probe", built)
+    with pytest.raises(RuntimeError, match="probe built"):  # the ceiling itself is taken
+        output_fidelity(Scenario(DIRECT_M_MAX, 0.3, 0.5, 1.0), "idler_free", "direct")
+    with pytest.raises(DomainError) as info:
+        output_fidelity(Scenario(DIRECT_M_MAX + 1, 0.3, 0.5, 1.0), "idler_free", "direct")
+    assert info.value.field == "m"
+    argv = ["fidelity", "--m", str(DIRECT_M_MAX + 1), "--eta-b", ".3", "--eta-t", ".5",
+            "--ns", "1", "--path", "direct"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --m ")
 
 
 def test_bipartite_probe_refuses_nan_energy():
