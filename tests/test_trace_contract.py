@@ -1,0 +1,58 @@
+"""The names the benchmark's tracer patches in cpfkit.cli, and what it counts.
+
+``bench/tracing.py`` wraps ``_region_rows``, ``_render_csv``,
+``_render_json``, ``region_scan`` and ``sweep`` where ``cpfkit.cli`` looks
+them up, and counts rows and bytes from their arguments and results.  A
+refactor of the CLI that renames one of them, or changes what it takes or
+returns, would silently empty those per-layer metrics; these tests catch it.
+The tracer is loaded from its file and used as it is.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from cpfkit.cli import main
+
+_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+_PATCHED = ("_region_rows", "_render_csv", "_render_json", "region_scan", "sweep")
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("cpfkit_bench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def _run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv, fmt, rows", [
+    (["figure", "--id", "6", "--resolution", "5", "--format", "json"], "json", 25),
+    (["region", "--x-points", "3", "--y-points", "1", "--ns", "5", "--format", "csv"],
+     "csv", 3),
+])
+def test_tracer_counts_the_rows_and_bytes_printed(argv, fmt, rows, monkeypatch):
+    monkeypatch.delenv("CPFKIT_WORKERS", raising=False)
+    tracer = _tracer()
+    with tracer.installed():
+        traced = _run(argv)
+    assert not {f"cpfkit.cli.{name}" for name in _PATCHED} & set(tracer.absent)
+    assert traced == _run(argv)
+
+    printed = len(json.loads(traced)["rows"]) if fmt == "json" else traced.count("\n") - 1
+    assert printed == rows
+    counts = tracer.counts()
+    assert counts["cli.region_rows.rows"] == rows
+    assert counts[f"cli.render_{fmt}.rows"] == rows
+    assert counts[f"cli.render_{fmt}.bytes"] == len(traced.encode())
+    assert counts["scan.region_scan.calls"] == 1
