@@ -443,7 +443,8 @@ _REGION_FIGURES = {
 def _region_figure(fig_id: int, resolution: int, workers) -> Table:
     """An idler-free map from its row of :data:`_REGION_FIGURES`."""
     scenario, y_name, y_range, budget, keys = _REGION_FIGURES[fig_id]
-    x, y = (tuple(np.linspace(*r, resolution).tolist()) for r in ((0.0, 1.0), y_range))
+    x = tuple(np.linspace(0.0, 1.0, resolution).tolist())
+    y = tuple(np.linspace(*y_range, resolution).tolist())
     spec = RegionSpec(scenario, "eta_t", x, y_name, y, "idler_free", budget)
     grid = region_scan(spec, workers)
     columns, rows = _region_rows(grid)
@@ -524,7 +525,7 @@ def _emit(text: str, output) -> None:
     try:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise DomainError(f"names {output}, which cannot be written: {exc}", "output") from None
+        raise DomainError(f"names {output}, which cannot be written: {exc}", "output") from exc
 
 
 _BUILDERS = {

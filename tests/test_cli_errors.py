@@ -187,7 +187,7 @@ def test_every_pinned_case_is_run(pinned):
     assert set(pinned) == {_case_id(case) for case in _invocations()}
 
 
-# what a config file can hold in a numeric field
+# what a config file can hold in a field
 _JSON_VALUES = st.one_of(
     st.integers(),
     st.floats(),
