@@ -248,13 +248,18 @@ class RegionSpec:
             check("total_energy", self.total_energy)
             n_s = self.x_values if self.x_name == "n_s" else (
                 self.y_values if self.y_name == "n_s" else self.scenario.n_s)
-            # the rounds per cell region_scan will use
-            rounds = self.total_energy / (self.scenario.m * np.asarray(n_s))
             try:
-                check("m_probes", rounds)
+                check("m_probes", self.rounds(n_s))
             except DomainError as exc:
                 raise DomainError(f"sets rounds per cell, total/(m*n_s), that {exc.reason}",
                                   "total_energy") from None
+
+    def rounds(self, n_s) -> np.ndarray:
+        """Probe rounds M per cell of energy ``n_s``: scenario.m_probes, or
+        total_energy / (m * n_s) under a fixed budget."""
+        if self.total_energy is None:
+            return np.full(np.shape(n_s), float(self.scenario.m_probes))
+        return self.total_energy / (self.scenario.m * np.asarray(n_s))
 
 
 @dataclass(frozen=True)
@@ -277,85 +282,45 @@ class RegionGrid:
 
 
 def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
-    """Evaluate an advantage map row by row.
+    """Evaluate an advantage map.
 
     Per cell: one-shot quantum and classical fidelities, the raw (unclamped)
     quantum upper bound and classical lower bound at M rounds, their ratio as
     log10 (computed in log space, so huge M cannot underflow it), and the
-    M-independent certificate flag F_quantum < F_classical^2.  Rows may be
-    evaluated concurrently; assembly order is fixed by the grid alone.
+    M-independent certificate flag F_quantum < F_classical^2.  Everything is
+    evaluated on the whole grid at once except the quantum fidelity, which
+    goes row by row to bound the mixed protocol's kappa-grid batches; rows
+    may be evaluated concurrently, and assembly order is fixed by the grid.
     """
     workers = _resolve_workers(workers)
     x = np.asarray(spec.x_values, dtype=float)
     y = np.asarray(spec.y_values, dtype=float)
     base = spec.scenario
-    ny, nx = y.size, x.size
+    axes = dict(zip((spec.x_name, spec.y_name), np.meshgrid(x, y)))
+    eta_b, eta_t, n_s = (
+        axes[name] if name in axes else np.full((y.size, x.size), getattr(base, name))
+        for name in ("eta_b", "eta_t", "n_s")
+    )
 
-    f_quantum = np.empty((ny, nx))
-    f_classical = np.empty((ny, nx))
-    ub = np.empty((ny, nx))
-    lb = np.empty((ny, nx))
-    ratio = np.empty((ny, nx))
-    rounds = np.empty((ny, nx))
-    kappa_star = np.empty((ny, nx)) if spec.quantum == "mixed" else None
-
-    def axis_value(name: str, iy: int) -> np.ndarray:
-        if spec.x_name == name:
-            return x
-        if spec.y_name == name:
-            return np.full(nx, y[iy])
-        return np.full(nx, getattr(base, name))
-
-    def fill_row(iy: int) -> None:
-        eta_b = axis_value("eta_b", iy)
-        eta_t = axis_value("eta_t", iy)
-        n_s = axis_value("n_s", iy)
-        if spec.total_energy is not None:
-            m_rounds = spec.total_energy / (base.m * n_s)
-        else:
-            m_rounds = np.full(nx, float(base.m_probes))
-        f_c = fidelity("classical", base.m, eta_b, eta_t, n_s)[0]
-        f_q, kappa, _ = fidelity(spec.quantum, base.m, eta_b, eta_t, n_s)
-        if kappa_star is not None:
-            kappa_star[iy] = kappa
-        with np.errstate(divide="ignore", under="ignore"):
-            ub[iy] = perr_upper_raw(f_q, base.m, m_rounds)
-            lb[iy] = classical_perr_lower(eta_b, eta_t, n_s, base.m, m_rounds)
-            ratio[iy] = log10_bound_ratio(f_q, eta_b, eta_t, n_s, base.m, m_rounds)
-        f_quantum[iy] = f_q
-        f_classical[iy] = f_c
-        rounds[iy] = m_rounds
+    def quantum_row(iy: int):
+        return fidelity(spec.quantum, base.m, eta_b[iy], eta_t[iy], n_s[iy])
 
     if workers == 1:
-        for iy in range(ny):
-            fill_row(iy)
+        rows = [quantum_row(iy) for iy in range(y.size)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(ny)))
+            rows = list(pool.map(quantum_row, range(y.size)))
+    f_quantum = np.stack([row[0] for row in rows])
+    kappa_star = np.stack([row[1] for row in rows]) if spec.quantum == "mixed" else None
 
-    certificate = f_quantum < f_classical**2
-    metadata = {
-        "m": base.m,
-        "n_s": base.n_s,
-        "eta_b": base.eta_b,
-        "eta_t": base.eta_t,
-        "m_probes": base.m_probes,
-        "quantum": spec.quantum,
-        "mode": "log_ratio",
-        "total_energy": spec.total_energy,
-    }
-    return RegionGrid(
-        spec.x_name,
-        x,
-        spec.y_name,
-        y,
-        f_quantum,
-        f_classical,
-        ub,
-        lb,
-        ratio,
-        certificate,
-        rounds,
-        kappa_star,
-        metadata,
-    )
+    f_classical = fidelity("classical", base.m, eta_b, eta_t, n_s)[0]
+    rounds = spec.rounds(n_s)
+    with np.errstate(divide="ignore", under="ignore"):
+        ub = perr_upper_raw(f_quantum, base.m, rounds)
+        lb = classical_perr_lower(eta_b, eta_t, n_s, base.m, rounds)
+        ratio = log10_bound_ratio(f_quantum, eta_b, eta_t, n_s, base.m, rounds)
+    metadata = {"m": base.m, "n_s": base.n_s, "eta_b": base.eta_b, "eta_t": base.eta_t,
+                "m_probes": base.m_probes, "quantum": spec.quantum, "mode": "log_ratio",
+                "total_energy": spec.total_energy}
+    return RegionGrid(spec.x_name, x, spec.y_name, y, f_quantum, f_classical, ub, lb, ratio,
+                      f_quantum < f_classical**2, rounds, kappa_star, metadata)

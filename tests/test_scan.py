@@ -257,11 +257,24 @@ def test_region_scan_shapes_and_certificate():
     assert grid.metadata["quantum"] == "idler_free"
 
 
-def test_region_scan_worker_count_invariant():
-    serial = region_scan(_small_region_spec(), workers=1)
-    threaded = region_scan(_small_region_spec(), workers=5)
-    for name in ("f_quantum", "f_classical", "ub_quantum", "lb_classical", "log10_ratio"):
-        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+_GRID_ARRAYS = ("x_values", "y_values", "f_quantum", "f_classical", "ub_quantum",
+                "lb_classical", "log10_ratio", "certificate", "m_probes", "kappa_star")
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(_small_region_spec(), id="idler_free"),
+    pytest.param(RegionSpec(Scenario(2, 0.55, 0.5, 50.0), "eta_t", (0.6, 0.8, 0.9, 0.95),
+                            "eta_b", (0.5, 0.55), quantum="mixed"), id="mixed_two_rows"),
+    pytest.param(_small_region_spec(total_energy=1800.0), id="total_energy"),
+])
+def test_region_scan_worker_count_invariant(spec):
+    serial = region_scan(spec, workers=1)
+    threaded = region_scan(spec, workers=5)
+    assert (serial.kappa_star is None) == (spec.quantum != "mixed")
+    for name in _GRID_ARRAYS:
+        a, b = getattr(serial, name), getattr(threaded, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+    assert serial.metadata == threaded.metadata
 
 
 def test_region_scan_fixed_energy_rounds():
