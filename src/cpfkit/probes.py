@@ -53,12 +53,7 @@ class ProbeSpec:
 
 def symmetric_cm(m: int, mu: float, c: float) -> np.ndarray:
     """Fully symmetric m-mode covariance: mu*I on the diagonal, c*Z off it."""
-    cm = np.zeros((2 * m, 2 * m))
-    for i in range(m):
-        for j in range(m):
-            block = mu * np.eye(2) if i == j else c * _Z
-            cm[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
-    return cm
+    return np.kron(np.eye(m), mu * np.eye(2)) + np.kron(1.0 - np.eye(m), c * _Z)
 
 
 def max_symmetric_correlation(m: int, mu: float) -> float:
@@ -71,10 +66,7 @@ def max_symmetric_correlation(m: int, mu: float) -> float:
 
 def classical_probe(m: int, n_s: float) -> GaussianState:
     """m identical coherent states of amplitude sqrt(n_s), one per box."""
-    spec = ProbeSpec(ProtocolKind.CLASSICAL, m, n_s)
-    mean = np.zeros(2 * spec.m)
-    mean[0::2] = 2.0 * math.sqrt(spec.n_s)
-    return GaussianState(mean, np.eye(2 * spec.m))
+    return mixed_probe(m, n_s, 0.0)
 
 
 def bipartite_probe(n_s: float) -> GaussianState:
@@ -89,10 +81,7 @@ def idler_free_probe(m: int, n_s: float) -> GaussianState:
     The cross-correlation sits at its maximum sqrt(mu^2-1)/(m-1), where the
     largest-entangled direction is pure (symplectic eigenvalue 1).
     """
-    spec = ProbeSpec(ProtocolKind.IDLER_FREE, m, n_s)
-    mu = 2.0 * spec.n_s + 1.0
-    cm = symmetric_cm(spec.m, mu, max_symmetric_correlation(spec.m, mu))
-    return GaussianState(np.zeros(2 * spec.m), cm)
+    return mixed_probe(m, n_s, 1.0)
 
 
 def mixed_probe(m: int, n_s: float, kappa: float) -> GaussianState:
@@ -113,14 +102,12 @@ def build_probe(spec: ProbeSpec) -> GaussianState:
     """Build the probe a :class:`ProbeSpec` describes.
 
     For the bipartite protocol this is the m-fold tensor product of
-    two-mode squeezed pairs, ordered (idler, signal) per box.
+    two-mode squeezed pairs, ordered (idler, signal) per box; every other
+    probe is the mixed one, the classical at kappa = 0 and the idler-free at
+    kappa = 1.
     """
-    if spec.kind is ProtocolKind.CLASSICAL:
-        return classical_probe(spec.m, spec.n_s)
     if spec.kind is ProtocolKind.BIPARTITE:
         pair = bipartite_probe(spec.n_s)
-        cm = np.kron(np.eye(spec.m), pair.cm)
-        return GaussianState(np.zeros(4 * spec.m), cm)
-    if spec.kind is ProtocolKind.IDLER_FREE:
-        return idler_free_probe(spec.m, spec.n_s)
-    return mixed_probe(spec.m, spec.n_s, spec.kappa)
+        return GaussianState(np.zeros(4 * spec.m), np.kron(np.eye(spec.m), pair.cm))
+    kappa = {ProtocolKind.CLASSICAL: 0.0, ProtocolKind.IDLER_FREE: 1.0}.get(spec.kind, spec.kappa)
+    return mixed_probe(spec.m, spec.n_s, kappa)
