@@ -331,6 +331,7 @@ def _sweep_table(p: dict) -> Table:
         "n_s": scenario.n_s, "m_probes": scenario.m_probes, "kappa": scenario.kappa,
         "variable": variable, "start": start, "stop": stop, "points": points,
         "log": logspace, "protocols": list(protocols),
+        variable: None,  # the grid sets it; the scenario holds a placeholder
     }
     return Table("sweep", parameters, columns, rows, ("fidelity",))
 
@@ -370,7 +371,8 @@ def _region_table(p: dict) -> Table:
     grid = region_scan(spec, workers)
     columns, rows = _region_rows(grid)
     parameters = dict(grid.metadata)
-    parameters.update({"x": x_name, "y": y_name, "workers": workers})
+    # the axes set their fields; the scenario holds placeholders
+    parameters.update({"x": x_name, "y": y_name, "workers": workers, x_name: None, y_name: None})
     return Table("region", parameters, columns, rows, ("f_quantum", "f_classical"))
 
 

@@ -228,6 +228,27 @@ def test_region_mixed_appends_kappa(capsys):
     assert header[-1] == "kappa_star"
 
 
+@pytest.mark.parametrize("argv, unset, kept", [
+    (["region", "--x", "eta_t", "--y", "eta_b", "--x-points", "2", "--y-points", "2",
+      "--eta-b", "0.7", "--ns", "20"], ("eta_t", "eta_b"), {"n_s": 20.0}),
+    (["region", "--x", "eta_t", "--y", "n_s", "--x-points", "2", "--y-start", "1",
+      "--y-points", "2", "--eta-b", "0.9"], ("eta_t", "n_s"), {"eta_b": 0.9}),
+    (["sweep", "--variable", "eta_b", "--start", "0", "--stop", "1", "--points", "3",
+      "--eta-t", "0.5", "--ns", "2"], ("eta_b",), {"eta_t": 0.5, "n_s": 2.0}),
+    (["sweep", "--variable", "m", "--start", "2", "--stop", "4", "--points", "3",
+      "--m", "7", "--eta-b", "0.5", "--eta-t", "0.9", "--ns", "2"], ("m",), {"eta_b": 0.5}),
+    (["sweep", "--variable", "m_probes", "--start", "1", "--stop", "4", "--points", "3",
+      "--m-probes", "9", "--eta-b", "0.5", "--eta-t", "0.9", "--ns", "2"], ("m_probes",),
+     {"m": 2}),
+])
+def test_json_parameters_report_null_for_grid_fields(capsys, argv, unset, kept):
+    # a field a grid sets has no single value; the rest echo what was given
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    parameters = json.loads(out)["parameters"]
+    assert {k: parameters[k] for k in (*unset, *kept)} == {**dict.fromkeys(unset), **kept}
+
+
 def test_kappa_command_reports_optimum(capsys):
     code, out, _ = run_cli(
         capsys, "kappa", "--m", "2", "--eta-b", "0.55", "--eta-t", "0.9", "--ns", "50",
