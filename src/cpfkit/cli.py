@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     fid = subs.add_parser("fidelity", help="output fidelity at a single parameter point")
     _add_scenario(fid)
     fid.add_argument("--protocol", choices=_FIDELITY_PROTOCOLS, help="protocol or 'all'")
-    fid.add_argument("--path", choices=("auto", "direct"), help="evaluation path")
+    fid.add_argument("--path", choices=("auto", "direct"),
+                     help="evaluation path; direct needs --kappa for the mixed protocol")
     _add_common(fid)
 
     swp = subs.add_parser("sweep", help="fidelities along a 1-D parameter grid")
@@ -289,6 +290,9 @@ def _fidelity_table(p: dict) -> Table:
     for name in names:
         if name == "mixed" and scenario.kappa is None:
             # the one case output_fidelity cannot answer: kappa is optimized
+            if path == "direct":
+                notes.append("--path direct needs --kappa for the mixed protocol; "
+                             "its row is optimized on the auto path")
             value, kappa_used, label = fidelity(
                 name, scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s
             )

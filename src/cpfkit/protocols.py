@@ -219,8 +219,8 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     return cov_1, cov_2, mean_1, mean_2
 
 
-# Largest m the direct path takes: it builds 2m x 2m covariances in O(m^2)
-# Python loops and runs a 2m-mode kernel (25 s at m = 256).
+# Largest m the direct path takes: it applies the loss box by box to 2m x 2m
+# covariances and runs a 2m-mode kernel (25 s at m = 256).
 DIRECT_M_MAX = 128
 
 

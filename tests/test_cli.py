@@ -57,6 +57,25 @@ def test_fidelity_all_includes_reversed_beyond_two_boxes(capsys):
     ]
 
 
+_MIXED_POINT = ("fidelity", "--m", "3", "--eta-b", "0.55", "--eta-t", "0.9", "--ns", "5")
+
+
+@pytest.mark.parametrize("extra, noted", [
+    (("--protocol", "mixed", "--path", "direct"), True),
+    (("--protocol", "all", "--path", "direct"), True),
+    (("--protocol", "mixed", "--path", "direct", "--kappa", "0.3"), False),
+    (("--protocol", "mixed"), False),
+    (("--protocol", "classical", "--path", "direct"), False),
+])
+def test_direct_path_without_kappa_notes_the_optimized_mixed_row(capsys, extra, noted):
+    code, out, err = run_cli(capsys, *_MIXED_POINT, *extra)
+    assert code == 0
+    assert ("warning: --path direct needs --kappa" in err) == noted
+    if noted:  # the row itself is the optimized one, as without --path direct
+        _, rows = parse_csv(out)
+        assert rows[-1][0] == "mixed" and rows[-1][3] == "optimized"
+
+
 def test_fidelity_rejects_eta_out_of_range(capsys):
     code, _, err = run_cli(
         capsys, "fidelity", "--m", "2", "--eta-b", "0.9", "--eta-t", "1.2", "--ns", "50",
