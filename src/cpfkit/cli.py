@@ -335,7 +335,7 @@ def _sweep_table(p: dict) -> Table:
         "n_s": scenario.n_s, "m_probes": scenario.m_probes, "kappa": scenario.kappa,
         "variable": variable, "start": start, "stop": stop, "points": points,
         "log": logspace, "protocols": list(protocols),
-        variable: None,  # the grid sets it; the scenario holds a placeholder
+        variable: None,  # the grid sets it; the scenario holds a placeholder or an unused flag
     }
     return Table("sweep", parameters, columns, rows, ("fidelity",))
 
