@@ -59,6 +59,11 @@ def _invocations() -> list:
         ["fidelity", "--m", "3", "--eta-b", ".3", "--eta-t", ".5", "--ns", "1e300",
          "--protocol", "all"],
         [*_FID, "--m", "129", "--path", "direct"],
+        [*_FID, "--protocol", "bogus"],
+        [*_FID, "--path", "bogus"],
+        [*_FID, "--format", "xml"],
+        [*_FID, "--m", "abc"],
+        [*_FID, "--kappa", "abc"],
         # sweep: grid endpoints, grid shape, protocol list
         [*_SWP, "--stop", "1.5"],
         [*_SWP, "--start", "-0.5"],
@@ -72,6 +77,9 @@ def _invocations() -> list:
         [*_SWP, "--protocols", "classical,bogus"],
         [*_SWP, "--kappa", "2"],
         [*_SWP, "--eta-b", "-1"],
+        [*_SWP, "--variable", "bogus"],
+        [*_SWP, "--points", "2.5"],
+        [*_SWP, "--start", "abc"],
         # region: axis endpoints, axes, budget, rounds, workers
         [*_REG, "--x-stop", "1.5"],
         [*_REG, "--y-start", "-0.1"],
@@ -84,6 +92,12 @@ def _invocations() -> list:
         [*_REG, "--m-probes", "0"],
         [*_REG, "--ns", "-1"],
         [*_REG, "--x", "n_s", "--x-start", "1", "--x-stop", "2", "--eta-t", "2"],
+        [*_REG, "--x", "bogus"],
+        [*_REG, "--y", "bogus"],
+        [*_REG, "--quantum", "bogus"],
+        [*_REG, "--x-points", "1.5"],
+        [*_REG, "--workers", "1.5"],
+        [*_REG, "--total-energy", "abc"],
         # kappa
         ["kappa", "--m", "2", "--eta-b", ".3", "--eta-t", ".5", "--ns", "1e200"],
         [*_KAP, "--eta-t", "1.01"],
@@ -93,6 +107,10 @@ def _invocations() -> list:
         ["figure", "--id", "9"],
         ["figure", "--id", "6", "--resolution", "1"],
         ["figure", "--id", "6", "--resolution", "3", "--workers", "0"],
+        ["figure", "--id", "0"],
+        ["figure", "--id", "abc"],
+        ["figure", "--id", "2.5"],
+        ["figure", "--id", "6", "--resolution", "abc"],
     ]
     cases = [(argv, {}, None) for argv in cases]
     cases += [
