@@ -27,6 +27,9 @@ from .errors import CpfError, DomainError, check
 from .protocols import Scenario, listed_protocols, output_fidelity
 from .scan import (
     PROTOCOL_IDS,
+    QUANTUM_PROTOCOLS,
+    REGION_AXES,
+    SWEEP_VARIABLES,
     RegionSpec,
     SweepSpec,
     fidelity,
@@ -36,11 +39,6 @@ from .scan import (
 )
 
 _FLOAT_FMT = "{:.11e}"  # 12 significant digits round-trips a double
-
-_FIDELITY_PROTOCOLS = PROTOCOL_IDS + ("all",)
-_SWEEP_VARIABLES = ("eta_b", "eta_t", "n_s", "m", "m_probes")
-_REGION_AXES = ("eta_b", "eta_t", "n_s")
-_QUANTUM_PROTOCOLS = ("idler_free", "bipartite", "mixed")
 
 
 @dataclass
@@ -58,28 +56,75 @@ class Table:
 
 
 # ---------------------------------------------------------------- parsing
+#
+# Each subcommand's keys and their defaults.  A key is at once a flag
+# (_flag) and a config-file key.  argparse only splits argv; every value,
+# from the command line or a config file, is parsed by _num, _integer or
+# _choice below.
+
+_SCENARIO = {"m": 2, "eta_b": None, "eta_t": None, "n_s": None, "m_probes": 1.0}
+_COMMON = {"output": None, "format": "csv", "db": False}
+_KEYS = {
+    "fidelity": {**_SCENARIO, "kappa": None, "protocol": "all", "path": "auto", **_COMMON},
+    "sweep": {
+        **_SCENARIO, "kappa": None, "variable": None, "start": None, "stop": None,
+        "points": 201, "log": False, "protocols": "classical,bipartite,idler_free", **_COMMON,
+    },
+    "region": {
+        **_SCENARIO, "x": "eta_t", "x_start": 0.0, "x_stop": 1.0, "x_points": 201,
+        "y": "eta_b", "y_start": 0.0, "y_stop": 1.0, "y_points": 201,
+        "quantum": "idler_free", "total_energy": None, "workers": None, **_COMMON,
+    },
+    "kappa": {**_SCENARIO, **_COMMON},
+    "figure": {"id": None, "resolution": 201, "workers": None, **_COMMON},
+}
+_SWITCHES = ("db", "log")  # flags without a value; config files give true, false or null
+
+_CHOICES = {
+    "protocol": PROTOCOL_IDS + ("all",), "path": ("auto", "direct"), "format": ("csv", "json"),
+    "variable": SWEEP_VARIABLES, "x": REGION_AXES, "y": REGION_AXES, "quantum": QUANTUM_PROTOCOLS,
+}
+
+_COMMAND_HELP = {
+    "fidelity": "output fidelity at a single parameter point",
+    "sweep": "fidelities along a 1-D parameter grid",
+    "region": "2-D advantage map (quantum UB vs classical LB)",
+    "kappa": "optimal mixing fraction at one parameter point",
+    "figure": "emit the data behind a standard figure",
+}
+_HELP = {
+    "config": "JSON file mirroring the flags; flags override it",
+    "m": "number of boxes", "eta_b": "background transmissivity",
+    "eta_t": "target transmissivity", "n_s": "mean photons per probe mode",
+    "m_probes": "probing rounds M", "kappa": "mixing fraction for the mixed protocol",
+    "protocol": "protocol",
+    "path": "evaluation path; direct needs --kappa for the mixed protocol",
+    "variable": "parameter to vary", "start": "first grid value", "stop": "last grid value",
+    "points": "grid size", "log": "log-spaced grid (start, stop > 0)",
+    "protocols": "comma list from " + ", ".join(PROTOCOL_IDS),
+    "x": "x axis parameter", "x_start": "x axis start", "x_stop": "x axis stop",
+    "x_points": "x axis size", "y": "y axis parameter", "y_start": "y axis start",
+    "y_stop": "y axis stop", "y_points": "y axis size",
+    "quantum": "protocol for the upper bound",
+    "total_energy": "fix m*M*ns to this budget; rounds per cell become total/(m*ns)",
+    "workers": "row-level threads (default $CPFKIT_WORKERS or 1)",
+    "id": "figure number (1-8)", "resolution": "grid points per axis",
+    "output": "write the table here instead of stdout", "format": "table format",
+    "db": "append decibel (10 log10 F) companions to fidelity columns",
+}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file mirroring the flags; flags override it")
-    sub.add_argument("--output", "-o", help="write the table here instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
-    sub.add_argument(
-        "--db",
-        action="store_true",
-        default=None,
-        help="append decibel (10 log10 F) companions to fidelity columns",
-    )
+def _flag(key: str) -> str:
+    return "--" + {"n_s": "ns"}.get(key, key.replace("_", "-"))
 
 
-def _add_scenario(sub: argparse.ArgumentParser, kappa: bool = True) -> None:
-    sub.add_argument("--m", type=int, help="number of boxes (default 2)")
-    sub.add_argument("--eta-b", type=float, help="background transmissivity")
-    sub.add_argument("--eta-t", type=float, help="target transmissivity")
-    sub.add_argument("--ns", dest="n_s", type=float, help="mean photons per probe mode")
-    sub.add_argument("--m-probes", type=float, help="probing rounds M (default 1)")
-    if kappa:
-        sub.add_argument("--kappa", type=float, help="mixing fraction for the mixed protocol")
+def _help(key: str, default) -> str:
+    text = _HELP[key]
+    if key in _CHOICES:
+        text += ": one of " + ", ".join(_CHOICES[key])
+    if default is not None and key not in _SWITCHES:
+        text += f" (default {default})"
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,90 +134,19 @@ def build_parser() -> argparse.ArgumentParser:
         "channel position finding on pure-loss channels.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    fid = subs.add_parser("fidelity", help="output fidelity at a single parameter point")
-    _add_scenario(fid)
-    fid.add_argument("--protocol", choices=_FIDELITY_PROTOCOLS, help="protocol or 'all'")
-    fid.add_argument("--path", choices=("auto", "direct"),
-                     help="evaluation path; direct needs --kappa for the mixed protocol")
-    _add_common(fid)
-
-    swp = subs.add_parser("sweep", help="fidelities along a 1-D parameter grid")
-    _add_scenario(swp)
-    swp.add_argument("--variable", choices=_SWEEP_VARIABLES, help="parameter to vary")
-    swp.add_argument("--start", type=float, help="first grid value")
-    swp.add_argument("--stop", type=float, help="last grid value")
-    swp.add_argument("--points", type=int, help="grid size (default 201)")
-    swp.add_argument(
-        "--log", action="store_true", default=None, help="log-spaced grid (start, stop > 0)"
-    )
-    swp.add_argument(
-        "--protocols",
-        help="comma list from {%s} (default classical,bipartite,idler_free)"
-        % ",".join(PROTOCOL_IDS),
-    )
-    _add_common(swp)
-
-    reg = subs.add_parser("region", help="2-D advantage map (quantum UB vs classical LB)")
-    _add_scenario(reg, kappa=False)
-    reg.add_argument("--x", choices=_REGION_AXES, help="x axis parameter (default eta_t)")
-    reg.add_argument("--x-start", type=float, help="x axis start (default 0)")
-    reg.add_argument("--x-stop", type=float, help="x axis stop (default 1)")
-    reg.add_argument("--x-points", type=int, help="x axis size (default 201)")
-    reg.add_argument("--y", choices=_REGION_AXES, help="y axis parameter (default eta_b)")
-    reg.add_argument("--y-start", type=float, help="y axis start (default 0)")
-    reg.add_argument("--y-stop", type=float, help="y axis stop (default 1)")
-    reg.add_argument("--y-points", type=int, help="y axis size (default 201)")
-    reg.add_argument("--quantum", choices=_QUANTUM_PROTOCOLS, help="protocol for the upper bound")
-    reg.add_argument(
-        "--total-energy",
-        type=float,
-        help="fix m*M*ns to this budget; rounds per cell become total/(m*ns)",
-    )
-    reg.add_argument("--workers", type=int, help="row-level threads (default $CPFKIT_WORKERS or 1)")
-    _add_common(reg)
-
-    kap = subs.add_parser("kappa", help="optimal mixing fraction at one parameter point")
-    _add_scenario(kap, kappa=False)
-    _add_common(kap)
-
-    fig = subs.add_parser("figure", help="emit the data behind a standard figure")
-    fig.add_argument("--id", type=int, choices=range(1, 9), help="figure number (1-8)")
-    fig.add_argument("--resolution", type=int, help="grid points per axis (default 201)")
-    fig.add_argument("--workers", type=int, help="row-level threads (default $CPFKIT_WORKERS or 1)")
-    _add_common(fig)
-
+    for command, keys in _KEYS.items():
+        sub = subs.add_parser(command, help=_COMMAND_HELP[command])
+        sub.add_argument("--config", help=_HELP["config"])
+        for key, default in keys.items():
+            names = (_flag(key), "-o") if key == "output" else (_flag(key),)
+            switch = {"action": "store_true"} if key in _SWITCHES else {}
+            sub.add_argument(*names, dest=key, default=None, help=_help(key, default), **switch)
     return parser
 
 
-_DEFAULTS = {
-    "fidelity": {
-        "m": 2, "m_probes": 1.0, "kappa": None, "protocol": "all", "path": "auto",
-        "eta_b": None, "eta_t": None, "n_s": None,
-    },
-    "sweep": {
-        "m": 2, "m_probes": 1.0, "kappa": None, "variable": None, "start": None,
-        "stop": None, "points": 201, "log": False,
-        "protocols": "classical,bipartite,idler_free",
-        "eta_b": None, "eta_t": None, "n_s": None,
-    },
-    "region": {
-        "m": 2, "m_probes": 1.0, "x": "eta_t", "x_start": 0.0, "x_stop": 1.0,
-        "x_points": 201, "y": "eta_b", "y_start": 0.0, "y_stop": 1.0, "y_points": 201,
-        "quantum": "idler_free", "total_energy": None, "workers": None,
-        "eta_b": None, "eta_t": None, "n_s": None,
-    },
-    "kappa": {"m": 2, "m_probes": 1.0, "eta_b": None, "eta_t": None, "n_s": None},
-    "figure": {"id": None, "resolution": 201, "workers": None},
-}
-_COMMON_DEFAULTS = {"output": None, "format": "csv", "db": False}
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Layer hard defaults, then the config file, then explicit flags."""
-    merged = dict(_DEFAULTS[args.command])
-    merged.update(_COMMON_DEFAULTS)
-    known = set(merged)
+    """Layer the table's defaults, then the config file, then explicit flags."""
+    merged = dict(_KEYS[args.command])
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -189,11 +163,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
             {"ns": "n_s"}.get(k.replace("-", "_"), k.replace("-", "_")): v
             for k, v in loaded.items()
         }
-        unknown = sorted(set(loaded) - known)
+        unknown = sorted(set(loaded) - set(merged))
         if unknown:
             raise DomainError(f"has keys {unknown} not recognised by '{args.command}'", "config")
         merged.update(loaded)
-        for key in ("db", "log"):  # the switches take JSON true, false or null only
+        for key in _SWITCHES:
             if not isinstance(merged.get(key), (bool, type(None))):
                 raise DomainError(f"takes true, false or null, got {merged[key]!r}", key)
     for key, value in vars(args).items():
@@ -209,10 +183,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
 # Values are only parsed here.  Their domains are checked by errors.check,
 # in the engines or, for grid endpoints, under the flag's own field; main()
 # turns the field a DomainError names into the flag.
-
-
-def _flag(key: str) -> str:
-    return "--" + {"n_s": "ns"}.get(key, key.replace("_", "-"))
 
 
 def _num(p: dict, key: str, required: bool = True) -> float | None:
@@ -238,12 +208,12 @@ def _integer(p: dict, key: str, minimum: int, required: bool = True) -> int | No
     return int(number)
 
 
-def _choice(p: dict, key: str, choices: tuple) -> str:
+def _choice(p: dict, key: str) -> str:
     value = p.get(key)
     if value is None:
         raise DomainError("is required", key)
-    if value not in choices:
-        raise DomainError(f"must be one of {', '.join(map(str, choices))}, got {value!r}", key)
+    if value not in _CHOICES[key]:
+        raise DomainError(f"must be one of {', '.join(_CHOICES[key])}, got {value!r}", key)
     return value
 
 
@@ -278,8 +248,8 @@ def _grid(p: dict, prefix: str, variable: str, logspace: bool = False) -> tuple:
 
 def _fidelity_table(p: dict) -> Table:
     scenario = _scenario_from(p)
-    protocol = _choice(p, "protocol", _FIDELITY_PROTOCOLS)
-    path = _choice(p, "path", ("auto", "direct"))
+    protocol = _choice(p, "protocol")
+    path = _choice(p, "path")
     names = listed_protocols(scenario.m) if protocol == "all" else [protocol]
 
     columns = [
@@ -318,13 +288,10 @@ def _fidelity_table(p: dict) -> Table:
 
 
 def _sweep_table(p: dict) -> Table:
-    variable = _choice(p, "variable", _SWEEP_VARIABLES)
+    variable = _choice(p, "variable")
     logspace = bool(p.get("log"))
     start, stop, points, values = _grid(p, "", variable, logspace)
     protocols = tuple(s.strip() for s in str(p["protocols"]).split(",") if s.strip())
-    bad = [s for s in protocols if s not in PROTOCOL_IDS]
-    if bad:
-        raise DomainError(f"has unknown entries {bad}; valid: {list(PROTOCOL_IDS)}", "protocols")
 
     scenario = _scenario_from(p, placeholder=(variable,))
     spec = SweepSpec(scenario, variable, tuple(values.tolist()), protocols)
@@ -359,11 +326,11 @@ def _region_rows(grid) -> tuple:
 
 
 def _region_table(p: dict) -> Table:
-    x_name = _choice(p, "x", _REGION_AXES)
-    y_name = _choice(p, "y", _REGION_AXES)
+    x_name = _choice(p, "x")
+    y_name = _choice(p, "y")
     if x_name == y_name:
         raise DomainError("and --y must name different parameters", "x")
-    quantum = _choice(p, "quantum", _QUANTUM_PROTOCOLS)
+    quantum = _choice(p, "quantum")
     total_energy = _num(p, "total_energy", required=False)
     workers = _integer(p, "workers", 1, required=False)
     x_values, y_values = _grid(p, "x_", x_name)[3], _grid(p, "y_", y_name)[3]
@@ -551,12 +518,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         params = _merge_config(args)
+        fmt = _choice(params, "format")
         table = _BUILDERS[args.command](params)
         if params.get("db"):
             _apply_db(table)
-        fmt = params.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise DomainError(f"must be csv or json, got {fmt!r}", "format")
         for note in table.notes:
             print(f"warning: {note}", file=sys.stderr)
         _emit(_render_csv(table) if fmt == "csv" else _render_json(table),

@@ -25,6 +25,10 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 WORKERS_ENV_VAR = "CPFKIT_WORKERS"
 
+SWEEP_VARIABLES = ("eta_b", "eta_t", "n_s", "m", "m_probes")
+REGION_AXES = ("eta_b", "eta_t", "n_s")
+QUANTUM_PROTOCOLS = ("idler_free", "bipartite", "mixed")
+
 
 def _resolve_workers(workers: int | None) -> int:
     source = "workers"
@@ -142,9 +146,9 @@ def optimize_kappa(scenario: Scenario) -> KappaResult:
 class SweepSpec:
     """A one-dimensional fidelity sweep.
 
-    ``variable`` names the scenario field to vary ("eta_b", "eta_t", "n_s",
-    "m" or "m_probes"); ``values`` is the grid; ``protocols`` the requested
-    subset of :data:`PROTOCOL_IDS`.
+    ``variable`` names the scenario field to vary, one of
+    :data:`SWEEP_VARIABLES`; ``values`` is the grid; ``protocols`` the
+    requested subset of :data:`PROTOCOL_IDS`.
     """
 
     scenario: Scenario
@@ -153,13 +157,14 @@ class SweepSpec:
     protocols: Tuple[str, ...] = ("classical", "bipartite", "idler_free")
 
     def __post_init__(self):
-        if self.variable not in ("eta_b", "eta_t", "n_s", "m", "m_probes"):
+        if self.variable not in SWEEP_VARIABLES:
             raise DomainError(f"unknown sweep variable {self.variable!r}")
         if not self.values:
             raise DomainError("sweep needs at least one grid value")
         unknown = [p for p in self.protocols if p not in PROTOCOL_IDS]
         if unknown:
-            raise DomainError(f"unknown protocols {unknown}; valid: {PROTOCOL_IDS}")
+            raise DomainError(f"has unknown entries {unknown}; valid: {list(PROTOCOL_IDS)}",
+                              "protocols")
 
 
 def _sweep_column(spec: SweepSpec, protocol: str, values: np.ndarray):
@@ -214,12 +219,12 @@ def sweep(spec: SweepSpec) -> list[dict]:
 class RegionSpec:
     """A two-dimensional advantage map.
 
-    Axes are named scenario fields ("eta_b", "eta_t" or "n_s"); remaining
-    parameters come from ``scenario``.  ``quantum`` picks the protocol whose
-    upper bound is compared against the classical lower bound, and
-    ``total_energy`` switches to the fixed-budget mode where the number of
-    rounds per cell is total_energy / (m * n_s) instead of
-    scenario.m_probes.
+    Axes are named scenario fields from :data:`REGION_AXES`; remaining
+    parameters come from ``scenario``.  ``quantum``, one of
+    :data:`QUANTUM_PROTOCOLS`, picks the protocol whose upper bound is
+    compared against the classical lower bound, and ``total_energy`` switches
+    to the fixed-budget mode where the number of rounds per cell is
+    total_energy / (m * n_s) instead of scenario.m_probes.
     """
 
     scenario: Scenario
@@ -232,11 +237,11 @@ class RegionSpec:
 
     def __post_init__(self):
         for name in (self.x_name, self.y_name):
-            if name not in ("eta_b", "eta_t", "n_s"):
+            if name not in REGION_AXES:
                 raise DomainError(f"region axes must be eta_b, eta_t or n_s, got {name!r}")
         if self.x_name == self.y_name:
             raise DomainError("region axes must differ")
-        if self.quantum not in ("idler_free", "bipartite", "mixed"):
+        if self.quantum not in QUANTUM_PROTOCOLS:
             raise DomainError(f"unknown quantum protocol {self.quantum!r}")
         object.__setattr__(self, "x_values", tuple(float(v) for v in self.x_values))
         object.__setattr__(self, "y_values", tuple(float(v) for v in self.y_values))

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from cpfkit import cli
 from cpfkit.cli import main
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -401,3 +402,37 @@ def test_output_file_written(capsys, tmp_path):
     text = target.read_text()
     assert text.startswith("protocol,fidelity")
     assert text.endswith("\n")
+
+
+# ----------------------------------------------------- one parse path
+
+
+_KAPPA_POINT = ["kappa", "--eta-b", "0.3", "--eta-t", "0.5", "--ns", "1"]
+_SWEEP_GRID = ["sweep", "--variable", "eta_t", "--start", "0", "--stop", "1",
+               "--eta-b", "0.5", "--ns", "1"]
+_SMALL_MAP = ["region", "--y-points", "2", "--ns", "5"]
+
+
+@pytest.mark.parametrize("argv, values", [
+    (_KAPPA_POINT, {"m": 2.0}),
+    (_SWEEP_GRID, {"points": 3.0}),
+    ([*_SMALL_MAP, "--workers", "1"], {"x_points": 3.0}),
+    ([*_SMALL_MAP, "--x-points", "3"], {"workers": 1.0}),
+    (["figure"], {"id": 6.0, "resolution": 3.0}),
+], ids=["m", "points", "x_points", "workers", "figure"])
+def test_flag_and_config_take_the_same_values(capsys, tmp_path, argv, values):
+    config = tmp_path / "values.json"
+    config.write_text(json.dumps(values))
+    flags = [a for key, value in values.items() for a in (cli._flag(key), str(value))]
+    from_flags = run_cli(capsys, *argv, *flags)
+    from_config = run_cli(capsys, *argv, "--config", str(config))
+    assert from_flags[0] == from_config[0] == 0, from_flags[2]
+    assert from_flags[1] == from_config[1]
+
+
+@pytest.mark.parametrize("command", sorted(cli._KEYS))
+def test_help_names_every_flag(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    for key in ("config", *cli._KEYS[command]):
+        assert cli._flag(key) in out.split(), key
