@@ -62,7 +62,8 @@ class Table:
 # from the command line or a config file, is parsed by _num, _integer or
 # _choice below.
 
-_SCENARIO = {"m": 2, "eta_b": None, "eta_t": None, "n_s": None, "m_probes": 1.0}
+_POINT = {"m": 2, "eta_b": None, "eta_t": None, "n_s": None}
+_SCENARIO = {**_POINT, "m_probes": 1.0}
 _COMMON = {"output": None, "format": "csv", "db": False}
 _KEYS = {
     "fidelity": {**_SCENARIO, "kappa": None, "protocol": "all", "path": "auto", **_COMMON},
@@ -75,7 +76,7 @@ _KEYS = {
         "y": "eta_b", "y_start": 0.0, "y_stop": 1.0, "y_points": 201,
         "quantum": "idler_free", "total_energy": None, "workers": None, **_COMMON,
     },
-    "kappa": {**_SCENARIO, **_COMMON},
+    "kappa": {**_POINT, **_COMMON},
     "figure": {"id": None, "resolution": 201, "workers": None, **_COMMON},
 }
 _SWITCHES = ("db", "log")  # flags without a value; config files give true, false or null
@@ -219,11 +220,11 @@ def _choice(p: dict, key: str) -> str:
 
 def _scenario_from(p: dict, *, placeholder: tuple = ()) -> Scenario:
     """Build the Scenario; fields named in ``placeholder`` get dummy values
-    because a grid overrides them."""
+    because a grid overrides them.  M is 1 for a command without the key."""
     dummies = {"eta_b": 0.5, "eta_t": 0.5, "n_s": 1.0}
     eta_b, eta_t, n_s = (dummies[k] if k in placeholder else _num(p, k) for k in dummies)
-    return Scenario(_num(p, "m"), eta_b, eta_t, n_s, _num(p, "m_probes"),
-                    _num(p, "kappa", required=False))
+    m_probes = _num(p, "m_probes") if "m_probes" in p else 1.0
+    return Scenario(_num(p, "m"), eta_b, eta_t, n_s, m_probes, _num(p, "kappa", required=False))
 
 
 def _grid(p: dict, prefix: str, variable: str, logspace: bool = False) -> tuple:

@@ -103,6 +103,7 @@ def _invocations() -> list:
         [*_KAP, "--eta-t", "1.01"],
         [*_KAP, "--m", "1"],
         [*_KAP, "--ns", "-inf"],
+        [*_KAP, "--m-probes", "5"],
         # figure
         ["figure", "--id", "9"],
         ["figure", "--id", "6", "--resolution", "1"],
@@ -131,6 +132,7 @@ def _invocations() -> list:
         ([*_FID, *_CFG], {}, '{"format": "xml"}'),
         ([*_FID, *_CFG], {}, '{"protocol": "bogus"}'),
         (["figure", *_CFG], {}, '{"id": 12}'),
+        ([*_KAP, *_CFG], {}, '{"m_probes": 5}'),
         # switches and the output path
         ([*_FID, *_CFG], {}, '{"db": "false"}'),
         ([*_FID, *_CFG], {}, '{"db": 1}'),
@@ -215,8 +217,10 @@ _JSON_VALUES = st.one_of(
     st.booleans(),
     st.lists(st.floats(), max_size=2),
 )
-_VALID = {"m": 2, "eta_b": 0.3, "eta_t": 0.5, "ns": 1.0, "m_probes": 1.0}
-_NUMERIC_KEYS = {"fidelity": (*_VALID, "kappa"), "kappa": tuple(_VALID)}
+_POINT = {"m": 2, "eta_b": 0.3, "eta_t": 0.5, "ns": 1.0}
+_VALID = {**_POINT, "m_probes": 1.0}
+# each command's valid base config, and the numeric keys drawn over it
+_NUMERIC = {"fidelity": (_VALID, (*_VALID, "kappa")), "kappa": (_POINT, tuple(_POINT))}
 
 
 def _answered_or_refused(command: str, config: dict, directory: Path, capsys) -> None:
@@ -233,11 +237,12 @@ def _answered_or_refused(command: str, config: dict, directory: Path, capsys) ->
 
 @settings(max_examples=250, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), command=st.sampled_from(sorted(_NUMERIC_KEYS)))
+@given(data=st.data(), command=st.sampled_from(sorted(_NUMERIC)))
 def test_any_config_value_is_answered_or_refused(data, command, tmp_path, capsys):
-    values = data.draw(st.dictionaries(st.sampled_from(_NUMERIC_KEYS[command]), _JSON_VALUES,
+    base, keys = _NUMERIC[command]
+    values = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES,
                                        min_size=1, max_size=2))
-    _answered_or_refused(command, {**_VALID, **values}, tmp_path, capsys)
+    _answered_or_refused(command, {**base, **values}, tmp_path, capsys)
 
 
 # the non-numeric fields, on a valid base whose grid sizes stay small; each
