@@ -17,7 +17,7 @@ import json
 import os
 import signal
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -280,11 +280,7 @@ def _fidelity_table(p: dict) -> Table:
             float(perr_lower(value, scenario.m, scenario.m_probes)),
         ])
 
-    parameters = {
-        "m": scenario.m, "eta_b": scenario.eta_b, "eta_t": scenario.eta_t,
-        "n_s": scenario.n_s, "m_probes": scenario.m_probes,
-        "kappa": scenario.kappa, "protocol": protocol, "path": path,
-    }
+    parameters = {**asdict(scenario), "protocol": protocol, "path": path}
     return Table("fidelity", parameters, columns, rows, ("fidelity",), notes)
 
 
@@ -299,9 +295,7 @@ def _sweep_table(p: dict) -> Table:
     columns = ["variable", "value", "protocol", "fidelity", "kappa"]
     rows = [tuple(r[c] for c in columns) for r in sweep(spec)]
     parameters = {
-        "m": scenario.m, "eta_b": scenario.eta_b, "eta_t": scenario.eta_t,
-        "n_s": scenario.n_s, "m_probes": scenario.m_probes, "kappa": scenario.kappa,
-        "variable": variable, "start": start, "stop": stop, "points": points,
+        **asdict(scenario), "variable": variable, "start": start, "stop": stop, "points": points,
         "log": logspace, "protocols": list(protocols),
         variable: None,  # the grid sets it; the scenario holds a placeholder or an unused flag
     }
