@@ -337,23 +337,22 @@ def fidelity_from_arrays(
     return np.minimum(np.exp(log_f), 1.0)
 
 
-def gaussian_fidelity(a: GaussianState, b: GaussianState, validate: bool = True) -> float:
+def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     """Fidelity F(a, b) = Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)), in [0, 1].
 
     Raises :class:`InvalidStateError` when the states have different mode
-    counts or (with ``validate``) fail the physicality check.
+    counts or fail the physicality check.
     """
     if a.n_modes != b.n_modes:
         raise InvalidStateError(
             f"states have different mode counts: {a.n_modes} vs {b.n_modes}"
         )
-    if validate:
-        for label, state in (("first", a), ("second", b)):
-            report = check_physical(state)
-            if not report.ok:
-                raise InvalidStateError(
-                    f"{label} state is unphysical "
-                    f"(min symplectic eigenvalue {report.min_symplectic_eigenvalue:.9g}, "
-                    f"positive definite: {report.positive_definite})"
-                )
+    for label, state in (("first", a), ("second", b)):
+        report = check_physical(state)
+        if not report.ok:
+            raise InvalidStateError(
+                f"{label} state is unphysical "
+                f"(min symplectic eigenvalue {report.min_symplectic_eigenvalue:.9g}, "
+                f"positive definite: {report.positive_definite})"
+            )
     return float(fidelity_from_arrays(a.cm, b.cm, a.mean, b.mean))

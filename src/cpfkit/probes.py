@@ -9,7 +9,6 @@ splits it: a fraction kappa goes into correlations, the rest into amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,28 +26,9 @@ class ProtocolKind(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Which probe to build: protocol kind, box count m, energy N_S per mode.
-
-    ``kappa`` is the correlation fraction and is meaningful (and required)
-    only for the mixed protocol.
-    """
-
-    kind: ProtocolKind
-    m: int
-    n_s: float
-    kappa: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", int(check("m", self.m)))
-        check("n_s", self.n_s)
-        if self.kind is ProtocolKind.MIXED:
-            if self.kappa is None:
-                raise DomainError("is needed by mixed probes", "kappa")
-            check("kappa", self.kappa)
-        elif self.kappa is not None:
-            raise DomainError(f"is only meaningful for mixed probes, got {self.kappa}", "kappa")
+# the correlation fraction of each probe family that is a fixed member of the
+# mixed family
+FAMILY_KAPPA = {ProtocolKind.CLASSICAL: 0.0, ProtocolKind.IDLER_FREE: 1.0}
 
 
 def symmetric_cm(m: int, mu: float, c: float) -> np.ndarray:
@@ -66,7 +46,7 @@ def max_symmetric_correlation(m: int, mu: float) -> float:
 
 def classical_probe(m: int, n_s: float) -> GaussianState:
     """m identical coherent states of amplitude sqrt(n_s), one per box."""
-    return mixed_probe(m, n_s, 0.0)
+    return mixed_probe(m, n_s, FAMILY_KAPPA[ProtocolKind.CLASSICAL])
 
 
 def bipartite_probe(n_s: float) -> GaussianState:
@@ -81,7 +61,7 @@ def idler_free_probe(m: int, n_s: float) -> GaussianState:
     The cross-correlation sits at its maximum sqrt(mu^2-1)/(m-1), where the
     largest-entangled direction is pure (symplectic eigenvalue 1).
     """
-    return mixed_probe(m, n_s, 1.0)
+    return mixed_probe(m, n_s, FAMILY_KAPPA[ProtocolKind.IDLER_FREE])
 
 
 def mixed_probe(m: int, n_s: float, kappa: float) -> GaussianState:
@@ -90,24 +70,31 @@ def mixed_probe(m: int, n_s: float, kappa: float) -> GaussianState:
     kappa = 0 reproduces the classical probe exactly, kappa = 1 the idler-free
     probe; every mode carries mean photon number n_s for all kappa.
     """
-    spec = ProbeSpec(ProtocolKind.MIXED, m, n_s, kappa)
-    mu = 2.0 * spec.kappa * spec.n_s + 1.0
-    cm = symmetric_cm(spec.m, mu, max_symmetric_correlation(spec.m, mu))
-    mean = np.zeros(2 * spec.m)
-    mean[0::2] = 2.0 * math.sqrt((1.0 - spec.kappa) * spec.n_s)
+    m = int(check("m", m))
+    n_s, kappa = float(check("n_s", n_s)), float(check("kappa", kappa))
+    mu = 2.0 * kappa * n_s + 1.0
+    cm = symmetric_cm(m, mu, max_symmetric_correlation(m, mu))
+    mean = np.zeros(2 * m)
+    mean[0::2] = 2.0 * math.sqrt((1.0 - kappa) * n_s)
     return GaussianState(mean, cm)
 
 
-def build_probe(spec: ProbeSpec) -> GaussianState:
-    """Build the probe a :class:`ProbeSpec` describes.
+def build_probe(kind: ProtocolKind, m: int, n_s: float,
+                kappa: float | None = None) -> GaussianState:
+    """The probe of family ``kind`` for m boxes at energy n_s per mode.
 
-    For the bipartite protocol this is the m-fold tensor product of
-    two-mode squeezed pairs, ordered (idler, signal) per box; every other
-    probe is the mixed one, the classical at kappa = 0 and the idler-free at
-    kappa = 1.
+    ``kappa`` is the correlation fraction, required by the mixed family and
+    refused by the others.  For the bipartite protocol this is the m-fold
+    tensor product of two-mode squeezed pairs, ordered (idler, signal) per
+    box; every other probe is the mixed one at its family's kappa.
     """
-    if spec.kind is ProtocolKind.BIPARTITE:
-        pair = bipartite_probe(spec.n_s)
-        return GaussianState(np.zeros(4 * spec.m), np.kron(np.eye(spec.m), pair.cm))
-    kappa = {ProtocolKind.CLASSICAL: 0.0, ProtocolKind.IDLER_FREE: 1.0}.get(spec.kind, spec.kappa)
-    return mixed_probe(spec.m, spec.n_s, kappa)
+    if kind is ProtocolKind.MIXED:
+        if kappa is None:
+            raise DomainError("is needed by mixed probes", "kappa")
+    elif kappa is not None:
+        raise DomainError(f"is only meaningful for mixed probes, got {kappa}", "kappa")
+    if kind is ProtocolKind.BIPARTITE:
+        m = int(check("m", m))
+        pair = bipartite_probe(n_s)
+        return GaussianState(np.zeros(4 * m), np.kron(np.eye(m), pair.cm))
+    return mixed_probe(m, n_s, FAMILY_KAPPA.get(kind, kappa))

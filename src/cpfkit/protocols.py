@@ -17,14 +17,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError, InvalidStateError, check
-from .gaussian import (
-    GaussianState,
-    check_physical,
-    fidelity_from_arrays,
-    gaussian_fidelity,
-    pure_loss,
-)
-from .probes import ProbeSpec, ProtocolKind, build_probe
+from .gaussian import GaussianState, check_physical, fidelity_from_arrays, pure_loss
+from .probes import FAMILY_KAPPA, ProtocolKind, build_probe
 
 
 @dataclass(frozen=True)
@@ -151,15 +145,6 @@ def apply_hypothesis(probe: GaussianState, target: int, scenario: Scenario) -> G
     return out
 
 
-def _set_block(cov: np.ndarray, i: int, j: int, alpha, beta) -> None:
-    # every block here is alpha*I + beta*Z, so only the two diagonal entries move
-    cov[..., 2 * i, 2 * j] = alpha + beta
-    cov[..., 2 * i + 1, 2 * j + 1] = alpha - beta
-    if i != j:
-        cov[..., 2 * j, 2 * i] = alpha + beta
-        cov[..., 2 * j + 1, 2 * i + 1] = alpha - beta
-
-
 def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     """Covariances and means of the two distinguishable outputs, batched.
 
@@ -192,31 +177,23 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
 
     n_kept = 2 if m == 2 else 3
     cov_1 = np.zeros(batch + (2 * n_kept, 2 * n_kept))
-    cov_2 = np.zeros_like(cov_1)
     mean_1 = np.zeros(batch + (2 * n_kept,))
-    mean_2 = np.zeros_like(mean_1)
-
-    _set_block(cov_1, 0, 0, d_t, 0.0)
-    _set_block(cov_1, 1, 1, d_b, 0.0)
-    _set_block(cov_1, 0, 1, 0.0, g_t)
-    _set_block(cov_2, 0, 0, d_b, 0.0)
-    _set_block(cov_2, 1, 1, d_t, 0.0)
-    _set_block(cov_2, 0, 1, 0.0, g_t)
+    # block (i, j) of the target-at-box-0 output is alpha*I + beta*Z
+    blocks = [(0, 0, d_t, 0.0), (1, 1, d_b, 0.0), (0, 1, 0.0, g_t)]
     mean_1[..., 0], mean_1[..., 2] = a_t, a_b
-    mean_2[..., 0], mean_2[..., 2] = a_b, a_t
-
     if m > 2:
         root = math.sqrt(m - 2.0)
-        _set_block(cov_1, 2, 2, d_b, (m - 3.0) * g_b)
-        _set_block(cov_2, 2, 2, d_b, (m - 3.0) * g_b)
-        _set_block(cov_1, 0, 2, 0.0, root * g_t)
-        _set_block(cov_1, 1, 2, 0.0, root * g_b)
-        _set_block(cov_2, 0, 2, 0.0, root * g_b)
-        _set_block(cov_2, 1, 2, 0.0, root * g_t)
+        blocks += [(2, 2, d_b, (m - 3.0) * g_b), (0, 2, 0.0, root * g_t),
+                   (1, 2, 0.0, root * g_b)]
         mean_1[..., 4] = root * a_b
-        mean_2[..., 4] = root * a_b
+    q, p = cov_1[..., 0::2, 0::2], cov_1[..., 1::2, 1::2]  # views into cov_1
+    for i, j, alpha, beta in blocks:
+        q[..., i, j] = q[..., j, i] = alpha + beta
+        p[..., i, j] = p[..., j, i] = alpha - beta
 
-    return cov_1, cov_2, mean_1, mean_2
+    # the target at box 1 is the target at box 0 with boxes 0 and 1 swapped
+    swap = np.array([2, 3, 0, 1, 4, 5][: 2 * n_kept])
+    return cov_1, cov_1[..., swap[:, None], swap], mean_1, mean_1[..., swap]
 
 
 # Largest m the direct path takes: it applies the loss box by box to 2m x 2m
@@ -224,19 +201,15 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
 DIRECT_M_MAX = 128
 
 
-def _direct_fidelity(scenario: Scenario, kind: ProtocolKind) -> Tuple[float, float]:
-    """Full-size output fidelity and the smaller min symplectic eigenvalue."""
+def _direct_pair(scenario: Scenario, kind: ProtocolKind) -> tuple:
+    """The full-size output pair, in :func:`output_pair_arrays`'s order."""
     if scenario.m > DIRECT_M_MAX:
         raise DomainError(f"must be at most {DIRECT_M_MAX} on the direct path, "
                           f"got {scenario.m}", "m")
     kappa = scenario.kappa if kind is ProtocolKind.MIXED else None
-    spec = ProbeSpec(kind, scenario.m, scenario.n_s, kappa)
-    probe = build_probe(spec)
-    out_1 = apply_hypothesis(probe, 0, scenario)
-    out_2 = apply_hypothesis(probe, 1, scenario)
-    reports = (check_physical(out_1), check_physical(out_2))
-    value = gaussian_fidelity(out_1, out_2, validate=False)
-    return value, min(r.min_symplectic_eigenvalue for r in reports)
+    probe = build_probe(kind, scenario.m, scenario.n_s, kappa)
+    out_1, out_2 = (apply_hypothesis(probe, target, scenario) for target in (0, 1))
+    return out_1.cm, out_2.cm, out_1.mean, out_2.mean
 
 
 def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
@@ -257,9 +230,7 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
         return idler_free_binary_fidelity(eta_b, eta_t, n_s), "closed-form", None
     if kind is ProtocolKind.MIXED and kappa is None:
         raise DomainError("the mixed protocol needs a kappa")
-    # the idler-free probe is the kappa = 1 member of the mixed family
-    kappa = 1.0 if kind is ProtocolKind.IDLER_FREE else kappa
-    pair = output_pair_arrays(m, eta_b, eta_t, n_s, kappa)
+    pair = output_pair_arrays(m, eta_b, eta_t, n_s, FAMILY_KAPPA.get(kind, kappa))
     return fidelity_from_arrays(*pair), "direct" if m == 2 else "reduced", pair
 
 
@@ -270,21 +241,22 @@ def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityRep
     the auto path is :func:`route`'s, and the mixed protocol needs
     scenario.kappa.  ``path="direct"`` forces the full m-mode (2m for
     bipartite) computation for any protocol, which exists as a cross-check
-    of the fast paths.
+    of the fast paths.  Whenever the fidelity comes from an output pair, the
+    report carries the smaller min symplectic eigenvalue of the two states
+    and a warning for each unphysical one.
     """
     if path not in ("auto", "direct"):
         raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
     probe, eta_b, eta_t = _oriented(kind, scenario.eta_b, scenario.eta_t)
     if path == "direct":
-        oriented = replace(scenario, eta_b=eta_b, eta_t=eta_t)
-        value, min_nu = _direct_fidelity(oriented, probe)
-        return FidelityReport(value, "direct", probe, {"min_symplectic_eigenvalue": min_nu})
-
-    value, label, pair = route(
-        kind, scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s, scenario.kappa
-    )
-    if pair is None:
-        return FidelityReport(float(value), label, probe)
+        pair = _direct_pair(replace(scenario, eta_b=eta_b, eta_t=eta_t), probe)
+        value, label = fidelity_from_arrays(*pair), "direct"
+    else:
+        value, label, pair = route(
+            kind, scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s, scenario.kappa
+        )
+        if pair is None:
+            return FidelityReport(float(value), label, probe)
     cov_1, cov_2, mean_1, mean_2 = pair
     reports = (check_physical(GaussianState(mean_1, cov_1)),
                check_physical(GaussianState(mean_2, cov_2)))

@@ -436,3 +436,16 @@ def test_help_names_every_flag(capsys, command):
     assert code == 0
     for key in ("config", *cli._KEYS[command]):
         assert cli._flag(key) in out.split(), key
+
+
+def test_direct_path_warning_goes_to_stderr_only(capsys):
+    argv = ["fidelity", "--m", "3", "--eta-b", "1", "--eta-t", ".5", "--ns", "1e7",
+            "--protocol", "bipartite", "--path", "direct"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: output state ")
+    assert captured.out == (
+        "protocol,fidelity,kappa,path,min_symplectic_eigenvalue,perr_upper,perr_lower\n"
+        "bipartite,1.24944721308e-10,,direct,9.76812980199e-01,2.49889442616e-10,"
+        "5.20372779424e-21\n"
+    )

@@ -65,7 +65,7 @@ def test_scenario_refuses_energy_above_the_ceiling():
 
 
 def test_direct_path_refuses_m_above_its_ceiling(monkeypatch, capsys):
-    def built(spec):
+    def built(*args):
         raise RuntimeError("probe built")
 
     monkeypatch.setattr("cpfkit.protocols.build_probe", built)

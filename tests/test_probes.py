@@ -5,7 +5,6 @@ import pytest
 
 from cpfkit import (
     DomainError,
-    ProbeSpec,
     ProtocolKind,
     bipartite_probe,
     build_probe,
@@ -90,8 +89,7 @@ def test_max_symmetric_correlation_bounds():
 
 
 def test_build_probe_bipartite_is_product_of_pairs():
-    spec = ProbeSpec(ProtocolKind.BIPARTITE, 3, 1.5)
-    probe = build_probe(spec)
+    probe = build_probe(ProtocolKind.BIPARTITE, 3, 1.5)
     assert probe.n_modes == 6
     pair = bipartite_probe(1.5)
     for box in range(3):
@@ -105,17 +103,17 @@ def test_build_probe_bipartite_is_product_of_pairs():
 @pytest.mark.parametrize("n_s", [float("nan"), float("inf")])
 def test_probe_spec_rejects_non_finite_energy(kind, n_s):
     with pytest.raises(DomainError, match="n_s"):
-        ProbeSpec(kind, 2, n_s)
+        build_probe(kind, 2, n_s)
 
 
 def test_probe_spec_validation():
     with pytest.raises(DomainError):
-        ProbeSpec(ProtocolKind.CLASSICAL, 1, 1.0)
+        build_probe(ProtocolKind.CLASSICAL, 1, 1.0)
     with pytest.raises(DomainError):
-        ProbeSpec(ProtocolKind.CLASSICAL, 2, -1.0)
+        build_probe(ProtocolKind.CLASSICAL, 2, -1.0)
     with pytest.raises(DomainError):
-        ProbeSpec(ProtocolKind.MIXED, 2, 1.0)  # kappa required
+        build_probe(ProtocolKind.MIXED, 2, 1.0)  # kappa required
     with pytest.raises(DomainError):
-        ProbeSpec(ProtocolKind.MIXED, 2, 1.0, 1.5)
+        build_probe(ProtocolKind.MIXED, 2, 1.0, 1.5)
     with pytest.raises(DomainError):
-        ProbeSpec(ProtocolKind.CLASSICAL, 2, 1.0, 0.5)  # kappa meaningless
+        build_probe(ProtocolKind.CLASSICAL, 2, 1.0, 0.5)  # kappa meaningless

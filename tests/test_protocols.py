@@ -5,7 +5,6 @@ import pytest
 
 from cpfkit import (
     DomainError,
-    ProbeSpec,
     ProtocolKind,
     Scenario,
     apply_hypothesis,
@@ -199,6 +198,20 @@ def test_output_pair_arrays_broadcasts():
         output_pair_arrays(3, 0.8, etas, 2.0, 1.5)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_output_pair_arrays_match_both_hypotheses_written_out(m, rng):
+    # the second state is taken from the first by swapping boxes 0 and 1; the
+    # oracle writes each state block by block
+    oracle = pytest.importorskip("kernel_oracle")
+    points = [(0.0, 1.0, 2.0, 0.0), (1.0, 0.0, 0.5, 1.0)]
+    points += [tuple(rng.uniform(0.0, 1.0, 4)) for _ in range(5)]
+    for eta_b, eta_t, log_n_s, kappa in points:
+        point = (m, eta_b, eta_t, 10.0 ** (3.0 * log_n_s - 1.0), kappa)
+        for ours, written in zip(output_pair_arrays(*point), oracle.output_pair(*point)):
+            written = np.array(written.tolist(), dtype=float).reshape(ours.shape)
+            assert np.allclose(ours, written, rtol=1e-13, atol=0.0)
+
+
 # --------------------------------------------------------------- dispatch
 
 
@@ -227,13 +240,22 @@ def test_idler_free_ignores_scenario_kappa():
     assert f_with == f_without
 
 
+def test_direct_path_warns_of_an_unphysical_output():
+    # 2m modes of near-pure pairs: the rounded outputs fall below the
+    # uncertainty bound, as on the auto path this is reported, not hidden
+    report = output_fidelity(Scenario(3, 1.0, 0.5, 1e7), "bipartite", path="direct")
+    assert report.path == "direct"
+    assert report.diagnostics["min_symplectic_eigenvalue"] < 1.0
+    assert report.warnings and report.warnings[0].startswith("output state ")
+
+
 def test_output_fidelity_rejects_bad_path():
     with pytest.raises(DomainError):
         output_fidelity(Scenario(2, 0.6, 0.9, 5.0), "classical", path="reduced")
 
 
 def test_apply_hypothesis_validates():
-    probe = build_probe(ProbeSpec(ProtocolKind.CLASSICAL, 3, 1.0))
+    probe = build_probe(ProtocolKind.CLASSICAL, 3, 1.0)
     scenario = Scenario(3, 0.5, 0.9, 1.0)
     with pytest.raises(DomainError):
         apply_hypothesis(probe, 3, scenario)
@@ -246,7 +268,7 @@ def test_apply_hypothesis_validates():
 def test_bipartite_direct_uses_idlers():
     # the 2m-mode probe keeps one idler per box; only signals meet the loss
     scenario = Scenario(2, 0.7, 0.2, 3.0)
-    probe = build_probe(ProbeSpec(ProtocolKind.BIPARTITE, 2, 3.0))
+    probe = build_probe(ProtocolKind.BIPARTITE, 2, 3.0)
     out = apply_hypothesis(probe, 0, scenario)
     from cpfkit import photon_number
 
