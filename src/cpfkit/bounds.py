@@ -27,13 +27,6 @@ class BoundsResult:
     fidelity_used: float
 
 
-def _check_fidelity(fidelity, name: str = "fidelity") -> np.ndarray:
-    fidelity = np.asarray(fidelity, dtype=float)
-    if np.any((fidelity < 0.0) | (fidelity > 1.0)):
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return fidelity
-
-
 def _check_m_and_rounds(m: int, m_probes) -> None:
     check("m", m)
     check("m_probes", m_probes)
@@ -45,7 +38,7 @@ def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
     The uniform-prior case of the pretty-good-measurement bound of
     Barnum and Knill, J. Math. Phys. 43, 2097 (2002).
     """
-    fidelity = _check_fidelity(fidelity)
+    fidelity = check("fidelity", fidelity)
     _check_m_and_rounds(m, m_probes)
     return (m - 1.0) * fidelity**m_probes
 
@@ -59,14 +52,14 @@ def perr_upper(fidelity, m: int, m_probes: float = 1.0):
 def perr_lower(fidelity, m: int, m_probes: float = 1.0):
     """Lower bound (m-1)/(2m) F^(2M) on the error probability with
     equiprobable hypotheses (Montanaro, IEEE Information Theory Workshop (ITW) 2008)."""
-    fidelity = _check_fidelity(fidelity)
+    fidelity = check("fidelity", fidelity)
     _check_m_and_rounds(m, m_probes)
     return (m - 1.0) / (2.0 * m) * fidelity ** (2.0 * m_probes)
 
 
 def _check_priors_and_matrix(priors, fidelities) -> tuple:
     priors = np.asarray(priors, dtype=float)
-    fidelities = _check_fidelity(fidelities, "fidelities")
+    fidelities = check("fidelity", fidelities, "fidelities")
     m = priors.size
     check("m", m, "priors")  # one prior per hypothesis
     if np.any(priors < 0.0) or abs(float(priors.sum()) - 1.0) > 1e-9:
@@ -107,7 +100,7 @@ def pgm_pure_upper(fidelity, m: int):
     (m-1)/m^2 * (2 + (m-2)F - 2 sqrt((1+(m-1)F)(1-F))),
     algebraically (sqrt(1+(m-1)F) - sqrt(1-F))^2 but exact at F = 0 and 1.
     """
-    fidelity = _check_fidelity(fidelity)
+    fidelity = check("fidelity", fidelity)
     check("m", m)
     square = 2.0 + (m - 2.0) * fidelity - 2.0 * np.sqrt(
         (1.0 + (m - 1.0) * fidelity) * (1.0 - fidelity)
@@ -141,15 +134,15 @@ def advantage_certificate(fidelity_a, fidelity_b) -> bool:
     The condition is F_A < F_B^2 strictly: then A's upper bound sinks below
     B's lower bound as M grows.
     """
-    fidelity_a = float(_check_fidelity(fidelity_a, "fidelity_a"))
-    fidelity_b = float(_check_fidelity(fidelity_b, "fidelity_b"))
+    fidelity_a = float(check("fidelity", fidelity_a, "fidelity_a"))
+    fidelity_b = float(check("fidelity", fidelity_b, "fidelity_b"))
     return fidelity_a < fidelity_b * fidelity_b
 
 
 def ratio_bound(fidelity_a, fidelity_b, m: int, m_probes: float = 1.0):
     """Bound 2m (F_A / F_B^2)^M on the ratio of A's error to B's floor."""
-    fidelity_a = _check_fidelity(fidelity_a, "fidelity_a")
-    fidelity_b = _check_fidelity(fidelity_b, "fidelity_b")
+    fidelity_a = check("fidelity", fidelity_a, "fidelity_a")
+    fidelity_b = check("fidelity", fidelity_b, "fidelity_b")
     _check_m_and_rounds(m, m_probes)
     if np.any(fidelity_b == 0.0):
         raise DomainError("fidelity_b must be positive, the ratio bound diverges at 0")
@@ -159,7 +152,7 @@ def ratio_bound(fidelity_a, fidelity_b, m: int, m_probes: float = 1.0):
 def log10_bound_ratio(fidelity_a, eta_b, eta_t, n_s, m: int, m_probes):
     """log10 of perr_upper_raw(F_A, m, M) / classical_perr_lower(...), evaluated
     in log space so huge M never underflows the power."""
-    fidelity_a = _check_fidelity(fidelity_a, "fidelity_a")
+    fidelity_a = check("fidelity", fidelity_a, "fidelity_a")
     log_upper = math.log10(m - 1.0) + m_probes * np.log10(fidelity_a)
     gap = (np.sqrt(eta_b) - np.sqrt(eta_t)) ** 2
     log_lower = math.log10((m - 1.0) / (2.0 * m)) - (

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the domains of the
-scenario fields, which every entry point checks its inputs against."""
+scenario fields and of fidelities, which entry points check inputs against."""
 
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ class NumericError(CpfError, ArithmeticError):
     """A numerical computation failed (singular matrix, non-finite result)."""
 
 
-# scenario field -> (rule, test of a float array); check() also refuses
-# every non-finite value
+# scenario field, or a fidelity -> (rule, test of a float array); check() also
+# refuses every non-finite value
 DOMAINS = {
     "m": ("an integer >= 2", lambda v: (v >= 2.0) & (np.floor(v) == v)),
     "eta_b": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
@@ -46,6 +46,7 @@ DOMAINS = {
     "m_probes": ("finite and at least 1", lambda v: v >= 1.0),
     "kappa": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
     "total_energy": ("finite and positive", lambda v: v > 0.0),
+    "fidelity": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
 }
 
 

@@ -83,6 +83,32 @@ def test_fidelity_domain_checked():
         perr_upper(0.5, 2, 0.5)
 
 
+_NAN = float("nan")
+_NAN_MATRIX = [[1.0, _NAN], [_NAN, 1.0]]
+_NAN_CASES = [
+    (perr_upper_raw, (_NAN, 2), "fidelity"),
+    (perr_upper, (_NAN, 2), "fidelity"),
+    (perr_lower, (_NAN, 2), "fidelity"),
+    (pgm_pure_upper, (_NAN, 2), "fidelity"),
+    (evaluate_bounds, (_NAN, 2), "fidelity"),
+    (perr_upper_general, ([0.5, 0.5], _NAN_MATRIX), "fidelities"),
+    (perr_lower_general, ([0.5, 0.5], _NAN_MATRIX), "fidelities"),
+    (advantage_certificate, (_NAN, 0.5), "fidelity_a"),
+    (advantage_certificate, (0.5, _NAN), "fidelity_b"),
+    (ratio_bound, (_NAN, 0.5, 2), "fidelity_a"),
+    (ratio_bound, (0.5, _NAN, 2), "fidelity_b"),
+    (log10_bound_ratio, (_NAN, 0.3, 0.5, 1.0, 2, 1.0), "fidelity_a"),
+]
+
+
+@pytest.mark.parametrize("bound, args, name", _NAN_CASES,
+                         ids=[f"{b.__name__}-{n}" for b, _, n in _NAN_CASES])
+def test_bounds_refuse_a_nan_fidelity_naming_it(bound, args, name):
+    with pytest.raises(DomainError) as info:
+        bound(*args)
+    assert info.value.field == name
+
+
 def test_general_priors_reduce_to_uniform():
     m, f, rounds = 4, 0.7, 3.0
     priors = np.full(m, 1.0 / m)
