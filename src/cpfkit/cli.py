@@ -129,14 +129,17 @@ def _help(key: str, default) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated flags: config files take full keys only, and a new key
+    # sharing a prefix would change what an abbreviation means
     parser = argparse.ArgumentParser(
         prog="cpfkit",
         description="Output fidelities, error bounds and advantage maps for "
         "channel position finding on pure-loss channels.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for command, keys in _KEYS.items():
-        sub = subs.add_parser(command, help=_COMMAND_HELP[command])
+        sub = subs.add_parser(command, help=_COMMAND_HELP[command], allow_abbrev=False)
         sub.add_argument("--config", help=_HELP["config"])
         for key, default in keys.items():
             names = (_flag(key), "-o") if key == "output" else (_flag(key),)

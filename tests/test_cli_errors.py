@@ -98,6 +98,7 @@ def _invocations() -> list:
         [*_REG, "--x-points", "1.5"],
         [*_REG, "--workers", "1.5"],
         [*_REG, "--total-energy", "abc"],
+        [*_REG, "--work", "1"],
         # kappa
         ["kappa", "--m", "2", "--eta-b", ".3", "--eta-t", ".5", "--ns", "1e200"],
         [*_KAP, "--eta-t", "1.01"],
@@ -112,6 +113,7 @@ def _invocations() -> list:
         ["figure", "--id", "abc"],
         ["figure", "--id", "2.5"],
         ["figure", "--id", "6", "--resolution", "abc"],
+        ["figure", "--id", "6", "--res", "3"],
     ]
     cases = [(argv, {}, None) for argv in cases]
     cases += [
