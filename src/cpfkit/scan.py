@@ -161,6 +161,8 @@ class SweepSpec:
             raise DomainError(f"unknown sweep variable {self.variable!r}")
         if not self.values:
             raise DomainError("sweep needs at least one grid value")
+        if not self.protocols:
+            raise DomainError("needs at least one protocol", "protocols")
         unknown = [p for p in self.protocols if p not in PROTOCOL_IDS]
         if unknown:
             raise DomainError(f"has unknown entries {unknown}; valid: {list(PROTOCOL_IDS)}",

@@ -75,6 +75,7 @@ def _invocations() -> list:
         [*_SWP, "--points", "0"],
         [*_SWP, "--log"],
         [*_SWP, "--protocols", "classical,bogus"],
+        [*_SWP, "--protocols", ","],
         [*_SWP, "--kappa", "2"],
         [*_SWP, "--eta-b", "-1"],
         [*_SWP, "--variable", "bogus"],
@@ -133,6 +134,7 @@ def _invocations() -> list:
         ([*_SWP[:-6], *_SWP[-4:], *_CFG], {}, '{"points": NaN}'),
         ([*_FID, *_CFG], {}, '{"format": "xml"}'),
         ([*_FID, *_CFG], {}, '{"protocol": "bogus"}'),
+        ([*_SWP, *_CFG], {}, '{"protocols": ""}'),
         (["figure", *_CFG], {}, '{"id": 12}'),
         ([*_KAP, *_CFG], {}, '{"m_probes": 5}'),
         # switches and the output path
