@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidStateError, check
+from .errors import DomainError, InvalidStateError, NumericError, check
 from .gaussian import GaussianState, check_physical, fidelity_from_arrays, pure_loss
 from .probes import FAMILY_KAPPA, ProtocolKind, build_probe
 
@@ -250,7 +250,10 @@ def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityRep
     probe, eta_b, eta_t = _oriented(kind, scenario.eta_b, scenario.eta_t)
     if path == "direct":
         pair = _direct_pair(replace(scenario, eta_b=eta_b, eta_t=eta_t), probe)
-        value, label = fidelity_from_arrays(*pair), "direct"
+        try:
+            value, label = fidelity_from_arrays(*pair), "direct"
+        except NumericError as exc:
+            raise DomainError(f"direct cannot evaluate this point: {exc}", "path") from exc
     else:
         value, label, pair = route(
             kind, scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s, scenario.kappa

@@ -58,6 +58,8 @@ def _invocations() -> list:
         ["fidelity", "--m", "2", "--eta-t", "0.5", "--ns", "1"],
         ["fidelity", "--m", "3", "--eta-b", ".3", "--eta-t", ".5", "--ns", "1e300",
          "--protocol", "all"],
+        ["fidelity", "--m", "3", "--eta-b", "1", "--eta-t", ".5", "--ns", "1e8",
+         "--protocol", "bipartite", "--path", "direct"],
         [*_FID, "--m", "129", "--path", "direct"],
         [*_FID, "--protocol", "bogus"],
         [*_FID, "--path", "bogus"],

@@ -4,7 +4,7 @@ path's ceiling on m."""
 import numpy as np
 import pytest
 
-from cpfkit import N_S_MAX, DomainError, NumericError, Scenario, fidelity, output_fidelity
+from cpfkit import N_S_MAX, DomainError, Scenario, fidelity, output_fidelity
 from cpfkit.cli import main
 from cpfkit.errors import DOMAINS, check
 from cpfkit.probes import bipartite_probe
@@ -22,8 +22,9 @@ def _params():
                 marks = ()
                 if protocol == "bipartite" and path == "direct" and m > 2:
                     # the 2m-mode sum V_a + V_b of near-pure pairs is singular in
-                    # float64 from n_s ~ 1e8 to 1e17; outside the validated envelope
-                    marks = pytest.mark.xfail(raises=NumericError, strict=True)
+                    # float64 from n_s ~ 1e8 to 1e17, and the point is refused
+                    # naming the path
+                    marks = pytest.mark.xfail(raises=DomainError, strict=True)
                 yield pytest.param(m, protocol, kappa, path, marks=marks,
                                    id=f"m{m}-{protocol}-{kappa}-{path}")
 

@@ -249,6 +249,12 @@ def test_direct_path_warns_of_an_unphysical_output():
     assert report.warnings and report.warnings[0].startswith("output state ")
 
 
+def test_direct_path_numeric_failure_is_refused_naming_the_path():
+    with pytest.raises(DomainError, match="singular") as info:
+        output_fidelity(Scenario(3, 1.0, 0.5, 1e8), "bipartite", path="direct")
+    assert info.value.field == "path"
+
+
 def test_output_fidelity_rejects_bad_path():
     with pytest.raises(DomainError):
         output_fidelity(Scenario(2, 0.6, 0.9, 5.0), "classical", path="reduced")
