@@ -13,6 +13,7 @@ the offending flag), 1 for internal numeric failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
@@ -128,6 +129,9 @@ def _help(key: str, default) -> str:
     return text
 
 
+# one parser per process: building it takes some 20 times as long as a parse,
+# and parsing leaves it as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # no abbreviated flags: config files take full keys only, and a new key
     # sharing a prefix would change what an abbreviation means

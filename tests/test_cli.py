@@ -449,3 +449,7 @@ def test_direct_path_warning_goes_to_stderr_only(capsys):
         "bipartite,1.24944721308e-10,,direct,9.76812980199e-01,2.49889442616e-10,"
         "5.20372779424e-21\n"
     )
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
