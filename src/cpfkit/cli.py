@@ -39,7 +39,7 @@ from .scan import (
     _sweep_columns,
 )
 
-_FLOAT_FMT = "{:.11e}"  # 12 significant digits round-trips a double
+_FLOAT_FMT = "{:.11e}"  # 12 significant digits; a double needs 17 to round-trip
 
 
 @dataclass
@@ -480,15 +480,34 @@ def _csv_cell(value) -> str:
 
 
 def _render_csv(table: Table) -> str:
-    lines = [",".join(table.columns)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in table.rows)
-    return "\n".join(lines) + "\n"
+    # column by column, so that an all-float column is formatted without a
+    # Python call per cell
+    cells = [map(_FLOAT_FMT.format, column) if set(map(type, column)) == {float}
+             else map(_csv_cell, column) for column in zip(*table.rows)]
+    lines = map(",".join, zip(*cells)) if cells else ("" for _ in table.rows)
+    return "\n".join([",".join(table.columns), *lines]) + "\n"
+
+
+# what the encoder writes between two rows when every cell is on its own line
+# six spaces in, and what the indented document has there
+_ROW_BREAK = "],\n      ["
+_INDENTED_ROW_BREAK = "\n    ],\n    [\n      "
 
 
 def _render_json(table: Table) -> str:
+    """The table as ``json.dumps(document, indent=2, sort_keys=True)`` would
+    write it.  json uses its C encoder only without ``indent``, so the rows
+    are encoded in one such call with each cell on its own line, and the row
+    boundaries re-indented: an encoded string never holds a raw newline."""
     document = {"command": table.command, "parameters": table.parameters,
                 "columns": table.columns, "rows": table.rows}
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    if not table.rows or not all(table.rows):
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    head = json.dumps({**document, "rows": []}, indent=2, sort_keys=True)
+    body = json.dumps(table.rows, separators=(",\n      ", ": "))
+    rows = body[2:-2].replace(_ROW_BREAK, _INDENTED_ROW_BREAK)
+    # "rows" sorts last, so the head ends with its empty list
+    return head[:-4] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}\n"
 
 
 def _emit(text: str, output) -> None:
