@@ -219,19 +219,32 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     forms (path "closed-form", ``pair`` None).  The idler-free protocol at
     m >= 3 and the mixed protocol at the given ``kappa`` run on the output
     pair of :func:`output_pair_arrays`, "direct" at m = 2 and "reduced"
-    beyond, and ``pair`` holds its arrays.
+    beyond, and ``pair`` holds its arrays.  Where eta_b == eta_t the m output
+    states are one state and the value is exactly 1; the kernel is not run
+    there, where it loses digits or fails on large n_s.
     """
     kind, eta_b, eta_t = _oriented(protocol, eta_b, eta_t)
     if kind is ProtocolKind.CLASSICAL:
-        return classical_fidelity(eta_b, eta_t, n_s), "closed-form", None
-    if kind is ProtocolKind.BIPARTITE:
-        return bipartite_fidelity(eta_b, eta_t, n_s), "closed-form", None
-    if kind is ProtocolKind.IDLER_FREE and m == 2:
-        return idler_free_binary_fidelity(eta_b, eta_t, n_s), "closed-form", None
-    if kind is ProtocolKind.MIXED and kappa is None:
-        raise DomainError("the mixed protocol needs a kappa")
-    pair = output_pair_arrays(m, eta_b, eta_t, n_s, FAMILY_KAPPA.get(kind, kappa))
-    return fidelity_from_arrays(*pair), "direct" if m == 2 else "reduced", pair
+        value = classical_fidelity(eta_b, eta_t, n_s)
+    elif kind is ProtocolKind.BIPARTITE:
+        value = bipartite_fidelity(eta_b, eta_t, n_s)
+    elif kind is ProtocolKind.IDLER_FREE and m == 2:
+        value = idler_free_binary_fidelity(eta_b, eta_t, n_s)
+    else:
+        if kind is ProtocolKind.MIXED and kappa is None:
+            raise DomainError("the mixed protocol needs a kappa")
+        pair = output_pair_arrays(m, eta_b, eta_t, n_s, FAMILY_KAPPA.get(kind, kappa))
+        path = "direct" if m == 2 else "reduced"
+        # the etas, not the arrays: sqrt(eta * eta) need not equal eta
+        same = np.broadcast_to(np.equal(eta_b, eta_t), pair[0].shape[:-2])
+        if not same.any():
+            return fidelity_from_arrays(*pair), path, pair
+        value = np.ones(same.shape)
+        if not same.all():
+            value[~same] = fidelity_from_arrays(*(array[~same] for array in pair))
+        return value, path, pair
+    same = np.equal(eta_b, eta_t)
+    return (np.where(same, 1.0, value) if same.any() else value), "closed-form", None
 
 
 def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityReport:

@@ -453,3 +453,29 @@ def test_direct_path_warning_goes_to_stderr_only(capsys):
 
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_figure_seven_certifies_no_cell_with_equal_etas(capsys):
+    code, out, _ = run_cli(capsys, "figure", "--id", "7", "--resolution", "5")
+    assert code == 0
+    header, rows = parse_csv(out)
+    diagonal = [dict(zip(header, r)) for r in rows if r[0] == r[1]]
+    assert len(diagonal) == 5
+    for row in diagonal:
+        assert [row[c] for c in ("cert_idler_free", "cert_bipartite", "cert_mixed")] == ["0"] * 3
+        assert float(row["kappa_star"]) == 0.0
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["kappa", "--m", "2", "--eta-b", "1", "--eta-t", "1", "--ns", "1e8"], "fidelity"),
+    (["region", "--quantum", "idler_free", "--m", "3", "--ns", "1e8", "--x-points", "3",
+      "--y-points", "3"], "f_quantum"),
+])
+def test_equal_etas_at_large_energy_give_fidelity_one(capsys, argv, column):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    first, second = header.index("eta_b"), header.index("eta_t")
+    diagonal = [float(r[header.index(column)]) for r in rows if r[first] == r[second]]
+    assert diagonal and diagonal == [1.0] * len(diagonal)
+

@@ -19,6 +19,7 @@ from cpfkit import (
     output_pair_arrays,
     symplectic_form,
 )
+from cpfkit.protocols import PROTOCOL_IDS, route
 from helpers import (
     bipartite_fidelity_numeric,
     reduced_output_pair,
@@ -76,6 +77,20 @@ def test_quantum_forms_complement_symmetric():
 def test_closed_forms_equal_one_on_diagonal():
     for form in (classical_fidelity, bipartite_fidelity, idler_free_binary_fidelity):
         assert float(form(0.45, 0.45, 20.0)) == 1.0
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+@pytest.mark.parametrize("m", [2, 3, 8])
+@pytest.mark.parametrize("n_s", [1.0, 3e7, 1e8])
+def test_route_gives_exactly_one_when_the_hypotheses_coincide(protocol, m, n_s):
+    # the kernel gave 0.86 at m = 2, n_s = 3e7 and failed at eta = 1, n_s = 1e8
+    eta_b = np.array([0.0, 0.3, 0.5, 1.0, 0.3, 0.5])
+    eta_t = np.array([0.0, 0.3, 0.5, 1.0, 0.7, 0.2])
+    value = route(protocol, m, eta_b, eta_t, n_s, 1.0)[0]
+    assert value[:4].tolist() == [1.0] * 4
+    # the other cells are what they are on their own
+    assert value[4:].tolist() == route(protocol, m, eta_b[4:], eta_t[4:], n_s, 1.0)[0].tolist()
+    assert float(route(protocol, m, 0.5, 0.5, n_s, 1.0)[0]) == 1.0
 
 
 def test_closed_forms_vectorize():
