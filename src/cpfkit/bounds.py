@@ -113,8 +113,15 @@ def classical_perr_lower(eta_b, eta_t, n_s, m: int, m_probes: float = 1.0):
     M n_s per box, (m-1)/(2m) exp(-2 M n_s (sqrt(eta_b)-sqrt(eta_t))^2)."""
     eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
     _check_m_and_rounds(m, m_probes)
+    return (m - 1.0) / (2.0 * m) * np.exp(-_classical_exponent(eta_b, eta_t, n_s, m_probes))
+
+
+def _classical_exponent(eta_b, eta_t, n_s, m_probes):
+    """2 M n_s (sqrt(eta_b) - sqrt(eta_t))^2, and 0 where the gap is 0: a huge
+    M n_s overflows the product to inf, and inf * 0 would be nan."""
     gap = (np.sqrt(eta_b) - np.sqrt(eta_t)) ** 2
-    return (m - 1.0) / (2.0 * m) * np.exp(-2.0 * m_probes * n_s * gap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(gap == 0.0, 0.0, 2.0 * m_probes * n_s * gap)
 
 
 def evaluate_bounds(fidelity: float, m: int, m_probes: float = 1.0) -> BoundsResult:
@@ -154,8 +161,7 @@ def log10_bound_ratio(fidelity_a, eta_b, eta_t, n_s, m: int, m_probes):
     in log space so huge M never underflows the power."""
     fidelity_a = check("fidelity", fidelity_a, "fidelity_a")
     log_upper = math.log10(m - 1.0) + m_probes * np.log10(fidelity_a)
-    gap = (np.sqrt(eta_b) - np.sqrt(eta_t)) ** 2
-    log_lower = math.log10((m - 1.0) / (2.0 * m)) - (
-        2.0 * m_probes * n_s * gap
+    log_lower = math.log10((m - 1.0) / (2.0 * m)) - _classical_exponent(
+        eta_b, eta_t, n_s, m_probes
     ) / math.log(10.0)
     return log_upper - log_lower

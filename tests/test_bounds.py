@@ -184,6 +184,17 @@ def test_log10_bound_ratio_survives_underflow():
     assert np.isfinite(value)
 
 
+def test_no_contrast_floor_survives_an_overflowing_energy(recwarn):
+    # 2 M n_s overflows to inf here, and inf times a zero gap was nan
+    eta = np.array([0.5, 0.5])
+    lower = classical_perr_lower(eta, np.array([0.5, 0.9]), 1e8, 2, 1e300)
+    assert lower.tolist() == [0.25, 0.0]
+    ratio = log10_bound_ratio(1.0, eta, np.array([0.5, 0.9]), 1e8, 2, 1e300)
+    assert ratio[0] == pytest.approx(math.log10(4.0), rel=1e-14)
+    assert ratio[1] == np.inf
+    assert not recwarn.list
+
+
 def test_evaluate_bounds_packaging():
     result = evaluate_bounds(0.8, 3, 2.0)
     assert result.upper == pytest.approx(float(perr_upper(0.8, 3, 2.0)))

@@ -479,3 +479,10 @@ def test_equal_etas_at_large_energy_give_fidelity_one(capsys, argv, column):
     diagonal = [float(r[header.index(column)]) for r in rows if r[first] == r[second]]
     assert diagonal and diagonal == [1.0] * len(diagonal)
 
+
+def test_map_with_overflowing_energy_prints_no_nan_and_no_warning(capsys):
+    code, out, err = run_cli(capsys, "region", "--quantum", "bipartite", "--ns", "1e8",
+                             "--m-probes", "1e300", "--x-points", "3", "--y-points", "3")
+    assert (code, err) == (0, "")
+    assert "nan" not in out
+
