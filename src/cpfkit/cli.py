@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import signal
 import sys
@@ -502,20 +503,34 @@ _ROW_BREAK = "],\n      ["
 _INDENTED_ROW_BREAK = "\n    ],\n    [\n      "
 
 
-def _render_json(table: Table) -> str:
-    """The table as ``json.dumps(document, indent=2, sort_keys=True)`` would
-    write it.  json uses its C encoder only without ``indent``, so the rows
-    are encoded in one such call with each cell on its own line, and the row
-    boundaries re-indented: an encoded string never holds a raw newline."""
-    document = {"command": table.command, "parameters": table.parameters,
-                "columns": table.columns, "rows": table.rows}
-    if not table.rows or not all(table.rows):
-        return json.dumps(document, indent=2, sort_keys=True) + "\n"
-    head = json.dumps({**document, "rows": []}, indent=2, sort_keys=True)
-    body = json.dumps(table.rows, separators=(",\n      ", ": "))
+def _json_text(document: dict) -> str:
+    """``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)``.
+    json uses its C encoder only without ``indent``, so the rows are encoded
+    in one such call with each cell on its own line, and the row boundaries
+    re-indented: an encoded string never holds a raw newline."""
+    rows = document["rows"]
+    if not rows or not all(rows):
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    head = json.dumps({**document, "rows": []}, indent=2, sort_keys=True, allow_nan=False)
+    body = json.dumps(rows, separators=(",\n      ", ": "), allow_nan=False)
     rows = body[2:-2].replace(_ROW_BREAK, _INDENTED_ROW_BREAK)
     # "rows" sorts last, so the head ends with its empty list
     return head[:-4] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}\n"
+
+
+def _finite_or_null(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _render_json(table: Table) -> str:
+    document = {"command": table.command, "parameters": table.parameters,
+                "columns": table.columns, "rows": table.rows}
+    try:
+        return _json_text(document)
+    except ValueError:  # JSON has no token for a non-finite number; write null
+        document["parameters"] = {k: _finite_or_null(v) for k, v in table.parameters.items()}
+        document["rows"] = [list(map(_finite_or_null, row)) for row in table.rows]
+        return _json_text(document)
 
 
 def _emit(text: str, output) -> None:

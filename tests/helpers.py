@@ -1,6 +1,7 @@
 """Helpers only the tests use: independent references and checks built on
 cpfkit's public API, kept out of the package."""
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -193,3 +194,36 @@ def extreme_point_check(kind, which: str, epsilon: float, n_s: float) -> Extreme
         raise DomainError(f"which must be 'eta_b_zero' or 'eta_b_one', got {which!r}")
     reference = references[kind]
     return ExtremePointCheck(value, reference, abs(value - reference))
+
+
+def csv_cell_oracle(value) -> str:
+    """One CSV cell: empty for None, 1/0 for bools, ints and strings as they
+    are, floats to 12 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return "{:.11e}".format(value)
+
+
+def render_csv_oracle(table) -> str:
+    """A table as CSV, cell by cell."""
+    lines = [",".join(table.columns)]
+    lines.extend(",".join(csv_cell_oracle(v) for v in row) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
+def render_json_oracle(table) -> str:
+    """A table as indented JSON, with non-finite floats written as null."""
+
+    def cell(value):
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    document = {"command": table.command,
+                "parameters": {k: cell(v) for k, v in table.parameters.items()},
+                "columns": table.columns,
+                "rows": [[cell(v) for v in row] for row in table.rows]}
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
