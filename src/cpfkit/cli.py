@@ -493,8 +493,7 @@ def _render_csv(table: Table) -> str:
     # Python call per cell
     cells = [map(_FLOAT_FMT.format, column) if set(map(type, column)) == {float}
              else map(_csv_cell, column) for column in zip(*table.rows)]
-    lines = map(",".join, zip(*cells)) if cells else ("" for _ in table.rows)
-    return "\n".join([",".join(table.columns), *lines]) + "\n"
+    return "\n".join([",".join(table.columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 # what the encoder writes between two rows when every cell is on its own line
