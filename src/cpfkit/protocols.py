@@ -236,9 +236,10 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
         pair = output_pair_arrays(m, eta_b, eta_t, n_s, FAMILY_KAPPA.get(kind, kappa))
         path = "direct" if m == 2 else "reduced"
         # the etas, not the arrays: sqrt(eta * eta) need not equal eta
-        same = np.broadcast_to(np.equal(eta_b, eta_t), pair[0].shape[:-2])
+        same = np.equal(eta_b, eta_t)
         if not same.any():
             return fidelity_from_arrays(*pair), path, pair
+        same = np.broadcast_to(same, pair[0].shape[:-2])
         value = np.ones(same.shape)
         if not same.all():
             value[~same] = fidelity_from_arrays(*(array[~same] for array in pair))
