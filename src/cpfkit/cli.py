@@ -512,9 +512,9 @@ def _json_text(document: dict) -> str:
         return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     head = json.dumps({**document, "rows": []}, indent=2, sort_keys=True, allow_nan=False)
     body = json.dumps(rows, separators=(",\n      ", ": "), allow_nan=False)
-    rows = body[2:-2].replace(_ROW_BREAK, _INDENTED_ROW_BREAK)
+    body = body[2:-2].replace(_ROW_BREAK, _INDENTED_ROW_BREAK)
     # "rows" sorts last, so the head ends with its empty list
-    return head[:-4] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}\n"
+    return head[:-4] + "[\n    [\n      " + body + "\n    ]\n  ]\n}\n"
 
 
 def _finite_or_null(value):
