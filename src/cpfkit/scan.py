@@ -15,13 +15,27 @@ from typing import Tuple
 
 import numpy as np
 
+from . import protocols
 from .bounds import classical_perr_lower, log10_bound_ratio, perr_upper_raw
 from .errors import DomainError, check
 from .protocols import PROTOCOL_IDS, Scenario, route
 
-KAPPA_GRID_POINTS = 101
+# The mixed-probe kappa search runs in t = log(kappa).  Its coarse grid is
+# kappa = 0 and KAPPA_NODES nodes evenly spaced in t from KAPPA_FLOOR squeezed
+# photons (kappa * n_s), or from kappa = KAPPA_FLOOR_MAX if that is lower, up
+# to kappa = 1.  A cell's refinement stops when its bracket in t is about
+# 4 * KAPPA_TOL wide, when its parabolic step falls under KAPPA_TOL, when its
+# three best points agree to KAPPA_FTOL relative (below that the kernel's
+# rounding decides), or after KAPPA_MAX_STEPS steps.  KAPPA_EDGE_STEP is the
+# step in t that tests whether a best node at kappa = 1 is a minimum.
+KAPPA_NODES = 24
+KAPPA_FLOOR = 1e-4
+KAPPA_FLOOR_MAX = 1e-2
 KAPPA_TOL = 1e-6
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+KAPPA_FTOL = 1e-13
+KAPPA_MAX_STEPS = 16
+KAPPA_EDGE_STEP = 1e-4
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 WORKERS_ENV_VAR = "CPFKIT_WORKERS"
 
@@ -72,66 +86,124 @@ class KappaResult:
 def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the mixed-probe fidelity over kappa, element-wise on a batch.
 
-    Coarse 101-point grid first (ties keep the smallest kappa), then a
-    golden-section refinement of the bracketing cells down to |dk| <= 1e-6.
-    The result is the best point ever evaluated, so it can never lose to the
-    kappa = 0 (classical) or kappa = 1 (idler-free) endpoints.
+    Returns (kappa, fidelity) with the broadcast shape of the parameters,
+    which are checked once, here.  Where eta_b == eta_t every kappa gives
+    fidelity 1, and the cell returns kappa = 0 without a kernel call.  Every
+    other cell is searched on its own, so its result does not depend on the
+    batch around it.  The search works in t = log(kappa), which resolves the
+    sqrt(kappa * n_s) boundary layer of F at kappa = 0.  One kernel call
+    evaluates the coarse grid, which holds both endpoints.  A Brent search
+    (safeguarded parabolic steps, golden-section fallback) then refines the
+    bracket of the best node's neighbours, one kernel call per step for the
+    cells still open; the KAPPA_* constants say when a cell stops.  A best
+    node at kappa = 0 is kept; one at kappa = 1 is refined only if
+    kappa = exp(-KAPPA_EDGE_STEP) is lower.  F(kappa) can have several wells
+    (often a second one at kappa = 1, past a local maximum near 0.98), and
+    only the best node's bracket is refined.  The result is the best point
+    evaluated, so it never loses to either endpoint.
     """
-    eta_b = np.asarray(eta_b, dtype=float)
-    eta_t = np.asarray(eta_t, dtype=float)
-    n_s = np.asarray(n_s, dtype=float)
+    m = int(check("m", m))
+    eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
     batch = np.broadcast_shapes(eta_b.shape, eta_t.shape, n_s.shape)
-    eta_b, eta_t, n_s = (np.broadcast_to(v, batch) for v in (eta_b, eta_t, n_s))
+    eta_b, eta_t, n_s = (np.broadcast_to(v, batch).ravel() for v in (eta_b, eta_t, n_s))
+    kappa, value = np.zeros(eta_b.size), np.ones(eta_b.size)
+    cells = np.flatnonzero(eta_b != eta_t)
+    if cells.size:
+        kappa[cells], value[cells] = _search_log_kappa(
+            m, eta_b[cells], eta_t[cells], n_s[cells])
+    return kappa.reshape(batch), value.reshape(batch)
 
-    grid = np.linspace(0.0, 1.0, KAPPA_GRID_POINTS)
-    f_grid = route("mixed", m, eta_b[..., None], eta_t[..., None], n_s[..., None], grid)[0]
-    idx = np.argmin(f_grid, axis=-1)  # ties resolve to the smallest kappa
-    best_f = np.take_along_axis(f_grid, idx[..., None], axis=-1)[..., 0]
-    best_k = grid[idx]
 
-    def evaluate(kappa):
-        return route("mixed", m, eta_b, eta_t, n_s, kappa)[0]
+def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_optimize_kappa_batch` on checked 1-d cells with eta_b != eta_t."""
 
-    def absorb(kappa, value):
-        nonlocal best_k, best_f
-        better = value < best_f
-        best_k = np.where(better, kappa, best_k)
-        best_f = np.where(better, value, best_f)
+    def mixed(cells, kappa):
+        # through the protocols module's attributes, so that a wrapper
+        # installed there sees every call
+        pair = protocols.output_pair_arrays(m, eta_b[cells], eta_t[cells], n_s[cells], kappa)
+        return protocols.fidelity_from_arrays(*pair)
 
-    cell = 1.0 / (KAPPA_GRID_POINTS - 1)
-    lo = np.maximum(best_k - cell, 0.0)
-    hi = np.minimum(best_k + cell, 1.0)
-    left = hi - _INV_PHI * (hi - lo)
-    right = lo + _INV_PHI * (hi - lo)
-    f_left = evaluate(left)
-    f_right = evaluate(right)
-    absorb(left, f_left)
-    absorb(right, f_right)
+    every = np.arange(eta_b.size)
+    t_floor = np.minimum(math.log(KAPPA_FLOOR) - np.log(n_s), math.log(KAPPA_FLOOR_MAX))
+    nodes = np.concatenate((np.full((every.size, 1), -np.inf),
+                            t_floor[:, None] * np.linspace(1.0, 0.0, KAPPA_NODES)), axis=1)
+    f_nodes = mixed(every[:, None], np.exp(nodes))
+    best = np.argmin(f_nodes, axis=1)  # ties keep the smallest kappa
+    t_best, f_best = nodes[every, best], f_nodes[every, best]
 
-    while float(np.max(hi - lo)) > KAPPA_TOL:
-        keep_left = f_left < f_right
-        hi = np.where(keep_left, right, hi)
-        lo = np.where(keep_left, lo, left)
-        reused_x = np.where(keep_left, left, right)
-        reused_f = np.where(keep_left, f_left, f_right)
-        fresh = np.where(
-            keep_left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-        )
-        f_fresh = evaluate(fresh)
-        absorb(fresh, f_fresh)
-        left = np.where(keep_left, fresh, reused_x)
-        f_left = np.where(keep_left, f_fresh, reused_f)
-        right = np.where(keep_left, reused_x, fresh)
-        f_right = np.where(keep_left, reused_f, f_fresh)
+    # Brent's state per open cell: the bracket [a, b] around x, the best
+    # point so far; w and v, the second and third best; d, the last step and
+    # e, the one before.  Below the floor node the bracket reaches one grid
+    # step down, unevaluated.  At kappa = 1 it is [node below, 0] with x = b,
+    # and the first step tests t = -KAPPA_EDGE_STEP.
+    i = best[best > 0]
+    cells = every[best > 0]
+    x, fx = nodes[cells, i], f_nodes[cells, i]
+    low, high = np.maximum(i - 1, 1), np.minimum(i + 1, KAPPA_NODES)
+    a = np.where(i > 1, nodes[cells, low], 2.0 * nodes[cells, 1] - nodes[cells, 2])
+    b = nodes[cells, high]
+    fa, fb = f_nodes[cells, low], f_nodes[cells, high]
+    inner = (i > 1) & (i < KAPPA_NODES)
+    w_is_a = (i == KAPPA_NODES) | (inner & (fa <= fb))
+    w, fw = np.where(w_is_a, a, b), np.where(w_is_a, fa, fb)
+    v = np.where(inner, np.where(w_is_a, b, a), w)
+    fv = np.where(inner, np.where(w_is_a, fb, fa), fw)
+    d = e = b - a
+    tol, tol2 = KAPPA_TOL, 2.0 * KAPPA_TOL
+    for steps in range(KAPPA_MAX_STEPS + 1):
+        mid = 0.5 * (a + b)
+        # the parabola through x, w and v, taken if its step lands inside the
+        # bracket and is under half the step before last; else a golden step
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = ((np.abs(e) > tol) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - x)) & (p < q * (b - x)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p / q
+        done = ((np.abs(x - mid) <= tol2 - 0.5 * (b - a))
+                | (parabolic & (np.abs(step) < tol))
+                | ((np.abs(fw - fx) <= KAPPA_FTOL * fx) & (np.abs(fv - fx) <= KAPPA_FTOL * fx))
+                | ((x == b) & (b - a <= KAPPA_EDGE_STEP))
+                | (steps == KAPPA_MAX_STEPS))
+        t_best[cells[done]], f_best[cells[done]] = x[done], fx[done]
+        if done.all():
+            break
+        go = ~done
+        cells, x, fx, a, b, w, fw, v, fv, d, e, mid, parabolic, step = (
+            z[go] for z in (cells, x, fx, a, b, w, fw, v, fv, d, e, mid, parabolic, step))
 
-    return best_k, best_f
+        step = np.where((x + step - a < tol2) | (b - x - step < tol2),
+                        np.copysign(tol, mid - x), step)
+        golden = np.where(x >= mid, a - x, b - x)
+        edge = x == b  # at kappa = 1, before the first step
+        e = np.where(edge, e, np.where(parabolic, d, golden))
+        d = np.where(edge, d, np.where(parabolic, step, _GOLDEN * golden))
+        u = np.where(edge, x - KAPPA_EDGE_STEP,
+                     x + np.where(np.abs(d) >= tol, d, np.copysign(tol, d)))
+        fu = mixed(cells, np.exp(u))
+
+        better = fu <= fx
+        a, b = (np.where(better, np.where(u >= x, x, a), np.where(u < x, u, a)),
+                np.where(better, np.where(u >= x, b, x), np.where(u < x, b, u)))
+        second = ~better & ((fu <= fw) | (w == x))
+        third = ~better & ~second & ((fu <= fv) | (v == x) | (v == w))
+        v, fv = (np.where(better | second, w, np.where(third, u, v)),
+                 np.where(better | second, fw, np.where(third, fu, fv)))
+        w, fw = (np.where(better, x, np.where(second, u, w)),
+                 np.where(better, fx, np.where(second, fu, fw)))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+    return np.exp(t_best), f_best
 
 
 def optimize_kappa(scenario: Scenario) -> KappaResult:
     """Best mixing fraction for one scenario (smallest output fidelity).
 
-    With eta_b = eta_t every kappa gives fidelity 1 and the grid minimum,
-    kappa = 0, is returned.
+    With eta_b = eta_t every kappa gives fidelity 1; the search is skipped
+    and kappa = 0 is returned.
     """
     kappa, fidelity = _optimize_kappa_batch(
         scenario.m,
@@ -296,8 +368,10 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
     log10 (computed in log space, so huge M cannot underflow it), and the
     M-independent certificate flag F_quantum < F_classical^2.  Everything is
     evaluated on the whole grid at once except the quantum fidelity, which
-    goes row by row to bound the mixed protocol's kappa-grid batches; rows
-    may be evaluated concurrently, and assembly order is fixed by the grid.
+    goes row by row, one batched kappa search per row for the mixed
+    protocol, to bound the size of the kernel's batches.  A cell's kappa
+    search does not depend on its row, rows may be evaluated concurrently,
+    and assembly order is fixed by the grid.
     """
     workers = _resolve_workers(workers)
     x = np.asarray(spec.x_values, dtype=float)

@@ -19,6 +19,7 @@ from cpfkit import (
     gaussian_fidelity,
     idler_free_binary_fidelity,
     output_pair_arrays,
+    protocols,
     pure_loss,
 )
 
@@ -227,3 +228,24 @@ def render_json_oracle(table) -> str:
                 "rows": [[cell(v) for v in row] for row in table.rows]}
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
+
+# A map row for the mixed optimizer's kernel-work budget, as
+# `region --quantum mixed --ns 50 --x-points 21 --y-points 1 --y-start 0.55
+# --y-stop 0.55` builds it: eta_t across [0, 1] at eta_b = 0.55.
+KAPPA_BUDGET_ROW = {"eta_b": 0.55, "eta_t": np.linspace(0.0, 1.0, 21), "n_s": 50.0}
+KAPPA_BUDGET_ARGV = ["region", "--quantum", "mixed", "--ns", "50", "--x-points", "21",
+                     "--y-points", "1", "--y-start", "0.55", "--y-stop", "0.55"]
+
+
+def count_kernel_elements(monkeypatch) -> list:
+    """Make cpfkit.protocols.fidelity_from_arrays record the batch size of
+    each call; returns the list it appends to."""
+    sizes = []
+    kernel = protocols.fidelity_from_arrays
+
+    def counting(cov_a, cov_b, mean_a, mean_b):
+        sizes.append(math.prod(np.broadcast_shapes(cov_a.shape[:-2], cov_b.shape[:-2])))
+        return kernel(cov_a, cov_b, mean_a, mean_b)
+
+    monkeypatch.setattr(protocols, "fidelity_from_arrays", counting)
+    return sizes

@@ -1,5 +1,7 @@
 """Scan engines: sweeps, mixing optimization, region maps, small expansions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,14 @@ from cpfkit import (
     region_scan,
     sweep,
 )
-from cpfkit.scan import WORKERS_ENV_VAR, _resolve_workers
-from helpers import expansion_coefficient, extreme_point_check
+from cpfkit.scan import WORKERS_ENV_VAR, _optimize_kappa_batch, _resolve_workers
+from helpers import (
+    KAPPA_BUDGET_ROW,
+    count_kernel_elements,
+    expansion_coefficient,
+    extreme_point_check,
+)
+from kernel_oracle import output_fidelity as oracle_fidelity
 
 
 # ------------------------------------------------------- fidelity wrappers
@@ -98,6 +106,92 @@ def test_optimize_kappa_three_boxes():
     f_if = float(fidelity("idler_free", 3, 0.55, 0.9, 50.0)[0])
     f_cl = float(classical_fidelity(0.55, 0.9, 50.0))
     assert result.fidelity <= min(f_if, f_cl) + 1e-12
+
+
+def _drawn_cells(count: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [(int(rng.choice((2, 3, 5, 8, 12))), float(rng.uniform()), float(rng.uniform()),
+             float(10.0 ** rng.uniform(-3.0, 5.0))) for _ in range(count)]
+
+
+# Cells (m, eta_b, eta_t, n_s) for the dense-reference test: the two wells
+# near kappa = 0 that a linear kappa grid missed; a cell with its best well
+# at kappa = 0.033 and a second minimum at kappa = 1, past a local maximum
+# near 0.99; two wells 7e-6 apart in F (kappa = 0.42 and 1); three more
+# wells the linear grid missed; and a seeded draw over m in {2, 3, 5, 8, 12}.
+_WELLS = [(3, 0.911, 0.925, 2.93e4), (3, 0.905, 0.789, 135.0)]
+_REFERENCE_CELLS = _WELLS + [
+    (2, 0.55, 0.9, 50.0),
+    (2, 0.2516651775815243, 0.11082077354630926, 3.089266239952981),
+    (8, 0.8664392717878026, 0.8762899122438538, 50067.40135192459),
+    (12, 0.8078668119013878, 0.8020806151389231, 19319.764327343666),
+    (5, 0.6220897071828432, 0.628520015007522, 98920.61349144658),
+] + _drawn_cells(33, 20261018)
+# the kernel's own rounding makes dips of up to 3e-7 in F where the outputs
+# are nearly vacuum; 1e-6 is above them and far below a missed well
+_REFERENCE_TOL = 1e-6
+
+
+def _dense_reference(m, eta_b, eta_t, n_s) -> float:
+    """Smallest F on 2,001 linear kappa nodes and 1,201 nodes log-spaced in
+    squeezed photons kappa * n_s from 1e-6 to 1e6."""
+    squeezed = np.logspace(-6.0, 6.0, 1201) / n_s
+    kappa = np.concatenate((np.linspace(0.0, 1.0, 2001), squeezed[squeezed < 1.0]))
+    return float(fidelity("mixed", m, eta_b, eta_t, n_s, kappa)[0].min())
+
+
+def test_optimize_kappa_matches_dense_reference():
+    misses = []
+    for cell in _REFERENCE_CELLS:
+        kappa, value = _optimize_kappa_batch(*cell)
+        reference = _dense_reference(*cell)
+        if float(value) > reference + _REFERENCE_TOL:
+            misses.append((cell, float(kappa), float(value), reference))
+    assert not misses
+
+
+@pytest.mark.parametrize("cell, kappa_range", [
+    (_WELLS[0], (2e-6, 4e-6)),  # F = 0.1681 there; 0.2093 at kappa = 0
+    (_WELLS[1], (4e-4, 8e-4)),  # F = 0.5460 there; 0.5789 at kappa = 1
+])
+def test_optimize_kappa_finds_the_wells_near_zero(cell, kappa_range):
+    kappa, value = (float(v) for v in _optimize_kappa_batch(*cell))
+    assert kappa_range[0] < kappa < kappa_range[1]
+    assert value == pytest.approx(oracle_fidelity(*cell, kappa), abs=1e-8)
+    endpoints = fidelity("mixed", cell[0], *cell[1:], np.array([0.0, 1.0]))[0]
+    assert value < endpoints.min() - 0.03
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_optimize_kappa_is_independent_of_the_batch(m):
+    rng = np.random.default_rng(100 + m)
+    eta_b, eta_t = rng.uniform(0.0, 1.0, (2, 40))
+    n_s = 10.0 ** rng.uniform(math.log10(0.5), math.log10(200.0), 40)
+    eta_t[:3] = eta_b[:3]  # cells that skip the search ride along
+    kappa, value = _optimize_kappa_batch(m, eta_b, eta_t, n_s)
+    for i in range(eta_b.size):
+        alone = _optimize_kappa_batch(m, eta_b[i], eta_t[i], n_s[i])
+        assert alone[0].tobytes() == kappa[i].tobytes(), i
+        assert alone[1].tobytes() == value[i].tobytes(), i
+    order = rng.permutation(eta_b.size)
+    shuffled = _optimize_kappa_batch(m, eta_b[order], eta_t[order], n_s[order])
+    assert shuffled[0].tobytes() == kappa[order].tobytes()
+    assert shuffled[1].tobytes() == value[order].tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_optimize_kappa_kernel_budget(m, monkeypatch):
+    sizes = count_kernel_elements(monkeypatch)
+    _optimize_kappa_batch(m, **KAPPA_BUDGET_ROW)
+    assert 0 < sum(sizes) <= 40 * KAPPA_BUDGET_ROW["eta_t"].size
+
+
+def test_optimize_kappa_equal_etas_skip_the_kernel(monkeypatch):
+    sizes = count_kernel_elements(monkeypatch)
+    etas = np.array([0.0, 0.3, 0.999, 1.0])
+    kappa, value = _optimize_kappa_batch(3, etas, etas, np.array([1e-3, 1.0, 1e5, 1e75]))
+    assert sizes == []
+    assert kappa.tolist() == [0.0] * 4 and value.tolist() == [1.0] * 4
 
 
 # ------------------------------------------------------------------ sweeps

@@ -1,11 +1,13 @@
-"""The names the benchmark's tracer patches in cpfkit.cli, and what it counts.
+"""The names the benchmark's tracer patches, and what it counts.
 
 ``bench/tracing.py`` wraps ``_region_rows``, ``_render_csv``,
 ``_render_json``, ``region_scan`` and ``sweep`` where ``cpfkit.cli`` looks
-them up, and counts rows and bytes from their arguments and results.  A
-refactor of the CLI that renames one of them, or changes what it takes or
-returns, would silently empty those per-layer metrics; these tests catch it.
-The tracer is loaded from its file and used as it is.
+them up, and counts rows and bytes from their arguments and results.  On the
+mixed-probe path it wraps ``cpfkit.scan._optimize_kappa_batch`` and the
+assembly and kernel where ``cpfkit.protocols`` holds them, and counts cells
+and kernel batch elements.  A refactor that renames one of them, or changes
+what it takes or returns, would silently empty those per-layer metrics;
+these tests catch it.  The tracer is loaded from its file and used as it is.
 """
 
 import contextlib
@@ -17,9 +19,13 @@ from pathlib import Path
 import pytest
 
 from cpfkit.cli import main
+from cpfkit.scan import _optimize_kappa_batch
+from helpers import KAPPA_BUDGET_ARGV, KAPPA_BUDGET_ROW, count_kernel_elements
 
 _TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 _PATCHED = ("_region_rows", "_render_csv", "_render_json", "region_scan", "sweep")
+_OPTIMIZER_PATH = ("cpfkit.scan._optimize_kappa_batch", "cpfkit.protocols.output_pair_arrays",
+                   "cpfkit.protocols.fidelity_from_arrays")
 
 
 def _tracer():
@@ -56,3 +62,20 @@ def test_tracer_counts_the_rows_and_bytes_printed(argv, fmt, rows, monkeypatch):
     assert counts[f"cli.render_{fmt}.rows"] == rows
     assert counts[f"cli.render_{fmt}.bytes"] == len(traced.encode())
     assert counts["scan.region_scan.calls"] == 1
+
+
+@pytest.mark.parametrize("m", ["2", "8"])
+def test_tracer_counts_the_kappa_optimizer(m, monkeypatch):
+    monkeypatch.delenv("CPFKIT_WORKERS", raising=False)
+    tracer = _tracer()
+    with tracer.installed():
+        _run([*KAPPA_BUDGET_ARGV, "--m", m])
+    assert not set(_OPTIMIZER_PATH) & set(tracer.absent)
+    counts = tracer.counts()
+    assert counts["scan.optimize_kappa.cells"] == KAPPA_BUDGET_ROW["eta_t"].size
+
+    sizes = count_kernel_elements(monkeypatch)
+    _optimize_kappa_batch(int(m), **KAPPA_BUDGET_ROW)
+    assert counts["gaussian.fidelity_from_arrays.elements"] == sum(sizes)
+    assert counts["kernel_in_optimize.elements"] == sum(sizes)
+    assert counts["gaussian.fidelity_from_arrays.calls"] == len(sizes)
