@@ -196,6 +196,20 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     return cov_1, cov_1[..., swap[:, None], swap], mean_1, mean_1[..., swap]
 
 
+def pair_fidelity(cov_1, cov_2, mean_1, mean_2):
+    """:func:`fidelity_from_arrays` on output pairs of the auto path.
+
+    The kernel fails there only where a large n_s leaves V_a + V_b
+    numerically singular (eta_b and eta_t nearly equal), so that failure is
+    refused as a :class:`DomainError` on n_s that carries the kernel's reason.
+    """
+    try:
+        return fidelity_from_arrays(cov_1, cov_2, mean_1, mean_2)
+    except NumericError as exc:
+        raise DomainError(f"is too large for the fidelity kernel at this point: {exc}",
+                          "n_s") from exc
+
+
 # Largest m the direct path takes: it applies the loss box by box to 2m x 2m
 # covariances and runs a 2m-mode kernel (25 s at m = 256).
 DIRECT_M_MAX = 128
@@ -221,7 +235,8 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     pair of :func:`output_pair_arrays`, "direct" at m = 2 and "reduced"
     beyond, and ``pair`` holds its arrays.  Where eta_b == eta_t the m output
     states are one state and the value is exactly 1; the kernel is not run
-    there, where it loses digits or fails on large n_s.
+    there, where it loses digits or fails on large n_s.  A pair the kernel
+    cannot evaluate is refused on n_s (:func:`pair_fidelity`).
     """
     kind, eta_b, eta_t = _oriented(protocol, eta_b, eta_t)
     if kind is ProtocolKind.CLASSICAL:
@@ -238,11 +253,11 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
         # the etas, not the arrays: sqrt(eta * eta) need not equal eta
         same = np.equal(eta_b, eta_t)
         if not same.any():
-            return fidelity_from_arrays(*pair), path, pair
+            return pair_fidelity(*pair), path, pair
         same = np.broadcast_to(same, pair[0].shape[:-2])
         value = np.ones(same.shape)
         if not same.all():
-            value[~same] = fidelity_from_arrays(*(array[~same] for array in pair))
+            value[~same] = pair_fidelity(*(array[~same] for array in pair))
         return value, path, pair
     same = np.equal(eta_b, eta_t)
     return (np.where(same, 1.0, value) if same.any() else value), "closed-form", None

@@ -121,7 +121,7 @@ def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray
         # through the protocols module's attributes, so that a wrapper
         # installed there sees every call
         pair = protocols.output_pair_arrays(m, eta_b[cells], eta_t[cells], n_s[cells], kappa)
-        return protocols.fidelity_from_arrays(*pair)
+        return protocols.pair_fidelity(*pair)
 
     every = np.arange(eta_b.size)
     t_floor = np.minimum(math.log(KAPPA_FLOOR) - np.log(n_s), math.log(KAPPA_FLOOR_MAX))

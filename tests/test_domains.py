@@ -4,7 +4,7 @@ path's ceiling on m."""
 import numpy as np
 import pytest
 
-from cpfkit import N_S_MAX, DomainError, Scenario, fidelity, output_fidelity
+from cpfkit import N_S_MAX, DomainError, NumericError, Scenario, fidelity, output_fidelity
 from cpfkit.cli import main
 from cpfkit.errors import DOMAINS, check
 from cpfkit.probes import bipartite_probe
@@ -81,6 +81,20 @@ def test_direct_path_refuses_m_above_its_ceiling(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --m ")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fidelity("mixed", 2, 0.5, 0.500000001, 1e50),  # the kappa search
+    lambda: fidelity("mixed", 7, 0.5, 0.500000001, 1e20, 0.1),  # a fixed kappa
+    lambda: output_fidelity(Scenario(7, 0.5, 0.500000001, 1e20, kappa=0.1), "mixed"),
+], ids=["optimized", "fixed-kappa", "output_fidelity"])
+def test_kernel_failure_on_the_auto_path_is_refused_on_n_s(call):
+    # nearly equal etas at a large n_s leave V_a + V_b numerically singular
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.value.field == "n_s"
+    assert isinstance(info.value.__cause__, NumericError)
+    assert "singular" in info.value.reason
 
 
 def test_bipartite_probe_refuses_nan_energy():
