@@ -3,42 +3,28 @@ on bosonic pure-loss channels."""
 
 from .bounds import (
     BoundsResult,
-    advantage_certificate,
     classical_perr_lower,
     evaluate_bounds,
     log10_bound_ratio,
     perr_lower,
-    perr_lower_general,
     perr_upper,
-    perr_upper_general,
     perr_upper_raw,
-    pgm_pure_upper,
-    ratio_bound,
 )
 from .errors import N_S_MAX, CpfError, DomainError, InvalidStateError, NumericError
 from .gaussian import (
     GaussianState,
     PhysicalityReport,
     check_physical,
-    coherent_state,
-    displace,
     fidelity_from_arrays,
     gaussian_fidelity,
-    keep_modes,
-    photon_number,
     pure_loss,
     symplectic_eigenvalues,
     symplectic_form,
-    tensor,
-    thermal_state,
-    vacuum_state,
 )
 from .probes import (
     ProtocolKind,
     bipartite_probe,
     build_probe,
-    classical_probe,
-    idler_free_probe,
     max_symmetric_correlation,
     mixed_probe,
     symmetric_cm,
@@ -59,11 +45,9 @@ from .scan import (
     KappaResult,
     RegionGrid,
     RegionSpec,
-    SweepSpec,
     fidelity,
     optimize_kappa,
     region_scan,
-    sweep,
 )
 
 __version__ = "0.1.0"
@@ -84,9 +68,7 @@ __all__ = [
     "RegionGrid",
     "RegionSpec",
     "Scenario",
-    "SweepSpec",
     "WORKERS_ENV_VAR",
-    "advantage_certificate",
     "apply_hypothesis",
     "bipartite_fidelity",
     "bipartite_probe",
@@ -94,16 +76,11 @@ __all__ = [
     "check_physical",
     "classical_fidelity",
     "classical_perr_lower",
-    "classical_probe",
-    "coherent_state",
-    "displace",
     "evaluate_bounds",
     "fidelity",
     "fidelity_from_arrays",
     "gaussian_fidelity",
     "idler_free_binary_fidelity",
-    "idler_free_probe",
-    "keep_modes",
     "log10_bound_ratio",
     "max_symmetric_correlation",
     "mixed_probe",
@@ -111,20 +88,11 @@ __all__ = [
     "output_fidelity",
     "output_pair_arrays",
     "perr_lower",
-    "perr_lower_general",
     "perr_upper",
-    "perr_upper_general",
     "perr_upper_raw",
-    "pgm_pure_upper",
-    "photon_number",
     "pure_loss",
-    "ratio_bound",
     "region_scan",
     "symmetric_cm",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "sweep",
-    "tensor",
-    "thermal_state",
-    "vacuum_state",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check
+from .errors import check
 
 
 @dataclass(frozen=True)
@@ -57,57 +57,6 @@ def perr_lower(fidelity, m: int, m_probes: float = 1.0):
     return (m - 1.0) / (2.0 * m) * fidelity ** (2.0 * m_probes)
 
 
-def _check_priors_and_matrix(priors, fidelities) -> tuple:
-    priors = np.asarray(priors, dtype=float)
-    fidelities = check("fidelity", fidelities, "fidelities")
-    m = priors.size
-    check("m", m, "priors")  # one prior per hypothesis
-    if np.any(priors < 0.0) or abs(float(priors.sum()) - 1.0) > 1e-9:
-        raise DomainError("priors must be nonnegative and sum to 1")
-    if fidelities.shape != (m, m):
-        raise DomainError(
-            f"fidelity matrix must be {m} x {m} to match the priors, got {fidelities.shape}"
-        )
-    return priors, fidelities
-
-
-def perr_upper_general(priors, fidelities, m_probes: float = 1.0):
-    """General-prior upper bound, sum over i != j of sqrt(pi_i pi_j) F_ij^M,
-    clamped to 1 (Barnum and Knill, J. Math. Phys. 43, 2097 (2002))."""
-    priors, fidelities = _check_priors_and_matrix(priors, fidelities)
-    check("m_probes", m_probes)
-    root = np.sqrt(np.outer(priors, priors))
-    total = root * fidelities**m_probes
-    value = float(total.sum() - np.trace(total))
-    return min(1.0, value)
-
-
-def perr_lower_general(priors, fidelities, m_probes: float = 1.0):
-    """General-prior lower bound, 1/2 sum over i != j of pi_i pi_j F_ij^(2M)
-    (Montanaro, IEEE Information Theory Workshop (ITW) 2008)."""
-    priors, fidelities = _check_priors_and_matrix(priors, fidelities)
-    check("m_probes", m_probes)
-    weight = np.outer(priors, priors)
-    total = weight * fidelities ** (2.0 * m_probes)
-    return 0.5 * float(total.sum() - np.trace(total))
-
-
-def pgm_pure_upper(fidelity, m: int):
-    """Upper bound achieved by the pretty good measurement on m symmetric
-    pure states with pairwise overlap ``fidelity``.
-
-    Written in the expanded form
-    (m-1)/m^2 * (2 + (m-2)F - 2 sqrt((1+(m-1)F)(1-F))),
-    algebraically (sqrt(1+(m-1)F) - sqrt(1-F))^2 but exact at F = 0 and 1.
-    """
-    fidelity = check("fidelity", fidelity)
-    check("m", m)
-    square = 2.0 + (m - 2.0) * fidelity - 2.0 * np.sqrt(
-        (1.0 + (m - 1.0) * fidelity) * (1.0 - fidelity)
-    )
-    return (m - 1.0) / (m * m) * square
-
-
 def classical_perr_lower(eta_b, eta_t, n_s, m: int, m_probes: float = 1.0):
     """Error-probability floor for every classical strategy of total energy
     M n_s per box, (m-1)/(2m) exp(-2 M n_s (sqrt(eta_b)-sqrt(eta_t))^2)."""
@@ -133,27 +82,6 @@ def evaluate_bounds(fidelity: float, m: int, m_probes: float = 1.0) -> BoundsRes
         float(m_probes),
         float(np.asarray(fidelity, dtype=float)),
     )
-
-
-def advantage_certificate(fidelity_a, fidelity_b) -> bool:
-    """True when strategy A provably beats strategy B for enough probe rounds.
-
-    The condition is F_A < F_B^2 strictly: then A's upper bound sinks below
-    B's lower bound as M grows.
-    """
-    fidelity_a = float(check("fidelity", fidelity_a, "fidelity_a"))
-    fidelity_b = float(check("fidelity", fidelity_b, "fidelity_b"))
-    return fidelity_a < fidelity_b * fidelity_b
-
-
-def ratio_bound(fidelity_a, fidelity_b, m: int, m_probes: float = 1.0):
-    """Bound 2m (F_A / F_B^2)^M on the ratio of A's error to B's floor."""
-    fidelity_a = check("fidelity", fidelity_a, "fidelity_a")
-    fidelity_b = check("fidelity", fidelity_b, "fidelity_b")
-    _check_m_and_rounds(m, m_probes)
-    if np.any(fidelity_b == 0.0):
-        raise DomainError("fidelity_b must be positive, the ratio bound diverges at 0")
-    return 2.0 * m * (fidelity_a / fidelity_b**2.0) ** m_probes
 
 
 def log10_bound_ratio(fidelity_a, eta_b, eta_t, n_s, m: int, m_probes):

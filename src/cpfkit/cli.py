@@ -36,7 +36,6 @@ from .scan import (
     SweepSpec,
     fidelity,
     region_scan,
-    sweep,  # no longer called here; bench/tracing.py patches this lookup
     _sweep_columns,
 )
 
@@ -300,7 +299,7 @@ def _sweep_table(p: dict) -> Table:
 
     scenario = _scenario_from(p, placeholder=(variable,))
     grids = _sweep_columns(SweepSpec(scenario, variable, tuple(values.tolist()), protocols))
-    # grid-major, as scan.sweep orders them: every protocol at a value, then the next value
+    # grid-major: every protocol at a value, in canonical order, then the next value
     shape = (values.size, len(grids))
     kappa = np.full(shape, None)
     for j, (_, kappas) in enumerate(grids.values()):

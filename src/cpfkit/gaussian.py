@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -84,59 +83,6 @@ class PhysicalityReport:
     ok: bool
 
 
-def vacuum_state(n_modes: int) -> GaussianState:
-    """The n-mode vacuum: zero mean, identity covariance."""
-    if n_modes < 1:
-        raise DomainError(f"n_modes must be at least 1, got {n_modes}")
-    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
-
-
-def coherent_state(alphas: Sequence[complex]) -> GaussianState:
-    """Product coherent state with one complex amplitude per mode."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    mean = np.empty(2 * alphas.size)
-    mean[0::2] = 2.0 * alphas.real
-    mean[1::2] = 2.0 * alphas.imag
-    return GaussianState(mean, np.eye(2 * alphas.size))
-
-
-def thermal_state(n_bar: float) -> GaussianState:
-    """Single-mode thermal state with mean photon number ``n_bar``."""
-    if n_bar < 0:
-        raise DomainError(f"mean photon number must be nonnegative, got {n_bar}")
-    return GaussianState(np.zeros(2), (2.0 * n_bar + 1.0) * np.eye(2))
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Tensor product: means concatenate, covariances block-diagonal."""
-    na, nb = a.mean.size, b.mean.size
-    cm = np.zeros((na + nb, na + nb))
-    cm[:na, :na] = a.cm
-    cm[na:, na:] = b.cm
-    return GaussianState(np.concatenate([a.mean, b.mean]), cm)
-
-
-def keep_modes(state: GaussianState, modes: Sequence[int]) -> GaussianState:
-    """Partial trace down to ``modes``, kept in the given order."""
-    modes = list(modes)
-    if len(set(modes)) != len(modes) or not modes:
-        raise InvalidStateError(f"modes must be a non-empty set of distinct indices, got {modes}")
-    if any(m < 0 or m >= state.n_modes for m in modes):
-        raise InvalidStateError(f"mode index out of range for {state.n_modes}-mode state: {modes}")
-    idx = np.array([[2 * m, 2 * m + 1] for m in modes]).ravel()
-    return GaussianState(state.mean[idx], state.cm[np.ix_(idx, idx)])
-
-
-def displace(state: GaussianState, offset: Sequence[float]) -> GaussianState:
-    """Phase-space displacement: adds ``offset`` to the mean vector."""
-    offset = np.asarray(offset, dtype=float)
-    if offset.shape != state.mean.shape:
-        raise InvalidStateError(
-            f"offset must have shape {state.mean.shape}, got {offset.shape}"
-        )
-    return GaussianState(state.mean + offset, state.cm)
-
-
 def pure_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """Send one mode through a pure-loss channel of transmissivity ``eta``.
 
@@ -157,16 +103,6 @@ def pure_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     cm[i, i] += 1.0 - eta
     cm[j, j] += 1.0 - eta
     return GaussianState(mean, cm)
-
-
-def photon_number(state: GaussianState, mode: int) -> float:
-    """Mean photon number of one mode, thermal plus coherent contribution."""
-    if not 0 <= mode < state.n_modes:
-        raise InvalidStateError(f"mode {mode} out of range for {state.n_modes}-mode state")
-    i, j = 2 * mode, 2 * mode + 1
-    return (state.cm[i, i] + state.cm[j, j] - 2.0) / 4.0 + (
-        state.mean[i] ** 2 + state.mean[j] ** 2
-    ) / 4.0
 
 
 def _symplectic_moduli(cm: np.ndarray) -> np.ndarray:

@@ -44,24 +44,10 @@ def max_symmetric_correlation(m: int, mu: float) -> float:
     return math.sqrt(mu * mu - 1.0) / (m - 1)
 
 
-def classical_probe(m: int, n_s: float) -> GaussianState:
-    """m identical coherent states of amplitude sqrt(n_s), one per box."""
-    return mixed_probe(m, n_s, FAMILY_KAPPA[ProtocolKind.CLASSICAL])
-
-
 def bipartite_probe(n_s: float) -> GaussianState:
     """Two-mode squeezed vacuum with signal energy n_s: mode 0 idler, mode 1 signal."""
     mu = 2.0 * float(check("n_s", n_s)) + 1.0
     return GaussianState(np.zeros(4), symmetric_cm(2, mu, math.sqrt(mu * mu - 1.0)))
-
-
-def idler_free_probe(m: int, n_s: float) -> GaussianState:
-    """Fully symmetric zero-mean m-mode probe at the physicality boundary.
-
-    The cross-correlation sits at its maximum sqrt(mu^2-1)/(m-1), where the
-    largest-entangled direction is pure (symplectic eigenvalue 1).
-    """
-    return mixed_probe(m, n_s, FAMILY_KAPPA[ProtocolKind.IDLER_FREE])
 
 
 def mixed_probe(m: int, n_s: float, kappa: float) -> GaussianState:

@@ -265,30 +265,6 @@ def _sweep_columns(spec: SweepSpec) -> dict:
     return {p: _sweep_column(spec, p, values) for p in PROTOCOL_IDS if p in spec.protocols}
 
 
-def sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the sweep and return rows in deterministic order.
-
-    Rows are grid-major: all protocols for the first grid value, then the
-    next value, with protocols in canonical :data:`PROTOCOL_IDS` order.  Each
-    row carries the variable name, value, protocol, fidelity and (for the
-    mixed protocol) the kappa used.
-    """
-    columns = _sweep_columns(spec)
-    rows = []
-    for i, value in enumerate(spec.values):
-        for protocol, (fids, kappa) in columns.items():
-            rows.append(
-                {
-                    "variable": spec.variable,
-                    "value": float(value),
-                    "protocol": protocol,
-                    "fidelity": float(fids[i]),
-                    "kappa": None if kappa is None else float(kappa[i]),
-                }
-            )
-    return rows
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """A two-dimensional advantage map.

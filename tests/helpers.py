@@ -1,16 +1,18 @@
-"""Helpers only the tests use: independent references and checks built on
-cpfkit's public API, kept out of the package."""
+"""Helpers only the tests use: state fixtures, general-prior bounds and
+independent references and checks built on cpfkit's public API, kept out of
+the package."""
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from cpfkit import (
     DomainError,
     GaussianState,
+    InvalidStateError,
     ProtocolKind,
     Scenario,
     bipartite_fidelity,
@@ -22,6 +24,132 @@ from cpfkit import (
     protocols,
     pure_loss,
 )
+from cpfkit.errors import check
+
+
+def vacuum_state(n_modes: int) -> GaussianState:
+    """The n-mode vacuum: zero mean, identity covariance."""
+    if n_modes < 1:
+        raise DomainError(f"n_modes must be at least 1, got {n_modes}")
+    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
+
+
+def coherent_state(alphas: Sequence[complex]) -> GaussianState:
+    """Product coherent state with one complex amplitude per mode."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    mean = np.empty(2 * alphas.size)
+    mean[0::2] = 2.0 * alphas.real
+    mean[1::2] = 2.0 * alphas.imag
+    return GaussianState(mean, np.eye(2 * alphas.size))
+
+
+def thermal_state(n_bar: float) -> GaussianState:
+    """Single-mode thermal state with mean photon number ``n_bar``."""
+    if n_bar < 0:
+        raise DomainError(f"mean photon number must be nonnegative, got {n_bar}")
+    return GaussianState(np.zeros(2), (2.0 * n_bar + 1.0) * np.eye(2))
+
+
+def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
+    """Tensor product: means concatenate, covariances block-diagonal."""
+    na, nb = a.mean.size, b.mean.size
+    cm = np.zeros((na + nb, na + nb))
+    cm[:na, :na] = a.cm
+    cm[na:, na:] = b.cm
+    return GaussianState(np.concatenate([a.mean, b.mean]), cm)
+
+
+def keep_modes(state: GaussianState, modes: Sequence[int]) -> GaussianState:
+    """Partial trace down to ``modes``, kept in the given order."""
+    modes = list(modes)
+    if len(set(modes)) != len(modes) or not modes:
+        raise InvalidStateError(f"modes must be a non-empty set of distinct indices, got {modes}")
+    if any(m < 0 or m >= state.n_modes for m in modes):
+        raise InvalidStateError(f"mode index out of range for {state.n_modes}-mode state: {modes}")
+    idx = np.array([[2 * m, 2 * m + 1] for m in modes]).ravel()
+    return GaussianState(state.mean[idx], state.cm[np.ix_(idx, idx)])
+
+
+def displace(state: GaussianState, offset: Sequence[float]) -> GaussianState:
+    """Phase-space displacement: adds ``offset`` to the mean vector."""
+    offset = np.asarray(offset, dtype=float)
+    if offset.shape != state.mean.shape:
+        raise InvalidStateError(
+            f"offset must have shape {state.mean.shape}, got {offset.shape}"
+        )
+    return GaussianState(state.mean + offset, state.cm)
+
+
+def photon_number(state: GaussianState, mode: int) -> float:
+    """Mean photon number of one mode, thermal plus coherent contribution."""
+    if not 0 <= mode < state.n_modes:
+        raise InvalidStateError(f"mode {mode} out of range for {state.n_modes}-mode state")
+    i, j = 2 * mode, 2 * mode + 1
+    return (state.cm[i, i] + state.cm[j, j] - 2.0) / 4.0 + (
+        state.mean[i] ** 2 + state.mean[j] ** 2
+    ) / 4.0
+
+
+def _check_priors_and_matrix(priors, fidelities) -> tuple:
+    priors = np.asarray(priors, dtype=float)
+    fidelities = check("fidelity", fidelities, "fidelities")
+    m = priors.size
+    check("m", m, "priors")  # one prior per hypothesis
+    if np.any(priors < 0.0) or abs(float(priors.sum()) - 1.0) > 1e-9:
+        raise DomainError("priors must be nonnegative and sum to 1")
+    if fidelities.shape != (m, m):
+        raise DomainError(
+            f"fidelity matrix must be {m} x {m} to match the priors, got {fidelities.shape}"
+        )
+    return priors, fidelities
+
+
+def perr_upper_general(priors, fidelities, m_probes: float = 1.0):
+    """General-prior upper bound, sum over i != j of sqrt(pi_i pi_j) F_ij^M,
+    clamped to 1 (Barnum and Knill, J. Math. Phys. 43, 2097 (2002))."""
+    priors, fidelities = _check_priors_and_matrix(priors, fidelities)
+    check("m_probes", m_probes)
+    root = np.sqrt(np.outer(priors, priors))
+    total = root * fidelities**m_probes
+    value = float(total.sum() - np.trace(total))
+    return min(1.0, value)
+
+
+def perr_lower_general(priors, fidelities, m_probes: float = 1.0):
+    """General-prior lower bound, 1/2 sum over i != j of pi_i pi_j F_ij^(2M)
+    (Montanaro, IEEE Information Theory Workshop (ITW) 2008)."""
+    priors, fidelities = _check_priors_and_matrix(priors, fidelities)
+    check("m_probes", m_probes)
+    weight = np.outer(priors, priors)
+    total = weight * fidelities ** (2.0 * m_probes)
+    return 0.5 * float(total.sum() - np.trace(total))
+
+
+def pgm_pure_upper(fidelity, m: int):
+    """Upper bound achieved by the pretty good measurement on m symmetric
+    pure states with pairwise overlap ``fidelity``.
+
+    Written in the expanded form
+    (m-1)/m^2 * (2 + (m-2)F - 2 sqrt((1+(m-1)F)(1-F))),
+    algebraically (sqrt(1+(m-1)F) - sqrt(1-F))^2 but exact at F = 0 and 1.
+    """
+    fidelity = check("fidelity", fidelity)
+    check("m", m)
+    square = 2.0 + (m - 2.0) * fidelity - 2.0 * np.sqrt(
+        (1.0 + (m - 1.0) * fidelity) * (1.0 - fidelity)
+    )
+    return (m - 1.0) / (m * m) * square
+
+
+def advantage_certificate(fidelity_a, fidelity_b) -> bool:
+    """True when strategy A provably beats strategy B for enough probe rounds.
+
+    The condition is F_A < F_B^2 strictly: then A's upper bound sinks below
+    B's lower bound as M grows.
+    """
+    fidelity_a = float(check("fidelity", fidelity_a, "fidelity_a"))
+    fidelity_b = float(check("fidelity", fidelity_b, "fidelity_b"))
+    return fidelity_a < fidelity_b * fidelity_b
 
 
 def thermal_fidelity_oracle(n1: float, n2: float) -> float:

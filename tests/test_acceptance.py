@@ -12,7 +12,6 @@ import pytest
 from cpfkit import (
     RegionSpec,
     Scenario,
-    advantage_certificate,
     bipartite_fidelity,
     classical_fidelity,
     classical_perr_lower,
@@ -22,10 +21,14 @@ from cpfkit import (
     output_fidelity,
     perr_lower,
     perr_upper,
-    pgm_pure_upper,
     region_scan,
 )
-from helpers import expansion_coefficient, extreme_point_check
+from helpers import (
+    advantage_certificate,
+    expansion_coefficient,
+    extreme_point_check,
+    pgm_pure_upper,
+)
 
 CLOSED_FORMS = {
     "classical": classical_fidelity,

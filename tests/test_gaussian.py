@@ -11,21 +11,23 @@ from cpfkit import (
     GaussianState,
     InvalidStateError,
     check_physical,
-    coherent_state,
-    displace,
     gaussian_fidelity,
-    keep_modes,
     max_symmetric_correlation,
-    photon_number,
     pure_loss,
     symmetric_cm,
     symplectic_eigenvalues,
     symplectic_form,
+)
+from helpers import (
+    coherent_state,
+    displace,
+    keep_modes,
+    photon_number,
     tensor,
+    thermal_fidelity_oracle,
     thermal_state,
     vacuum_state,
 )
-from helpers import thermal_fidelity_oracle
 
 
 # ------------------------------------------------------------- structure

@@ -15,11 +15,10 @@ from cpfkit import (
     bipartite_fidelity,
     classical_fidelity,
     idler_free_binary_fidelity,
-    pgm_pure_upper,
     symmetric_cm,
     symplectic_eigenvalues,
 )
-from helpers import thermal_fidelity_oracle
+from helpers import pgm_pure_upper, thermal_fidelity_oracle
 
 # F between thermal states of mean photon number n1, n2: geometric series
 # sum_k sqrt(p_k q_k) = 1 / (sqrt((n1+1)(n2+1)) (1 - sqrt(n1 n2 / ((n1+1)(n2+1)))))

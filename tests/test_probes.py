@@ -9,20 +9,17 @@ from cpfkit import (
     bipartite_probe,
     build_probe,
     check_physical,
-    classical_probe,
-    idler_free_probe,
-    keep_modes,
     max_symmetric_correlation,
     mixed_probe,
-    photon_number,
     symmetric_cm,
 )
+from helpers import keep_modes, photon_number
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 @pytest.mark.parametrize("n_s", [0.2, 1.0, 50.0])
 def test_classical_probe_energy(m, n_s):
-    probe = classical_probe(m, n_s)
+    probe = build_probe(ProtocolKind.CLASSICAL, m, n_s)
     for mode in range(m):
         assert photon_number(probe, mode) == pytest.approx(n_s, rel=1e-12)
 
@@ -30,7 +27,7 @@ def test_classical_probe_energy(m, n_s):
 @pytest.mark.parametrize("m", [2, 3, 5])
 @pytest.mark.parametrize("n_s", [0.2, 1.0, 50.0])
 def test_idler_free_probe_energy(m, n_s):
-    probe = idler_free_probe(m, n_s)
+    probe = build_probe(ProtocolKind.IDLER_FREE, m, n_s)
     for mode in range(m):
         assert photon_number(probe, mode) == pytest.approx(n_s, rel=1e-12)
     assert np.all(probe.mean == 0.0)
@@ -57,17 +54,17 @@ def test_bipartite_probe_energy_and_layout():
 def test_mixed_family_endpoints_exact():
     n_s = 3.0
     low = mixed_probe(4, n_s, 0.0)
-    classical = classical_probe(4, n_s)
+    classical = build_probe(ProtocolKind.CLASSICAL, 4, n_s)
     assert np.array_equal(low.cm, classical.cm)
     assert np.array_equal(low.mean, classical.mean)
     high = mixed_probe(4, n_s, 1.0)
-    idler_free = idler_free_probe(4, n_s)
+    idler_free = build_probe(ProtocolKind.IDLER_FREE, 4, n_s)
     assert np.array_equal(high.cm, idler_free.cm)
     assert np.array_equal(high.mean, idler_free.mean)
 
 
 def test_idler_free_probe_sits_on_physicality_boundary():
-    report = check_physical(idler_free_probe(5, 10.0))
+    report = check_physical(build_probe(ProtocolKind.IDLER_FREE, 5, 10.0))
     assert report.ok
     assert report.min_symplectic_eigenvalue == pytest.approx(1.0, abs=1e-8)
 

@@ -13,7 +13,6 @@ from cpfkit import (
     classical_fidelity,
     gaussian_fidelity,
     idler_free_binary_fidelity,
-    keep_modes,
     mixed_probe,
     output_fidelity,
     output_pair_arrays,
@@ -22,6 +21,8 @@ from cpfkit import (
 from cpfkit.protocols import PROTOCOL_IDS, route
 from helpers import (
     bipartite_fidelity_numeric,
+    keep_modes,
+    photon_number,
     reduced_output_pair,
     reduction_symplectic,
     traced_block_cm,
@@ -291,7 +292,6 @@ def test_bipartite_direct_uses_idlers():
     scenario = Scenario(2, 0.7, 0.2, 3.0)
     probe = build_probe(ProtocolKind.BIPARTITE, 2, 3.0)
     out = apply_hypothesis(probe, 0, scenario)
-    from cpfkit import photon_number
 
     assert photon_number(out, 0) == pytest.approx(3.0, rel=1e-12)  # idler untouched
     assert photon_number(out, 1) == pytest.approx(0.2 * 3.0, rel=1e-12)  # target signal

@@ -10,16 +10,21 @@ from cpfkit import (
     DomainError,
     RegionSpec,
     Scenario,
-    SweepSpec,
     classical_fidelity,
     fidelity,
     idler_free_binary_fidelity,
     optimize_kappa,
     output_fidelity,
     region_scan,
-    sweep,
 )
-from cpfkit.scan import WORKERS_ENV_VAR, _optimize_kappa_batch, _resolve_workers
+from cpfkit.cli import main
+from cpfkit.scan import (
+    WORKERS_ENV_VAR,
+    SweepSpec,
+    _optimize_kappa_batch,
+    _resolve_workers,
+    _sweep_columns,
+)
 from helpers import (
     KAPPA_BUDGET_ROW,
     count_kernel_elements,
@@ -207,15 +212,14 @@ def test_sweep_spec_validation():
         SweepSpec(base, "eta_t", (0.1,), ("nope",))
 
 
-def test_sweep_rows_grid_major_canonical_order():
-    spec = SweepSpec(
-        Scenario(2, 0.6, 0.5, 2.0),
-        "eta_t",
-        (0.2, 0.8),
-        ("idler_free", "classical"),  # request order must not matter
-    )
-    rows = sweep(spec)
-    assert [(r["value"], r["protocol"]) for r in rows] == [
+def test_sweep_rows_grid_major_canonical_order(capsys):
+    argv = ["sweep", "--m", "2", "--eta-b", "0.6", "--ns", "2", "--variable", "eta_t",
+            "--start", "0.2", "--stop", "0.8", "--points", "2",
+            "--protocols", "idler_free,classical"]  # request order must not matter
+    assert main(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [(float(r["value"]), r["protocol"]) for r in rows] == [
         (0.2, "classical"),
         (0.2, "idler_free"),
         (0.8, "classical"),
@@ -223,16 +227,13 @@ def test_sweep_rows_grid_major_canonical_order():
     ]
     for row in rows:
         assert row["variable"] == "eta_t"
-        assert row["kappa"] is None
+        assert row["kappa"] == ""  # None
 
 
 def test_sweep_values_match_closed_forms():
     values = (0.3, 0.6, 0.9)
     spec = SweepSpec(Scenario(2, 0.7, 0.5, 4.0), "eta_t", values)
-    rows = sweep(spec)
-    by_protocol = {}
-    for row in rows:
-        by_protocol.setdefault(row["protocol"], []).append(row["fidelity"])
+    by_protocol = {p: fids for p, (fids, _) in _sweep_columns(spec).items()}
     assert np.allclose(
         by_protocol["classical"], [float(classical_fidelity(0.7, v, 4.0)) for v in values]
     )
@@ -246,7 +247,7 @@ def test_sweep_reversed_swaps_roles():
     spec = SweepSpec(
         Scenario(3, 0.9, 0.5, 5.0), "eta_t", (0.4,), ("idler_free", "idler_free_reversed")
     )
-    rows = {r["protocol"]: r["fidelity"] for r in sweep(spec)}
+    rows = {p: float(fids[0]) for p, (fids, _) in _sweep_columns(spec).items()}
     assert rows["idler_free"] == pytest.approx(
         float(fidelity("idler_free", 3, 0.9, 0.4, 5.0)[0]), rel=1e-12
     )
@@ -259,21 +260,21 @@ def test_sweep_mixed_respects_pinned_kappa():
     pinned = SweepSpec(
         Scenario(2, 0.55, 0.5, 50.0, kappa=0.25), "eta_t", (0.9,), ("mixed",)
     )
-    row = sweep(pinned)[0]
-    assert row["kappa"] == 0.25
-    assert row["fidelity"] == pytest.approx(
+    fids, kappas = _sweep_columns(pinned)["mixed"]
+    assert kappas[0] == 0.25
+    assert fids[0] == pytest.approx(
         float(fidelity("mixed", 2, 0.55, 0.9, 50.0, 0.25)[0]), rel=1e-12
     )
     free = SweepSpec(Scenario(2, 0.55, 0.5, 50.0), "eta_t", (0.9,), ("mixed",))
-    optimized = sweep(free)[0]
-    assert optimized["fidelity"] <= row["fidelity"] + 1e-12
+    optimized = _sweep_columns(free)["mixed"][0]
+    assert optimized[0] <= fids[0] + 1e-12
 
 
 def test_sweep_over_m_recurses():
     spec = SweepSpec(Scenario(2, 0.2, 0.7, 1.0), "m", (2.0, 3.0, 5.0), ("idler_free",))
-    rows = sweep(spec)
-    for row, m in zip(rows, (2, 3, 5)):
-        assert row["fidelity"] == pytest.approx(
+    fids, _ = _sweep_columns(spec)["idler_free"]
+    for value, m in zip(fids, (2, 3, 5)):
+        assert value == pytest.approx(
             float(fidelity("idler_free", m, 0.2, 0.7, 1.0)[0]), rel=1e-12
         )
 
@@ -288,13 +289,13 @@ def test_sweep_rejects_non_finite_grid(variable, value):
     first = 2.0 if variable == "m" else 0.5
     spec = SweepSpec(Scenario(2, 0.5, 0.6, 1.0), variable, (first, value), PROTOCOL_IDS)
     with pytest.raises(DomainError, match=variable):
-        sweep(spec)
+        _sweep_columns(spec)
 
 
 def test_sweep_rejects_nonpositive_energy_grid():
     spec = SweepSpec(Scenario(2, 0.5, 0.6, 1.0), "n_s", (0.0, 1.0))
     with pytest.raises(DomainError):
-        sweep(spec)
+        _sweep_columns(spec)
 
 
 # ------------------------------------------------------------ region maps

@@ -1,8 +1,8 @@
 """The names the benchmark's tracer patches, and what it counts.
 
 ``bench/tracing.py`` wraps ``_region_rows``, ``_render_csv``,
-``_render_json``, ``region_scan`` and ``sweep`` where ``cpfkit.cli`` looks
-them up, and counts rows and bytes from their arguments and results.  On the
+``_render_json`` and ``region_scan`` where ``cpfkit.cli`` looks them up, and
+counts rows and bytes from their arguments and results.  On the
 mixed-probe path it wraps ``cpfkit.scan._optimize_kappa_batch`` and the
 assembly and kernel where ``cpfkit.protocols`` holds them, and counts cells
 and kernel batch elements.  A refactor that renames one of them, or changes
@@ -23,7 +23,7 @@ from cpfkit.scan import _optimize_kappa_batch
 from helpers import KAPPA_BUDGET_ARGV, KAPPA_BUDGET_ROW, count_kernel_elements
 
 _TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-_PATCHED = ("_region_rows", "_render_csv", "_render_json", "region_scan", "sweep")
+_PATCHED = ("_region_rows", "_render_csv", "_render_json", "region_scan")
 _OPTIMIZER_PATH = ("cpfkit.scan._optimize_kappa_batch", "cpfkit.protocols.output_pair_arrays",
                    "cpfkit.protocols.fidelity_from_arrays")
 
