@@ -227,7 +227,7 @@ def test_sweep_rows_grid_major_canonical_order(capsys):
     ]
     for row in rows:
         assert row["variable"] == "eta_t"
-        assert row["kappa"] == ""  # None
+        assert row["kappa"] == ""  # CSV writes None as an empty cell
 
 
 def test_sweep_values_match_closed_forms():
