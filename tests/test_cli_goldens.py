@@ -40,6 +40,13 @@ def _invocations() -> list:
          "--protocols", "idler_free_reversed,mixed"],
         ["sweep", "--variable", "n_s", "--start", "0.5", "--stop", "500", "--points", "4",
          "--log", "--eta-b", "0.3", "--eta-t", "0.8", "--db"],
+        ["sweep", "--variable", "eta_b", "--start", "0", "--stop", "1", "--points", "5",
+         "--m", "3", "--eta-t", "0.5", "--ns", "10", "--protocols", _ALL],
+        ["sweep", "--variable", "m_probes", "--start", "1", "--stop", "7", "--points", "3",
+         "--m", "3", "--eta-b", "0.6", "--eta-t", "0.8", "--ns", "4", "--m-probes", "9"],
+        ["sweep", "--variable", "m_probes", "--start", "1", "--stop", "4", "--points", "2",
+         "--eta-b", "0.55", "--eta-t", "0.9", "--ns", "5", "--kappa", "0.3",
+         "--protocols", "idler_free,mixed"],
     ]
     region = ["region", *_REGION, "--ns", "20", "--m-probes", "5"]
     base += [
@@ -50,6 +57,12 @@ def _invocations() -> list:
         ["region", "--quantum", "idler_free", "--x-points", "3", "--y", "n_s",
          "--y-start", "1", "--y-stop", "40", "--y-points", "3", "--eta-b", "0.9",
          "--total-energy", "400", "--workers", "2"],
+        [*region, "--x", "eta_b", "--y", "eta_t", "--quantum", "idler_free", "--m", "3"],
+        ["region", "--x", "n_s", "--x-start", "1", "--x-stop", "30", "--x-points", "3",
+         "--y", "eta_b", "--y-points", "2", "--eta-t", "0.7", "--m-probes", "4",
+         "--quantum", "mixed"],
+        ["region", "--x", "eta_b", "--x-points", "3", "--y", "n_s", "--y-start", "1",
+         "--y-stop", "40", "--y-points", "2", "--eta-t", "0.3", "--quantum", "bipartite"],
     ]
     # --db on every table shape: None cells, map rows, a total-energy map, figures
     base += [
