@@ -33,7 +33,6 @@ from .scan import (
     REGION_AXES,
     SWEEP_VARIABLES,
     RegionSpec,
-    SweepSpec,
     fidelity,
     region_scan,
     _sweep_columns,
@@ -225,13 +224,13 @@ def _choice(p: dict, key: str) -> str:
     return value
 
 
-def _scenario_from(p: dict, *, placeholder: tuple = ()) -> Scenario:
-    """Build the Scenario; fields named in ``placeholder`` get dummy values
-    because a grid overrides them.  M is 1 for a command without the key."""
-    dummies = {"eta_b": 0.5, "eta_t": 0.5, "n_s": 1.0}
-    eta_b, eta_t, n_s = (dummies[k] if k in placeholder else _num(p, k) for k in dummies)
-    m_probes = _num(p, "m_probes") if "m_probes" in p else 1.0
-    return Scenario(_num(p, "m"), eta_b, eta_t, n_s, m_probes, _num(p, "kappa", required=False))
+def _scenario_from(p: dict, *grid: str) -> Scenario:
+    """The Scenario of the flags.  A field named in ``grid`` is None, as a
+    grid sets it; a field the command has no key for keeps its default."""
+    return Scenario(**{
+        k: None if k in grid else _num(p, k, required=k != "kappa")
+        for k in ("eta_b", "eta_t", "n_s", "m_probes", "m", "kappa") if k in p
+    })
 
 
 def _grid(p: dict, prefix: str, variable: str, logspace: bool = False) -> tuple:
@@ -295,10 +294,15 @@ def _sweep_table(p: dict) -> Table:
     variable = _choice(p, "variable")
     logspace = bool(p.get("log"))
     start, stop, points, values = _grid(p, "", variable, logspace)
-    protocols = tuple(s.strip() for s in str(p["protocols"]).split(",") if s.strip())
-
-    scenario = _scenario_from(p, placeholder=(variable,))
-    grids = _sweep_columns(SweepSpec(scenario, variable, tuple(values.tolist()), protocols))
+    scenario = _scenario_from(p, variable)
+    protocols = [s.strip() for s in str(p["protocols"]).split(",") if s.strip()]
+    if not protocols:
+        raise DomainError("needs at least one protocol", "protocols")
+    unknown = [s for s in protocols if s not in PROTOCOL_IDS]
+    if unknown:
+        raise DomainError(f"has unknown entries {unknown}; valid: {list(PROTOCOL_IDS)}",
+                          "protocols")
+    grids = _sweep_columns(scenario, variable, values, protocols)
     # grid-major: every protocol at a value, in canonical order, then the next value
     shape = (values.size, len(grids))
     kappa = np.full(shape, None)
@@ -311,8 +315,7 @@ def _sweep_table(p: dict) -> Table:
     columns = ["variable", "value", "protocol", "fidelity", "kappa"]
     parameters = {
         **asdict(scenario), "variable": variable, "start": start, "stop": stop, "points": points,
-        "log": logspace, "protocols": list(protocols),
-        variable: None,  # the grid sets it; the scenario holds a placeholder or an unused flag
+        "log": logspace, "protocols": protocols,
     }
     return Table("sweep", parameters, columns, rows, ("fidelity",))
 
@@ -344,16 +347,11 @@ def _region_table(p: dict) -> Table:
     total_energy = _num(p, "total_energy", required=False)
     workers = _integer(p, "workers", 1, required=False)
     x_values, y_values = _grid(p, "x_", x_name)[3], _grid(p, "y_", y_name)[3]
-    scenario = _scenario_from(p, placeholder=(x_name, y_name))
-    spec = RegionSpec(
-        scenario, x_name, tuple(x_values.tolist()), y_name, tuple(y_values.tolist()),
-        quantum, total_energy,
-    )
+    spec = RegionSpec(_scenario_from(p, x_name, y_name), x_name, x_values, y_name, y_values,
+                      quantum, total_energy)
     grid = region_scan(spec, workers)
     columns, rows = _region_rows(grid)
-    parameters = dict(grid.metadata)
-    # the axes set their fields; the scenario holds placeholders
-    parameters.update({"x": x_name, "y": y_name, "workers": workers, x_name: None, y_name: None})
+    parameters = {**grid.metadata, "x": x_name, "y": y_name, "workers": workers}
     return Table("region", parameters, columns, rows, ("f_quantum", "f_classical"))
 
 
@@ -377,18 +375,24 @@ def _kappa_table(p: dict) -> Table:
 _CLOSED = ("classical", "bipartite", "idler_free")
 _WITH_REVERSED = _CLOSED + ("idler_free_reversed",)
 
-# figures 1-5: base scenario (the swept field's value is a placeholder), swept
-# variable, grid at a given resolution, and protocols
+# figures 1-5: scenario (None where the grid sets it, and for M, which no
+# fidelity reads), swept variable, grid at a given resolution, and protocols
 _SWEEP_FIGURES = {
-    1: (Scenario(2, 0.2, 0.7, 1.0), "m", lambda res: range(2, 13), _WITH_REVERSED),
-    2: (Scenario(3, 0.95, 0.5, 50.0), "eta_t", lambda res: np.linspace(0.0, 1.0, res),
+    1: (Scenario(None, 0.2, 0.7, 1.0, None), "m", lambda res: range(2, 13), _WITH_REVERSED),
+    2: (Scenario(3, 0.95, None, 50.0, None), "eta_t", lambda res: np.linspace(0.0, 1.0, res),
         _WITH_REVERSED),
-    3: (Scenario(3, 0.05, 0.5, 50.0), "eta_t", lambda res: np.linspace(0.0, 1.0, res),
+    3: (Scenario(3, 0.05, None, 50.0, None), "eta_t", lambda res: np.linspace(0.0, 1.0, res),
         _WITH_REVERSED),
-    4: (Scenario(2, 0.9, 0.95, 1.0), "n_s", lambda res: np.logspace(0.0, 5.0, res), _CLOSED),
-    5: (Scenario(2, 0.55, 0.5, 50.0), "eta_t", lambda res: np.linspace(0.0, 1.0, res),
+    4: (Scenario(2, 0.9, 0.95, None, None), "n_s", lambda res: np.logspace(0.0, 5.0, res),
+        _CLOSED),
+    5: (Scenario(2, 0.55, None, 50.0, None), "eta_t", lambda res: np.linspace(0.0, 1.0, res),
         _CLOSED + ("mixed",)),
 }
+
+
+def _given(items: dict) -> dict:
+    """A figure's parameters: ``items`` without the None values."""
+    return {k: v for k, v in items.items() if v is not None}
 
 
 def _sweep_figure(fig_id: int, resolution: int, workers) -> Table:
@@ -396,48 +400,41 @@ def _sweep_figure(fig_id: int, resolution: int, workers) -> Table:
     kappa_star when the mixed protocol is among them."""
     scenario, variable, grid, protocols = _SWEEP_FIGURES[fig_id]
     values = np.asarray(grid(resolution), dtype=float)
-    columns = _sweep_columns(SweepSpec(scenario, variable, tuple(values.tolist()), protocols))
+    columns = _sweep_columns(scenario, variable, values, protocols)
     fidelity_columns = tuple(f"f_{p}" for p in columns)
     names, data = [variable, *fidelity_columns], [fids for fids, _ in columns.values()]
     if "mixed" in columns:
         names.append("kappa_star")
         data.append(columns["mixed"][1])
     axis = values.astype(int) if variable == "m" else values
-    parameters = {"id": fig_id}
-    parameters.update(
-        (k, getattr(scenario, k)) for k in ("m", "eta_b", "eta_t", "n_s") if k != variable
-    )
-    if variable != "m":  # figure 1's grid is fixed
-        parameters["resolution"] = resolution
+    parameters = _given({"id": fig_id, **asdict(scenario),
+                         "resolution": None if variable == "m" else resolution})
     return Table("figure", parameters, names, _rows(axis, *data), fidelity_columns)
 
 
-# figures 6 and 8, idler-free maps over eta_t in [0, 1]: base scenario (the
-# axes' fields are placeholders), y axis and its range, energy budget, and the
-# reported parameters
+# figures 6 and 8, idler-free maps over eta_t in [0, 1]: scenario (None where
+# an axis sets it, and M under a budget), y axis and its range, energy budget
 _REGION_FIGURES = {
-    6: (Scenario(2, 0.5, 0.5, 20.0, 20.0), "eta_b", (0.0, 1.0), None,
-        ("m", "n_s", "m_probes", "quantum")),
-    8: (Scenario(3, 1.0, 0.5, 1.0, 1.0), "n_s", (1.0, 50.0), 1800.0,
-        ("m", "eta_b", "total_energy", "quantum")),
+    6: (Scenario(2, None, None, 20.0, 20.0), "eta_b", (0.0, 1.0), None),
+    8: (Scenario(3, 1.0, None, None, None), "n_s", (1.0, 50.0), 1800.0),
 }
 
 
 def _region_figure(fig_id: int, resolution: int, workers) -> Table:
     """An idler-free map from its row of :data:`_REGION_FIGURES`."""
-    scenario, y_name, y_range, budget, keys = _REGION_FIGURES[fig_id]
-    x = tuple(np.linspace(0.0, 1.0, resolution).tolist())
-    y = tuple(np.linspace(*y_range, resolution).tolist())
-    spec = RegionSpec(scenario, "eta_t", x, y_name, y, "idler_free", budget)
-    grid = region_scan(spec, workers)
+    scenario, y_name, y_range, budget = _REGION_FIGURES[fig_id]
+    x, y = np.linspace(0.0, 1.0, resolution), np.linspace(*y_range, resolution)
+    grid = region_scan(RegionSpec(scenario, "eta_t", x, y_name, y, "idler_free", budget),
+                       workers)
     columns, rows = _region_rows(grid)
-    parameters = {"id": fig_id, **{k: grid.metadata[k] for k in keys}, "resolution": resolution}
+    parameters = _given({"id": fig_id, **asdict(scenario), "quantum": "idler_free",
+                         "total_energy": budget, "resolution": resolution})
     return Table("figure", parameters, columns, rows, ("f_quantum", "f_classical"))
 
 
 def _figure_7(fig_id: int, resolution: int, workers) -> Table:
-    scenario = Scenario(2, 0.5, 0.5, 20.0, 1.0)
-    grid = tuple(np.linspace(0.0, 1.0, resolution).tolist())
+    scenario = Scenario(2, None, None, 20.0)
+    grid = np.linspace(0.0, 1.0, resolution)
     maps = [region_scan(RegionSpec(scenario, "eta_t", grid, "eta_b", grid, protocol), workers)
             for protocol in ("idler_free", "bipartite", "mixed")]
     x, y = np.meshgrid(grid, grid)

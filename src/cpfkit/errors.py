@@ -54,9 +54,12 @@ def check(field: str, values, name: str | None = None) -> np.ndarray:
     """``values`` as a float array, each finite and in ``field``'s domain.
 
     Otherwise raises a :class:`DomainError` whose ``field`` is ``name``
-    (default ``field``), quoting the first offending value.
+    (default ``field``), quoting the first offending value, or saying that
+    the value is required when it is None.
     """
     name = field if name is None else name
+    if values is None:
+        raise DomainError("is required", name)
     rule, inside = DOMAINS[field]
     try:
         array = np.asarray(values, dtype=float)

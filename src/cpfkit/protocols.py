@@ -28,22 +28,23 @@ class Scenario:
     m boxes, background/target transmissivities eta_b/eta_t, mean photon
     number n_s per probe mode, m_probes repetitions (enters the error-
     probability bounds, not the one-shot fidelity), and an optional mixing
-    fraction kappa for the mixed protocol.
+    fraction kappa for the mixed protocol.  A field is None where a sweep's
+    grid or a map's axis sets it; what needs it then refuses it as required.
     """
 
-    m: int
-    eta_b: float
-    eta_t: float
-    n_s: float
-    m_probes: float = 1.0
+    m: int | None
+    eta_b: float | None
+    eta_t: float | None
+    n_s: float | None
+    m_probes: float | None = 1.0
     kappa: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "m", int(check("m", self.m)))
-        for name in ("eta_b", "eta_t", "n_s", "m_probes"):
-            check(name, getattr(self, name))
-        if self.kappa is not None:
-            check("kappa", self.kappa)
+        if self.m is not None:
+            object.__setattr__(self, "m", int(check("m", self.m)))
+        for name in ("eta_b", "eta_t", "n_s", "m_probes", "kappa"):
+            if getattr(self, name) is not None:
+                check(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,7 @@ DIRECT_M_MAX = 128
 
 def _direct_pair(scenario: Scenario, kind: ProtocolKind) -> tuple:
     """The full-size output pair, in :func:`output_pair_arrays`'s order."""
+    _check_point(scenario.eta_b, scenario.eta_t, scenario.n_s)  # refuses a None
     if scenario.m > DIRECT_M_MAX:
         raise DomainError(f"must be at most {DIRECT_M_MAX} on the direct path, "
                           f"got {scenario.m}", "m")
@@ -272,10 +274,12 @@ def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityRep
     bipartite) computation for any protocol, which exists as a cross-check
     of the fast paths.  Whenever the fidelity comes from an output pair, the
     report carries the smaller min symplectic eigenvalue of the two states
-    and a warning for each unphysical one.
+    and a warning for each unphysical one.  A None in m, eta_b, eta_t or n_s
+    is refused as required, in m also where the fidelity does not read it.
     """
     if path not in ("auto", "direct"):
         raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
+    check("m", scenario.m)
     probe, eta_b, eta_t = _oriented(kind, scenario.eta_b, scenario.eta_t)
     if path == "direct":
         pair = _direct_pair(replace(scenario, eta_b=eta_b, eta_t=eta_t), probe)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -205,46 +205,14 @@ def optimize_kappa(scenario: Scenario) -> KappaResult:
     With eta_b = eta_t every kappa gives fidelity 1; the search is skipped
     and kappa = 0 is returned.
     """
-    kappa, fidelity = _optimize_kappa_batch(
-        scenario.m,
-        np.asarray(scenario.eta_b, dtype=float),
-        np.asarray(scenario.eta_t, dtype=float),
-        np.asarray(scenario.n_s, dtype=float),
-    )
+    kappa, fidelity = _optimize_kappa_batch(scenario.m, scenario.eta_b, scenario.eta_t,
+                                            scenario.n_s)
     return KappaResult(float(kappa), float(fidelity))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-dimensional fidelity sweep.
-
-    ``variable`` names the scenario field to vary, one of
-    :data:`SWEEP_VARIABLES`; ``values`` is the grid; ``protocols`` the
-    requested subset of :data:`PROTOCOL_IDS`.
-    """
-
-    scenario: Scenario
-    variable: str
-    values: Tuple[float, ...]
-    protocols: Tuple[str, ...] = ("classical", "bipartite", "idler_free")
-
-    def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise DomainError(f"unknown sweep variable {self.variable!r}")
-        if not self.values:
-            raise DomainError("sweep needs at least one grid value")
-        if not self.protocols:
-            raise DomainError("needs at least one protocol", "protocols")
-        unknown = [p for p in self.protocols if p not in PROTOCOL_IDS]
-        if unknown:
-            raise DomainError(f"has unknown entries {unknown}; valid: {list(PROTOCOL_IDS)}",
-                              "protocols")
-
-
-def _sweep_column(spec: SweepSpec, protocol: str, values: np.ndarray):
+def _sweep_column(base: Scenario, variable: str, protocol: str, values: np.ndarray):
     """Fidelity grid and kappa grid (None unless mixed) for one protocol."""
-    base = spec.scenario
-    if spec.variable == "m":
+    if variable == "m":
         # structural variable: matrix sizes change, evaluate point by point
         points = [
             fidelity(protocol, int(m), base.eta_b, base.eta_t, base.n_s, base.kappa)
@@ -253,52 +221,62 @@ def _sweep_column(spec: SweepSpec, protocol: str, values: np.ndarray):
         fids, kappas = np.stack([p[0] for p in points]), [p[1] for p in points]
         return fids, None if kappas[0] is None else np.stack(kappas)
     eta_b, eta_t, n_s = (
-        values if spec.variable == name else np.full(values.shape, getattr(base, name))
+        values if variable == name else np.full(values.shape, check(name, getattr(base, name)))
         for name in ("eta_b", "eta_t", "n_s")
     )
     return fidelity(protocol, base.m, eta_b, eta_t, n_s, base.kappa)[:2]
 
 
-def _sweep_columns(spec: SweepSpec) -> dict:
-    """(fidelity, kappa) grids per requested protocol, in canonical order."""
-    values = check(spec.variable, spec.values)
-    return {p: _sweep_column(spec, p, values) for p in PROTOCOL_IDS if p in spec.protocols}
+def _sweep_columns(scenario: Scenario, variable: str, values, protocols) -> dict:
+    """(fidelity, kappa) grids along the grid ``values`` of ``variable``, one
+    of :data:`SWEEP_VARIABLES`, per protocol in ``protocols``, in canonical
+    order.  The scenario's ``variable`` field is None or ignored."""
+    values = check(variable, values)
+    return {p: _sweep_column(scenario, variable, p, values)
+            for p in PROTOCOL_IDS if p in protocols}
 
 
 @dataclass(frozen=True)
 class RegionSpec:
     """A two-dimensional advantage map.
 
-    Axes are named scenario fields from :data:`REGION_AXES`; remaining
-    parameters come from ``scenario``.  ``quantum``, one of
-    :data:`QUANTUM_PROTOCOLS`, picks the protocol whose upper bound is
-    compared against the classical lower bound, and ``total_energy`` switches
-    to the fixed-budget mode where the number of rounds per cell is
-    total_energy / (m * n_s) instead of scenario.m_probes.
+    Axes are named scenario fields from :data:`REGION_AXES`, each with a 1-d
+    grid of values; the fields the axes set are None in ``scenario`` (a value
+    given there is replaced by None), and every other parameter comes from
+    it.  ``quantum``, one of :data:`QUANTUM_PROTOCOLS`, picks the protocol
+    whose upper bound is compared against the classical lower bound, and
+    ``total_energy`` switches to the fixed-budget mode where the number of
+    rounds per cell is total_energy / (m * n_s) instead of scenario.m_probes,
+    which may then be None.
     """
 
     scenario: Scenario
     x_name: str
-    x_values: Tuple[float, ...]
+    x_values: np.ndarray
     y_name: str
-    y_values: Tuple[float, ...]
+    y_values: np.ndarray
     quantum: str = "idler_free"
     total_energy: float | None = None
 
     def __post_init__(self):
-        for name in (self.x_name, self.y_name):
+        axes = (self.x_name, self.y_name)
+        for name in axes:
             if name not in REGION_AXES:
                 raise DomainError(f"region axes must be eta_b, eta_t or n_s, got {name!r}")
         if self.x_name == self.y_name:
             raise DomainError("region axes must differ")
         if self.quantum not in QUANTUM_PROTOCOLS:
             raise DomainError(f"unknown quantum protocol {self.quantum!r}")
-        object.__setattr__(self, "x_values", tuple(float(v) for v in self.x_values))
-        object.__setattr__(self, "y_values", tuple(float(v) for v in self.y_values))
-        if not self.x_values or not self.y_values:
-            raise DomainError("region axes need at least one value each")
-        check(self.x_name, self.x_values)
-        check(self.y_name, self.y_values)
+        for attr, name in zip(("x_values", "y_values"), axes):
+            values = check(name, getattr(self, attr)).copy()
+            if values.ndim != 1 or not values.size:
+                raise DomainError(f"axis must be 1-d with at least one value, got shape "
+                                  f"{values.shape}", name)
+            object.__setattr__(self, attr, values)
+        object.__setattr__(self, "scenario", replace(self.scenario, **dict.fromkeys(axes)))
+        for name in ("m", *REGION_AXES, "m_probes"):
+            if name not in axes and (name != "m_probes" or self.total_energy is None):
+                check(name, getattr(self.scenario, name))  # a None is refused
         if self.total_energy is not None:
             check("total_energy", self.total_energy)
             n_s = self.x_values if self.x_name == "n_s" else (
@@ -350,9 +328,7 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
     and assembly order is fixed by the grid.
     """
     workers = _resolve_workers(workers)
-    x = np.asarray(spec.x_values, dtype=float)
-    y = np.asarray(spec.y_values, dtype=float)
-    base = spec.scenario
+    x, y, base = spec.x_values, spec.y_values, spec.scenario
     axes = dict(zip((spec.x_name, spec.y_name), np.meshgrid(x, y)))
     eta_b, eta_t, n_s = (
         axes[name] if name in axes else np.full((y.size, x.size), getattr(base, name))

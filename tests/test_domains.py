@@ -1,10 +1,22 @@
-"""The table of scenario-field domains, the ceiling on n_s and the direct
-path's ceiling on m."""
+"""The table of scenario-field domains, the ceiling on n_s, the direct
+path's ceiling on m, and the refusal of a None field."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cpfkit import N_S_MAX, DomainError, NumericError, Scenario, fidelity, output_fidelity
+from cpfkit import (
+    N_S_MAX,
+    DomainError,
+    NumericError,
+    Scenario,
+    classical_fidelity,
+    fidelity,
+    optimize_kappa,
+    output_fidelity,
+    perr_upper,
+)
 from cpfkit.cli import main
 from cpfkit.errors import DOMAINS, check
 from cpfkit.probes import bipartite_probe
@@ -119,3 +131,32 @@ def test_check_names_the_field_or_the_given_name():
 def test_every_domain_refuses_non_finite_values(field, value):
     with pytest.raises(DomainError):
         check(field, value)
+
+
+def test_check_refuses_none_as_required():
+    with pytest.raises(DomainError, match="^eta_b is required$"):
+        check("eta_b", None)
+    with pytest.raises(DomainError, match="^x_start is required$"):
+        check("eta_t", None, "x_start")
+    with pytest.raises(DomainError, match="^eta_b is required$"):
+        classical_fidelity(None, 0.5, 1.0)
+    with pytest.raises(DomainError, match="^fidelity is required$"):
+        perr_upper(None, 2)
+
+
+@pytest.mark.parametrize("field", ["m", "eta_b", "eta_t", "n_s"])
+@pytest.mark.parametrize("protocol, path", [
+    ("classical", "auto"), ("idler_free_reversed", "auto"), ("mixed", "auto"),
+    ("bipartite", "direct"), ("idler_free_reversed", "direct"), ("mixed", "direct"),
+])
+def test_output_fidelity_refuses_a_none_field(field, protocol, path):
+    scenario = replace(Scenario(3, 0.3, 0.5, 2.0, kappa=0.4), **{field: None})
+    with pytest.raises(DomainError, match=f"^{field} is required$"):
+        output_fidelity(scenario, protocol, path)
+
+
+@pytest.mark.parametrize("field", ["m", "eta_b", "eta_t", "n_s"])
+def test_optimize_kappa_refuses_a_none_field(field):
+    scenario = replace(Scenario(3, 0.3, 0.5, 2.0), **{field: None})
+    with pytest.raises(DomainError, match=f"^{field} is required$"):
+        optimize_kappa(scenario)

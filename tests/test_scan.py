@@ -1,6 +1,7 @@
 """Scan engines: sweeps, mixing optimization, region maps, small expansions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from cpfkit import (
 from cpfkit.cli import main
 from cpfkit.scan import (
     WORKERS_ENV_VAR,
-    SweepSpec,
     _optimize_kappa_batch,
     _resolve_workers,
     _sweep_columns,
@@ -202,16 +202,6 @@ def test_optimize_kappa_equal_etas_skip_the_kernel(monkeypatch):
 # ------------------------------------------------------------------ sweeps
 
 
-def test_sweep_spec_validation():
-    base = Scenario(2, 0.5, 0.5, 1.0)
-    with pytest.raises(DomainError):
-        SweepSpec(base, "bogus", (0.1,))
-    with pytest.raises(DomainError):
-        SweepSpec(base, "eta_t", ())
-    with pytest.raises(DomainError):
-        SweepSpec(base, "eta_t", (0.1,), ("nope",))
-
-
 def test_sweep_rows_grid_major_canonical_order(capsys):
     argv = ["sweep", "--m", "2", "--eta-b", "0.6", "--ns", "2", "--variable", "eta_t",
             "--start", "0.2", "--stop", "0.8", "--points", "2",
@@ -232,8 +222,9 @@ def test_sweep_rows_grid_major_canonical_order(capsys):
 
 def test_sweep_values_match_closed_forms():
     values = (0.3, 0.6, 0.9)
-    spec = SweepSpec(Scenario(2, 0.7, 0.5, 4.0), "eta_t", values)
-    by_protocol = {p: fids for p, (fids, _) in _sweep_columns(spec).items()}
+    columns = _sweep_columns(Scenario(2, 0.7, None, 4.0), "eta_t", np.array(values),
+                             ("classical", "idler_free"))
+    by_protocol = {p: fids for p, (fids, _) in columns.items()}
     assert np.allclose(
         by_protocol["classical"], [float(classical_fidelity(0.7, v, 4.0)) for v in values]
     )
@@ -244,10 +235,10 @@ def test_sweep_values_match_closed_forms():
 
 
 def test_sweep_reversed_swaps_roles():
-    spec = SweepSpec(
-        Scenario(3, 0.9, 0.5, 5.0), "eta_t", (0.4,), ("idler_free", "idler_free_reversed")
-    )
-    rows = {p: float(fids[0]) for p, (fids, _) in _sweep_columns(spec).items()}
+    columns = _sweep_columns(Scenario(3, 0.9, None, 5.0), "eta_t", np.array([0.4]),
+                             ("idler_free_reversed", "idler_free"))
+    assert list(columns) == ["idler_free", "idler_free_reversed"]  # canonical order
+    rows = {p: float(fids[0]) for p, (fids, _) in columns.items()}
     assert rows["idler_free"] == pytest.approx(
         float(fidelity("idler_free", 3, 0.9, 0.4, 5.0)[0]), rel=1e-12
     )
@@ -257,22 +248,21 @@ def test_sweep_reversed_swaps_roles():
 
 
 def test_sweep_mixed_respects_pinned_kappa():
-    pinned = SweepSpec(
-        Scenario(2, 0.55, 0.5, 50.0, kappa=0.25), "eta_t", (0.9,), ("mixed",)
-    )
-    fids, kappas = _sweep_columns(pinned)["mixed"]
+    pinned = Scenario(2, 0.55, None, 50.0, kappa=0.25)
+    fids, kappas = _sweep_columns(pinned, "eta_t", np.array([0.9]), ("mixed",))["mixed"]
     assert kappas[0] == 0.25
     assert fids[0] == pytest.approx(
         float(fidelity("mixed", 2, 0.55, 0.9, 50.0, 0.25)[0]), rel=1e-12
     )
-    free = SweepSpec(Scenario(2, 0.55, 0.5, 50.0), "eta_t", (0.9,), ("mixed",))
-    optimized = _sweep_columns(free)["mixed"][0]
+    free = Scenario(2, 0.55, None, 50.0)
+    optimized = _sweep_columns(free, "eta_t", np.array([0.9]), ("mixed",))["mixed"][0]
     assert optimized[0] <= fids[0] + 1e-12
 
 
 def test_sweep_over_m_recurses():
-    spec = SweepSpec(Scenario(2, 0.2, 0.7, 1.0), "m", (2.0, 3.0, 5.0), ("idler_free",))
-    fids, _ = _sweep_columns(spec)["idler_free"]
+    columns = _sweep_columns(Scenario(None, 0.2, 0.7, 1.0), "m", np.array([2.0, 3.0, 5.0]),
+                             ("idler_free",))
+    fids, _ = columns["idler_free"]
     for value, m in zip(fids, (2, 3, 5)):
         assert value == pytest.approx(
             float(fidelity("idler_free", m, 0.2, 0.7, 1.0)[0]), rel=1e-12
@@ -287,15 +277,23 @@ def test_sweep_over_m_recurses():
 )
 def test_sweep_rejects_non_finite_grid(variable, value):
     first = 2.0 if variable == "m" else 0.5
-    spec = SweepSpec(Scenario(2, 0.5, 0.6, 1.0), variable, (first, value), PROTOCOL_IDS)
     with pytest.raises(DomainError, match=variable):
-        _sweep_columns(spec)
+        _sweep_columns(Scenario(2, 0.5, 0.6, 1.0), variable, (first, value), PROTOCOL_IDS)
 
 
 def test_sweep_rejects_nonpositive_energy_grid():
-    spec = SweepSpec(Scenario(2, 0.5, 0.6, 1.0), "n_s", (0.0, 1.0))
-    with pytest.raises(DomainError):
-        _sweep_columns(spec)
+    with pytest.raises(DomainError, match="n_s"):
+        _sweep_columns(Scenario(2, 0.5, 0.6, None), "n_s", np.array([0.0, 1.0]), ("classical",))
+
+
+@pytest.mark.parametrize("variable, field", [("eta_t", "eta_b"), ("n_s", "eta_t"),
+                                             ("eta_b", "n_s"), ("m", "eta_b")])
+def test_sweep_requires_the_fields_its_grid_does_not_set(variable, field):
+    scenario = Scenario(2, 0.5, 0.6, 1.0)
+    scenario = replace(scenario, **{variable: None, field: None})
+    values = np.array([2.0, 3.0] if variable == "m" else [0.2, 0.3])
+    with pytest.raises(DomainError, match=f"^{field} is required$"):
+        _sweep_columns(scenario, variable, values, ("classical",))
 
 
 # ------------------------------------------------------------ region maps
@@ -342,6 +340,36 @@ def test_region_spec_rejects_non_finite(axes, total_energy, field):
     with pytest.raises(DomainError, match=field):
         RegionSpec(Scenario(2, 0.5, 0.5, 1.0), x_name, x_values, y_name, y_values,
                    total_energy=total_energy)
+
+
+@pytest.mark.parametrize("axis", [np.full((2, 2), 0.5), 0.5, "abc", ("a", "b")],
+                         ids=["2-d", "scalar", "text", "texts"])
+def test_region_spec_rejects_a_malformed_axis(axis):
+    base = Scenario(2, 0.5, 0.5, 1.0)
+    with pytest.raises(DomainError, match="^eta_t "):
+        RegionSpec(base, "eta_t", axis, "eta_b", (0.5,))
+    with pytest.raises(DomainError, match="^eta_b "):
+        RegionSpec(base, "eta_t", (0.5,), "eta_b", axis)
+
+
+@pytest.mark.parametrize("field", ["m", "eta_b", "n_s", "m_probes"])
+def test_region_spec_requires_the_fields_no_axis_sets(field):
+    scenario = replace(Scenario(2, 0.5, 0.5, 1.0, 3.0), **{field: None})
+    with pytest.raises(DomainError, match=f"^{field} is required$"):
+        RegionSpec(scenario, "eta_t", (0.5,), "eta_b" if field == "n_s" else "n_s", (1.0,))
+
+
+def test_region_spec_sets_its_axes_fields_to_none():
+    # a value at an axis's field is not used, and the metadata reports None
+    spec = RegionSpec(Scenario(2, 0.3, 0.4, 5.0, 3.0), "eta_t", [0.5, 0.6], "eta_b", (0.2,))
+    assert spec.scenario == Scenario(2, None, None, 5.0, 3.0)
+    assert spec.x_values.tolist() == [0.5, 0.6] and spec.y_values.tolist() == [0.2]
+    grid = region_scan(spec, 1)
+    assert grid.metadata["eta_t"] is None and grid.metadata["eta_b"] is None
+    # under an energy budget M per cell is set by the budget, so M may be None
+    budget = RegionSpec(Scenario(2, 0.3, None, None, None), "eta_t", (0.5,), "n_s", (1.0,),
+                        total_energy=40.0)
+    assert region_scan(budget, 1).m_probes.tolist() == [[20.0]]
 
 
 def test_region_scan_shapes_and_certificate():
