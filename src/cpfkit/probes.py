@@ -65,15 +65,21 @@ def mixed_probe(m: int, n_s: float, kappa: float) -> GaussianState:
     return GaussianState(mean, cm)
 
 
-def build_probe(kind: ProtocolKind, m: int, n_s: float,
+def build_probe(kind: ProtocolKind | str, m: int, n_s: float,
                 kappa: float | None = None) -> GaussianState:
     """The probe of family ``kind`` for m boxes at energy n_s per mode.
 
+    ``kind`` is a :class:`ProtocolKind` or its value, the family id.
     ``kappa`` is the correlation fraction, required by the mixed family and
     refused by the others.  For the bipartite protocol this is the m-fold
     tensor product of two-mode squeezed pairs, ordered (idler, signal) per
     box; every other probe is the mixed one at its family's kappa.
     """
+    try:
+        kind = ProtocolKind(kind)
+    except ValueError:
+        raise DomainError(f"must be one of {', '.join(ProtocolKind)}, got {kind!r}",
+                          "kind") from None
     if kind is ProtocolKind.MIXED:
         if kappa is None:
             raise DomainError("is needed by mixed probes", "kappa")

@@ -114,3 +114,29 @@ def test_probe_spec_validation():
         build_probe(ProtocolKind.MIXED, 2, 1.0, 1.5)
     with pytest.raises(DomainError):
         build_probe(ProtocolKind.CLASSICAL, 2, 1.0, 0.5)  # kappa meaningless
+
+
+# each family's fixed kappa in the mixed family; the bipartite probe is not in it
+_FAMILY_KAPPA = {"classical": 0.0, "bipartite": None, "idler_free": 1.0, "mixed": 0.25}
+
+
+@pytest.mark.parametrize("kind", [*ProtocolKind, *_FAMILY_KAPPA], ids=repr)
+def test_build_probe_takes_each_family_as_a_kind_or_an_id(kind):
+    family = getattr(kind, "value", kind)
+    probe = build_probe(kind, 3, 1.5, 0.25 if family == "mixed" else None)
+    if family == "bipartite":
+        assert np.array_equal(probe.cm, np.kron(np.eye(3), bipartite_probe(1.5).cm))
+    else:
+        expected = mixed_probe(3, 1.5, _FAMILY_KAPPA[family])
+        assert np.array_equal(probe.cm, expected.cm)
+        assert np.array_equal(probe.mean, expected.mean)
+    # the mixed family needs kappa, and every other refuses it
+    with pytest.raises(DomainError, match="^kappa "):
+        build_probe(kind, 3, 1.5, None if family == "mixed" else 0.5)
+
+
+@pytest.mark.parametrize("kind", ["idler_free_reversed", "bogus", "MIXED", None, 3])
+def test_build_probe_refuses_anything_but_the_four_families(kind):
+    with pytest.raises(DomainError,
+                       match="^kind must be one of classical, bipartite, idler_free, mixed, "):
+        build_probe(kind, 3, 1.5)
