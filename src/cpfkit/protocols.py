@@ -218,6 +218,7 @@ DIRECT_M_MAX = 128
 
 def _direct_pair(scenario: Scenario, kind: ProtocolKind) -> tuple:
     """The full-size output pair, in :func:`output_pair_arrays`'s order."""
+    check("m", scenario.m)
     _check_point(scenario.eta_b, scenario.eta_t, scenario.n_s)  # refuses a None
     if scenario.m > DIRECT_M_MAX:
         raise DomainError(f"must be at most {DIRECT_M_MAX} on the direct path, "
@@ -238,8 +239,10 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     beyond, and ``pair`` holds its arrays.  Where eta_b == eta_t the m output
     states are one state and the value is exactly 1; the kernel is not run
     there, where it loses digits or fails on large n_s.  A pair the kernel
-    cannot evaluate is refused on n_s (:func:`pair_fidelity`).
+    cannot evaluate is refused on n_s (:func:`pair_fidelity`).  ``m`` is
+    checked also where the closed forms do not read it.
     """
+    check("m", m)
     kind, eta_b, eta_t = _oriented(protocol, eta_b, eta_t)
     if kind is ProtocolKind.CLASSICAL:
         value = classical_fidelity(eta_b, eta_t, n_s)
@@ -275,11 +278,10 @@ def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityRep
     of the fast paths.  Whenever the fidelity comes from an output pair, the
     report carries the smaller min symplectic eigenvalue of the two states
     and a warning for each unphysical one.  A None in m, eta_b, eta_t or n_s
-    is refused as required, in m also where the fidelity does not read it.
+    is refused as required.
     """
     if path not in ("auto", "direct"):
         raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
-    check("m", scenario.m)
     probe, eta_b, eta_t = _oriented(kind, scenario.eta_b, scenario.eta_t)
     if path == "direct":
         pair = _direct_pair(replace(scenario, eta_b=eta_b, eta_t=eta_t), probe)

@@ -296,3 +296,10 @@ def test_bipartite_direct_uses_idlers():
     assert photon_number(out, 0) == pytest.approx(3.0, rel=1e-12)  # idler untouched
     assert photon_number(out, 1) == pytest.approx(0.2 * 3.0, rel=1e-12)  # target signal
     assert photon_number(out, 3) == pytest.approx(0.7 * 3.0, rel=1e-12)  # background
+
+
+@pytest.mark.parametrize("protocol", ["classical", "bipartite", "idler_free"])
+@pytest.mark.parametrize("m", [None, 1, 2.5])
+def test_route_checks_m_also_for_the_closed_forms(protocol, m):
+    with pytest.raises(DomainError, match="^m "):
+        route(protocol, m, 0.3, 0.5, 1.0)
