@@ -76,6 +76,11 @@ def _invocations() -> list:
         ["figure", "--id", "6", "--resolution", "5", "--db"],
         ["figure", "--id", "8", "--resolution", "5", "--db"],
     ]
+    # the direct path beyond m = 3, and its mixed row at a fixed kappa
+    for m, extra in (("5", []), ("12", []), ("3", ["--kappa", "0.3"]),
+                     ("5", ["--kappa", "0.3"])):
+        base.append(["fidelity", "--protocol", "all", "--m", m, *_POINT, *extra,
+                     "--path", "direct"])
     return [[*argv, "--format", fmt] for argv in base for fmt in ("csv", "json")]
 
 
