@@ -32,7 +32,6 @@ from .probes import (
 from .protocols import (
     FidelityReport,
     Scenario,
-    apply_hypothesis,
     bipartite_fidelity,
     classical_fidelity,
     idler_free_binary_fidelity,
@@ -69,7 +68,6 @@ __all__ = [
     "RegionSpec",
     "Scenario",
     "WORKERS_ENV_VAR",
-    "apply_hypothesis",
     "bipartite_fidelity",
     "bipartite_probe",
     "build_probe",

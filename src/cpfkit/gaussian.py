@@ -83,26 +83,33 @@ class PhysicalityReport:
     ok: bool
 
 
-def pure_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
-    """Send one mode through a pure-loss channel of transmissivity ``eta``.
+def pure_loss(state: GaussianState, mode, eta) -> GaussianState:
+    """Send a mode, or each of a sequence of distinct modes, through a
+    pure-loss channel of transmissivity ``eta`` (a sequence of equal length).
 
-    The mode's mean scales by sqrt(eta), its diagonal covariance block becomes
-    eta*block + (1-eta)*I, and cross blocks scale by sqrt(eta).
+    A mode's mean scales by sqrt(eta), its diagonal covariance block becomes
+    eta*block + (1-eta)*I, and cross blocks scale by sqrt(eta).  The result
+    rounds exactly as the modes sent one at a time in ascending order.
     """
-    if not 0.0 <= eta <= 1.0:
+    modes, etas = np.asarray(mode), np.asarray(eta, dtype=float)
+    if modes.shape != etas.shape:
+        raise DomainError(f"mode and eta must have the same length, got {mode} and {eta}")
+    if not np.all((etas >= 0.0) & (etas <= 1.0)):
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    if not 0 <= mode < state.n_modes:
+    if modes.dtype.kind not in "iu":
+        raise InvalidStateError(f"mode must be an integer, got {mode!r}")
+    if not np.all((modes >= 0) & (modes < state.n_modes)):
         raise InvalidStateError(f"mode {mode} out of range for {state.n_modes}-mode state")
-    root = math.sqrt(eta)
-    i, j = 2 * mode, 2 * mode + 1
-    mean = state.mean.copy()
-    mean[i : j + 1] *= root
-    cm = state.cm.copy()
-    cm[[i, j], :] *= root
-    cm[:, [i, j]] *= root
-    cm[i, i] += 1.0 - eta
-    cm[j, j] += 1.0 - eta
-    return GaussianState(mean, cm)
+    if np.unique(modes).size != modes.size:
+        raise InvalidStateError(f"modes must be distinct, got {mode}")
+    root, loss = np.ones(2 * state.n_modes), np.zeros(2 * state.n_modes)
+    root.reshape(-1, 2)[modes.ravel()] = np.sqrt(etas.ravel())[:, None]
+    loss.reshape(-1, 2)[modes.ravel()] = 1.0 - etas.ravel()[:, None]
+    # one mode at a time scales an entry by its lower mode's root first
+    full = state.cm * root[:, None] * root
+    cm = np.triu(full) + np.triu(full, 1).T
+    cm[np.diag_indices_from(cm)] += loss
+    return GaussianState(state.mean * root, cm)
 
 
 def _symplectic_moduli(cm: np.ndarray) -> np.ndarray:

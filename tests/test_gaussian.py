@@ -134,6 +134,57 @@ def test_pure_loss_rejects_bad_eta():
         pure_loss(vacuum_state(1), 0, 1.2)
 
 
+def _loss_on_one_mode(mean, cm, mode, eta):
+    """One mode through the loss, written out: rows, then columns, then noise."""
+    root, i, j = math.sqrt(eta), 2 * mode, 2 * mode + 1
+    mean, cm = mean.copy(), cm.copy()
+    mean[i : j + 1] *= root
+    cm[[i, j], :] *= root
+    cm[:, [i, j]] *= root
+    cm[i, i] += 1.0 - eta
+    cm[j, j] += 1.0 - eta
+    return mean, cm
+
+
+def test_pure_loss_on_several_modes_rounds_as_one_at_a_time(rng):
+    for _ in range(300):
+        n_modes = int(rng.integers(1, 7))
+        state = random_physical_state(rng, n_modes)
+        modes = rng.permutation(n_modes)[: rng.integers(1, n_modes + 1)]
+        etas = rng.choice([0.0, 1.0, *rng.uniform(0.0, 1.0, 4)], size=modes.size)
+        mean, cm = state.mean, state.cm
+        stepwise = state
+        for k in np.argsort(modes):
+            mean, cm = _loss_on_one_mode(mean, cm, int(modes[k]), float(etas[k]))
+            stepwise = pure_loss(stepwise, int(modes[k]), float(etas[k]))
+        once = pure_loss(state, modes, etas)
+        for out in (once, stepwise):
+            assert np.array_equal(out.cm, cm) and np.array_equal(out.mean, mean)
+
+
+@pytest.mark.parametrize(
+    "mode, eta, error, match",
+    [
+        ([0, 2, 0], [0.3, 0.4, 0.5], InvalidStateError, "distinct"),
+        ([0, 1], [0.3], DomainError, "same length"),
+        (0, [0.3], DomainError, "same length"),
+        ([0, 1], [0.3, 1.5], DomainError, r"\[0, 1\]"),
+        ([0, 1], [0.3, -0.1], DomainError, r"\[0, 1\]"),
+        ([0, 1], [float("nan"), 0.3], DomainError, r"\[0, 1\]"),
+        ([1, 3], [0.3, 0.4], InvalidStateError, "out of range"),
+        (-1, 0.3, InvalidStateError, "out of range"),
+        (0.5, 0.3, InvalidStateError, "integer"),
+        (1.0, 0.3, InvalidStateError, "integer"),
+        ([0, 1.5], [0.3, 0.4], InvalidStateError, "integer"),
+        (np.array([True, False, True]), [0.3, 0.4, 0.5], InvalidStateError, "integer"),
+        (True, 0.3, InvalidStateError, "integer"),
+    ],
+)
+def test_pure_loss_refusals(mode, eta, error, match):
+    with pytest.raises(error, match=match):
+        pure_loss(vacuum_state(3), mode, eta)
+
+
 # ---------------------------------------------------- symplectic spectrum
 
 

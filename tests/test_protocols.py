@@ -7,7 +7,6 @@ from cpfkit import (
     DomainError,
     ProtocolKind,
     Scenario,
-    apply_hypothesis,
     bipartite_fidelity,
     build_probe,
     classical_fidelity,
@@ -16,12 +15,12 @@ from cpfkit import (
     mixed_probe,
     output_fidelity,
     output_pair_arrays,
+    pure_loss,
     symplectic_form,
 )
 from cpfkit.protocols import PROTOCOL_IDS, route
 from helpers import (
     bipartite_fidelity_numeric,
-    keep_modes,
     photon_number,
     reduced_output_pair,
     reduction_symplectic,
@@ -150,12 +149,18 @@ def test_reduced_matches_direct(m, rng):
         assert reduced.value == pytest.approx(direct.value, abs=1e-10)
 
 
+def _through_boxes(probe, modes, scenario, target):
+    """The probe's box modes sent through the boxes, the target at ``target``."""
+    etas = [scenario.eta_t if box == target else scenario.eta_b for box in range(len(modes))]
+    return pure_loss(probe, modes, etas)
+
+
 def test_hypothesis_pairs_equivalent(rng):
     # outputs for any two distinct target positions have the same fidelity
     for m in (3, 4):
         scenario = Scenario(m, 0.7, 0.35, 2.0, kappa=0.6)
         probe = mixed_probe(m, scenario.n_s, scenario.kappa)
-        outputs = [apply_hypothesis(probe, t, scenario) for t in range(m)]
+        outputs = [_through_boxes(probe, range(m), scenario, t) for t in range(m)]
         reference = gaussian_fidelity(outputs[0], outputs[1])
         for i in range(m):
             for j in range(i + 1, m):
@@ -179,7 +184,7 @@ def test_reduction_symplectic_is_orthogonal_symplectic(m):
 def test_reduction_block_diagonalizes_output(m):
     scenario = Scenario(m, 0.8, 0.4, 3.0, kappa=0.5)
     probe = mixed_probe(m, scenario.n_s, scenario.kappa)
-    out = apply_hypothesis(probe, 0, scenario)
+    out = _through_boxes(probe, range(m), scenario, 0)
     s = reduction_symplectic(m)
     cm = s @ out.cm @ s.T
     mean = s @ out.mean
@@ -276,22 +281,11 @@ def test_output_fidelity_rejects_bad_path():
         output_fidelity(Scenario(2, 0.6, 0.9, 5.0), "classical", path="reduced")
 
 
-def test_apply_hypothesis_validates():
-    probe = build_probe(ProtocolKind.CLASSICAL, 3, 1.0)
-    scenario = Scenario(3, 0.5, 0.9, 1.0)
-    with pytest.raises(DomainError):
-        apply_hypothesis(probe, 3, scenario)
-    from cpfkit import InvalidStateError
-
-    with pytest.raises(InvalidStateError):
-        apply_hypothesis(keep_modes(probe, [0, 1]), 0, scenario)
-
-
 def test_bipartite_direct_uses_idlers():
     # the 2m-mode probe keeps one idler per box; only signals meet the loss
     scenario = Scenario(2, 0.7, 0.2, 3.0)
     probe = build_probe(ProtocolKind.BIPARTITE, 2, 3.0)
-    out = apply_hypothesis(probe, 0, scenario)
+    out = _through_boxes(probe, [1, 3], scenario, 0)
 
     assert photon_number(out, 0) == pytest.approx(3.0, rel=1e-12)  # idler untouched
     assert photon_number(out, 1) == pytest.approx(0.2 * 3.0, rel=1e-12)  # target signal
