@@ -15,6 +15,7 @@ from cpfkit import (
     perr_upper,
     perr_upper_raw,
 )
+from cpfkit.cli import main
 from helpers import (
     advantage_certificate,
     perr_lower_general,
@@ -189,8 +190,24 @@ def test_no_contrast_floor_survives_an_overflowing_energy(recwarn):
     assert lower.tolist() == [0.25, 0.0]
     ratio = log10_bound_ratio(1.0, eta, np.array([0.5, 0.9]), 1e8, 2, 1e300)
     assert ratio[0] == pytest.approx(math.log10(4.0), rel=1e-14)
-    assert ratio[1] == np.inf
+    # 2 M n_s gap is about 1.2e307, finite once M is applied last
+    assert ratio[1] == pytest.approx(5.069016878e306, rel=1e-9)
     assert not recwarn.list
+
+
+def test_log10_ratio_is_inf_only_where_the_classical_exponent_overflows(capsys):
+    argv = ["region", "--quantum", "bipartite", "--ns", "1e8", "--m-probes", "1e300",
+            "--x-points", "3", "--y-points", "3"]
+    assert main(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    column = header.split(",").index("log10_ratio")
+    cells = {tuple(line.split(",")[:2]): line.split(",")[column] for line in lines}
+    zero, half, one = "0.00000000000e+00", "5.00000000000e-01", "1.00000000000e+00"
+    assert cells[half, zero] == cells[zero, half] == "4.34294332569e+307"
+    assert cells[one, half] == cells[half, one] == "7.45130036328e+306"
+    # 2 M n_s gap = 2e308 itself exceeds the double range
+    assert cells[one, zero] == cells[zero, one] == "inf"
+    assert cells[zero, zero] == cells[half, half] == cells[one, one] == "6.02059991328e-01"
 
 
 def test_evaluate_bounds_packaging():
