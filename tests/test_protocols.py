@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpfkit import (
     DomainError,
@@ -148,6 +150,20 @@ def test_reduced_matches_direct(m, rng):
         assert reduced.path == "reduced"
         assert reduced.value == pytest.approx(direct.value, abs=1e-10)
 
+
+# uniform etas, and the edges where the kernel loses digits
+_ETAS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-12, 1e-6, 0.3, 0.999999, 1.0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(protocol=st.sampled_from(["idler_free", "idler_free_reversed", "mixed"]),
+       m=st.integers(3, 12), eta_b=_ETAS, eta_t=_ETAS, log_n_s=st.floats(-2.0, 3.0),
+       kappa=st.floats(0.0, 1.0))
+def test_auto_and_direct_paths_agree(protocol, m, eta_b, eta_t, log_n_s, kappa):
+    scenario = Scenario(m, eta_b, eta_t, 10.0**log_n_s, kappa=kappa)
+    auto = output_fidelity(scenario, protocol)
+    direct = output_fidelity(scenario, protocol, path="direct")
+    assert abs(auto.value - direct.value) <= 1e-6
 
 def _through_boxes(probe, modes, scenario, target):
     """The probe's box modes sent through the boxes, the target at ``target``."""
