@@ -102,13 +102,13 @@ def pure_loss(state: GaussianState, mode, eta) -> GaussianState:
         raise InvalidStateError(f"mode {mode} out of range for {state.n_modes}-mode state")
     if np.unique(modes).size != modes.size:
         raise InvalidStateError(f"modes must be distinct, got {mode}")
-    root, loss = np.ones(2 * state.n_modes), np.zeros(2 * state.n_modes)
-    root.reshape(-1, 2)[modes.ravel()] = np.sqrt(etas.ravel())[:, None]
-    loss.reshape(-1, 2)[modes.ravel()] = 1.0 - etas.ravel()[:, None]
+    transmit = np.ones(2 * state.n_modes)  # eta per quadrature, 1 where no loss
+    transmit.reshape(-1, 2)[modes] = etas[..., None]
+    root = np.sqrt(transmit)
     # one mode at a time scales an entry by its lower mode's root first
     full = state.cm * root[:, None] * root
     cm = np.triu(full) + np.triu(full, 1).T
-    cm[np.diag_indices_from(cm)] += loss
+    cm[np.diag_indices_from(cm)] += 1.0 - transmit
     return GaussianState(state.mean * root, cm)
 
 

@@ -129,11 +129,6 @@ def test_pure_loss_attenuates_energy(rng):
     assert check_physical(out).ok
 
 
-def test_pure_loss_rejects_bad_eta():
-    with pytest.raises(DomainError):
-        pure_loss(vacuum_state(1), 0, 1.2)
-
-
 def _loss_on_one_mode(mean, cm, mode, eta):
     """One mode through the loss, written out: rows, then columns, then noise."""
     root, i, j = math.sqrt(eta), 2 * mode, 2 * mode + 1
@@ -168,6 +163,7 @@ def test_pure_loss_on_several_modes_rounds_as_one_at_a_time(rng):
         ([0, 2, 0], [0.3, 0.4, 0.5], InvalidStateError, "distinct"),
         ([0, 1], [0.3], DomainError, "same length"),
         (0, [0.3], DomainError, "same length"),
+        (0, 1.2, DomainError, r"\[0, 1\]"),
         ([0, 1], [0.3, 1.5], DomainError, r"\[0, 1\]"),
         ([0, 1], [0.3, -0.1], DomainError, r"\[0, 1\]"),
         ([0, 1], [float("nan"), 0.3], DomainError, r"\[0, 1\]"),
