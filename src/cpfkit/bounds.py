@@ -68,7 +68,8 @@ def classical_perr_lower(eta_b, eta_t, n_s, m: int, m_probes: float = 1.0):
 def _classical_exponent(eta_b, eta_t, n_s, m_probes):
     """2 M n_s (sqrt(eta_b) - sqrt(eta_t))^2, and 0 where the gap is 0: a huge
     M n_s overflows the product to inf, and inf * 0 would be nan.  Where 2 M n_s
-    overflows, M is applied last, so the exponent is inf only where it is."""
+    overflows, M is applied last, so that only an exponent that itself exceeds
+    the double range is inf."""
     gap = (np.sqrt(eta_b) - np.sqrt(eta_t)) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = 2.0 * m_probes * n_s * gap
