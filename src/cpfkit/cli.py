@@ -39,18 +39,35 @@ from .scan import (
 )
 
 _FLOAT_FMT = "{:.11e}"  # 12 significant digits; a double needs 17 to round-trip
+_BLOCK = 1024  # rows made and rendered at a time
+
+
+class _Rows:
+    """A table's rows, kept as its raveled NumPy columns.  ``len()`` counts
+    the rows, and a slice is a list of row tuples of plain Python values
+    (None, bool, int, str or float; a masked cell is None), so rows exist
+    only a block at a time."""
+
+    def __init__(self, *columns):
+        self.columns = [np.ravel(c) for c in columns]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, rows: slice) -> list:
+        return list(zip(*(c[rows].tolist() for c in self.columns)))
 
 
 @dataclass
 class Table:
-    """One result table: what gets serialized.  Each row is a tuple of plain
-    Python values (None, bool, int, str or float), as :func:`_rows` makes
-    them, so the renderers take cells as they are."""
+    """One result table: what gets serialized.  ``rows`` is a :class:`_Rows`,
+    or any sequence whose slices are lists of row tuples of plain Python
+    values; the renderers take the cells as they are."""
 
     command: str
     parameters: dict
     columns: list
-    rows: list
+    rows: _Rows
     fidelity_columns: tuple = ()
     notes: list = field(default_factory=list)
 
@@ -287,7 +304,7 @@ def _fidelity_table(p: dict) -> Table:
         ])
 
     parameters = {**asdict(scenario), "protocol": protocol, "path": path}
-    return Table("fidelity", parameters, columns, rows, ("fidelity",), notes)
+    return Table("fidelity", parameters, columns, _Rows(*zip(*rows)), ("fidelity",), notes)
 
 
 def _sweep_table(p: dict) -> Table:
@@ -309,7 +326,7 @@ def _sweep_table(p: dict) -> Table:
     for j, (_, kappas) in enumerate(grids.values()):
         if kappas is not None:
             kappa[:, j] = kappas.tolist()
-    rows = _rows(np.full(shape, variable), np.broadcast_to(values[:, None], shape),
+    rows = _Rows(np.full(shape, variable), np.broadcast_to(values[:, None], shape),
                  np.broadcast_to(list(grids), shape),
                  np.stack([fids for fids, _ in grids.values()], axis=1), kappa)
     columns = ["variable", "value", "protocol", "fidelity", "kappa"]
@@ -318,11 +335,6 @@ def _sweep_table(p: dict) -> Table:
         "log": logspace, "protocols": protocols,
     }
     return Table("sweep", parameters, columns, rows, ("fidelity",))
-
-
-def _rows(*columns) -> list:
-    """Row tuples of plain Python values from equal-length NumPy columns."""
-    return list(zip(*(np.ravel(c).tolist() for c in columns)))
 
 
 def _region_rows(grid) -> tuple:
@@ -335,7 +347,7 @@ def _region_rows(grid) -> tuple:
     if grid.kappa_star is not None:
         names.append("kappa_star")
     x, y = np.meshgrid(grid.x_values, grid.y_values)
-    return [grid.x_name, grid.y_name, *names], _rows(x, y, *(getattr(grid, n) for n in names))
+    return [grid.x_name, grid.y_name, *names], _Rows(x, y, *(getattr(grid, n) for n in names))
 
 
 def _region_table(p: dict) -> Table:
@@ -362,7 +374,7 @@ def _kappa_table(p: dict) -> Table:
     f_class, f_if = (float(fidelity(name, *point)[0]) for name in ("classical", "idler_free"))
     columns = ["m", "eta_b", "eta_t", "n_s", "kappa_star", "fidelity",
                "f_classical", "f_idler_free"]
-    rows = [[*point, float(kappa), float(f_mix), f_class, f_if]]
+    rows = _Rows(*point, float(kappa), float(f_mix), f_class, f_if)
     parameters = {"m": scenario.m, "eta_b": scenario.eta_b, "eta_t": scenario.eta_t,
                   "n_s": scenario.n_s}
     return Table("kappa", parameters, columns, rows,
@@ -409,7 +421,7 @@ def _sweep_figure(fig_id: int, resolution: int, workers) -> Table:
     axis = values.astype(int) if variable == "m" else values
     parameters = _given({"id": fig_id, **asdict(scenario),
                          "resolution": None if variable == "m" else resolution})
-    return Table("figure", parameters, names, _rows(axis, *data), fidelity_columns)
+    return Table("figure", parameters, names, _Rows(axis, *data), fidelity_columns)
 
 
 # figures 6 and 8, idler-free maps over eta_t in [0, 1]: scenario (None where
@@ -438,7 +450,7 @@ def _figure_7(fig_id: int, resolution: int, workers) -> Table:
     maps = [region_scan(RegionSpec(scenario, "eta_t", grid, "eta_b", grid, protocol), workers)
             for protocol in ("idler_free", "bipartite", "mixed")]
     x, y = np.meshgrid(grid, grid)
-    rows = _rows(x, y, *(g.certificate for g in maps), maps[-1].kappa_star)
+    rows = _Rows(x, y, *(g.certificate for g in maps), maps[-1].kappa_star)
     return Table(
         "figure", {"id": 7, "m": scenario.m, "n_s": scenario.n_s, "resolution": resolution},
         ["eta_t", "eta_b", "cert_idler_free", "cert_bipartite", "cert_mixed", "kappa_star"],
@@ -464,14 +476,19 @@ def _figure_table(p: dict) -> Table:
 # ------------------------------------------------------------- rendering
 
 
-def _db(value) -> float | None:
-    return 10.0 * float(np.log10(value)) if value and value > 0.0 else None
+def _db(column) -> np.ma.MaskedArray:
+    """10 log10 of a fidelity column, masked (a None cell) where F is not
+    positive: at 0, -0, NaN and below."""
+    values = np.asarray(column, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.ma.masked_array(10.0 * np.log10(values), mask=~(values > 0.0))
 
 
 def _apply_db(table: Table) -> None:
     indices = [table.columns.index(c) for c in table.fidelity_columns]
     table.columns = [*table.columns, *(f"{table.columns[i]}_db" for i in indices)]
-    table.rows = [(*row, *(_db(row[i]) for i in indices)) for row in table.rows]
+    columns = table.rows.columns
+    table.rows = _Rows(*columns, *(_db(columns[i]) for i in indices))
 
 
 def _csv_cell(value) -> str:
@@ -484,12 +501,25 @@ def _csv_cell(value) -> str:
     return _FLOAT_FMT.format(value)
 
 
+def _blocks(rows):
+    """``rows`` in consecutive lists of up to _BLOCK row tuples."""
+    return (rows[start:start + _BLOCK] for start in range(0, len(rows), _BLOCK))
+
+
 def _render_csv(table: Table) -> str:
-    # column by column, so that an all-float column is formatted without a
-    # Python call per cell
-    cells = [map(_FLOAT_FMT.format, column) if set(map(type, column)) == {float}
-             else map(_csv_cell, column) for column in zip(*table.rows)]
-    return "\n".join([",".join(table.columns), *map(",".join, zip(*cells))]) + "\n"
+    # block by block, each column by column, so that an all-float column is
+    # formatted without a Python call per cell
+    parts = [",".join(table.columns)]
+    for block in _blocks(table.rows):
+        cells = [map(_FLOAT_FMT.format, column) if set(map(type, column)) == {float}
+                 else map(_csv_cell, column) for column in zip(*block)]
+        parts.append("\n".join(map(",".join, zip(*cells))))
+    parts.append("")  # the text ends with a newline
+    return "\n".join(parts)
+
+
+def _finite_or_null(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 # what the encoder writes between two rows when every cell is on its own line
@@ -498,34 +528,34 @@ _ROW_BREAK = "],\n      ["
 _INDENTED_ROW_BREAK = "\n    ],\n    [\n      "
 
 
-def _json_text(document: dict) -> str:
-    """``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)``.
-    json uses its C encoder only without ``indent``, so the rows are encoded
-    in one such call with each cell on its own line, and the row boundaries
-    re-indented: an encoded string never holds a raw newline."""
-    rows = document["rows"]
-    if not rows or not all(rows):
-        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    head = json.dumps({**document, "rows": []}, indent=2, sort_keys=True, allow_nan=False)
-    body = json.dumps(rows, separators=(",\n      ", ": "), allow_nan=False)
-    body = body[2:-2].replace(_ROW_BREAK, _INDENTED_ROW_BREAK)
-    # "rows" sorts last, so the head ends with its empty list
-    return head[:-4] + "[\n    [\n      " + body + "\n    ]\n  ]\n}\n"
-
-
-def _finite_or_null(value):
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+def _json_rows(rows: list) -> str:
+    """The rows as ``json.dumps(..., indent=2)`` writes them inside a table's
+    document, without the outer brackets.  json uses its C encoder only
+    without ``indent``, so they are encoded in one such call with each cell
+    on its own line, and the row boundaries re-indented: an encoded string
+    never holds a raw newline."""
+    try:
+        body = json.dumps(rows, separators=(",\n      ", ": "), allow_nan=False)
+    except ValueError:  # JSON has no token for a non-finite number; write null
+        body = json.dumps([list(map(_finite_or_null, row)) for row in rows],
+                          separators=(",\n      ", ": "), allow_nan=False)
+    return body[2:-2].replace(_ROW_BREAK, _INDENTED_ROW_BREAK)
 
 
 def _render_json(table: Table) -> str:
-    document = {"command": table.command, "parameters": table.parameters,
-                "columns": table.columns, "rows": table.rows}
-    try:
-        return _json_text(document)
-    except ValueError:  # JSON has no token for a non-finite number; write null
-        document["parameters"] = {k: _finite_or_null(v) for k, v in table.parameters.items()}
-        document["rows"] = [list(map(_finite_or_null, row)) for row in table.rows]
-        return _json_text(document)
+    """``json.dumps(document, indent=2, sort_keys=True)`` with null for every
+    non-finite float, a block of rows at a time."""
+    head = json.dumps({"command": table.command, "columns": table.columns, "rows": [],
+                       "parameters": {k: _finite_or_null(v) for k, v in table.parameters.items()}},
+                      indent=2, sort_keys=True, allow_nan=False)
+    if not len(table.rows):
+        return head + "\n"
+    # "rows" sorts last, so the head ends with its empty list
+    parts = [head[:-4], "[\n    [\n      "]
+    for block in _blocks(table.rows):
+        parts += [_json_rows(block), _INDENTED_ROW_BREAK]
+    parts[-1] = "\n    ]\n  ]\n}\n"
+    return "".join(parts)
 
 
 def _emit(text: str, output) -> None:

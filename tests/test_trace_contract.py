@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from cpfkit import cli
 from cpfkit.cli import main
 from cpfkit.scan import _optimize_kappa_batch
 from helpers import KAPPA_BUDGET_ARGV, KAPPA_BUDGET_ROW, count_kernel_elements
@@ -62,6 +63,25 @@ def test_tracer_counts_the_rows_and_bytes_printed(argv, fmt, rows, monkeypatch):
     assert counts[f"cli.render_{fmt}.rows"] == rows
     assert counts[f"cli.render_{fmt}.bytes"] == len(traced.encode())
     assert counts["scan.region_scan.calls"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_tracer_counts_every_block_of_rows(fmt, monkeypatch):
+    # 1,600 rows in blocks of 7: the counts are the table's, not a block's
+    monkeypatch.delenv("CPFKIT_WORKERS", raising=False)
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    argv = ["figure", "--id", "6", "--resolution", "40", "--format", fmt]
+    tracer = _tracer()
+    with tracer.installed():
+        traced = _run(argv)
+    assert traced == _run(argv)
+
+    printed = len(json.loads(traced)["rows"]) if fmt == "json" else traced.count("\n") - 1
+    assert printed == 1600
+    counts = tracer.counts()
+    assert counts["cli.region_rows.rows"] == printed
+    assert counts[f"cli.render_{fmt}.rows"] == printed
+    assert counts[f"cli.render_{fmt}.bytes"] == len(traced.encode())
 
 
 @pytest.mark.parametrize("m", ["2", "8"])
