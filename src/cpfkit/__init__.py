@@ -40,7 +40,6 @@ from .protocols import (
 )
 from .scan import (
     PROTOCOL_IDS,
-    WORKERS_ENV_VAR,
     KappaResult,
     RegionGrid,
     RegionSpec,
@@ -67,7 +66,6 @@ __all__ = [
     "RegionGrid",
     "RegionSpec",
     "Scenario",
-    "WORKERS_ENV_VAR",
     "bipartite_fidelity",
     "bipartite_probe",
     "build_probe",

@@ -60,9 +60,8 @@ class _Rows:
 
 @dataclass
 class Table:
-    """One result table: what gets serialized.  ``rows`` is a :class:`_Rows`,
-    or any sequence whose slices are lists of row tuples of plain Python
-    values; the renderers take the cells as they are."""
+    """One result table: what gets serialized.  ``rows`` is a :class:`_Rows`;
+    the renderers take its cells as they are."""
 
     command: str
     parameters: dict
@@ -125,7 +124,7 @@ _HELP = {
     "y_stop": "y axis stop", "y_points": "y axis size",
     "quantum": "protocol for the upper bound",
     "total_energy": "fix m*M*ns to this budget; rounds per cell become total/(m*ns)",
-    "workers": "row-level threads (default $CPFKIT_WORKERS or 1)",
+    "workers": "threads over a map's chunks of cells (default 1)",
     "id": "figure number (1-8)", "resolution": "grid points per axis",
     "output": "write the table here instead of stdout", "format": "table format",
     "db": "append decibel (10 log10 F) companions to fidelity columns",
@@ -510,9 +509,10 @@ def _render_csv(table: Table) -> str:
     # block by block, each column by column, so that an all-float column is
     # formatted without a Python call per cell
     parts = [",".join(table.columns)]
-    for block in _blocks(table.rows):
+    for start in range(0, len(table.rows), _BLOCK):
+        block = (c[start:start + _BLOCK].tolist() for c in table.rows.columns)
         cells = [map(_FLOAT_FMT.format, column) if set(map(type, column)) == {float}
-                 else map(_csv_cell, column) for column in zip(*block)]
+                 else map(_csv_cell, column) for column in block]
         parts.append("\n".join(map(",".join, zip(*cells))))
     parts.append("")  # the text ends with a newline
     return "\n".join(parts)

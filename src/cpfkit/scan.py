@@ -1,14 +1,13 @@
 """Parameter scans: sweeps, mixing optimization, and advantage maps.
 
-All engines here are deterministic: grids are evaluated cell by cell with no
-stateful accumulation, so results are byte-identical across runs and across
-worker counts.
+All engines here are deterministic: every cell is evaluated on its own, with
+no stateful accumulation, and cells go to the kernel _CHUNK at a time, so
+results are byte-identical across runs, worker counts and chunk sizes.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Tuple
@@ -37,24 +36,13 @@ KAPPA_MAX_STEPS = 16
 KAPPA_EDGE_STEP = 1e-4
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
-WORKERS_ENV_VAR = "CPFKIT_WORKERS"
+# cells per kernel batch: a kappa search, and a map's quantum column, run
+# _CHUNK cells at a time, which bounds the kernel's memory
+_CHUNK = 512
 
 SWEEP_VARIABLES = ("eta_b", "eta_t", "n_s", "m", "m_probes")
 REGION_AXES = ("eta_b", "eta_t", "n_s")
 QUANTUM_PROTOCOLS = ("idler_free", "bipartite", "mixed")
-
-
-def _resolve_workers(workers: int | None) -> int:
-    source = "workers"
-    if workers is None:
-        source, raw = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise DomainError(f"{source} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise DomainError(f"{source} must be at least 1, got {workers}")
-    return workers
 
 
 def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
@@ -89,18 +77,19 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     Returns (kappa, fidelity) with the broadcast shape of the parameters,
     which are checked once, here.  Where eta_b == eta_t every kappa gives
     fidelity 1, and the cell returns kappa = 0 without a kernel call.  Every
-    other cell is searched on its own, so its result does not depend on the
-    batch around it.  The search works in t = log(kappa), which resolves the
-    sqrt(kappa * n_s) boundary layer of F at kappa = 0.  One kernel call
-    evaluates the coarse grid, which holds both endpoints.  A Brent search
-    (safeguarded parabolic steps, golden-section fallback) then refines the
-    bracket of the best node's neighbours, one kernel call per step for the
-    cells still open; the KAPPA_* constants say when a cell stops.  A best
-    node at kappa = 0 is kept; one at kappa = 1 is refined only if
-    kappa = exp(-KAPPA_EDGE_STEP) is lower.  F(kappa) can have several wells
-    (often a second one at kappa = 1, past a local maximum near 0.98), and
-    only the best node's bracket is refined.  The result is the best point
-    evaluated, so it never loses to either endpoint.
+    other cell is searched on its own, _CHUNK cells at a time, so its result
+    does not depend on the batch around it.  The search works in
+    t = log(kappa), which resolves the sqrt(kappa * n_s) boundary layer of F
+    at kappa = 0.  One kernel call evaluates the coarse grid, which holds
+    both endpoints.  A Brent search (safeguarded parabolic steps,
+    golden-section fallback) then refines the bracket of the best node's
+    neighbours, one kernel call per step for the cells still open; the
+    KAPPA_* constants say when a cell stops.  A best node at kappa = 0 is
+    kept; one at kappa = 1 is refined only if kappa = exp(-KAPPA_EDGE_STEP)
+    is lower.  F(kappa) can have several wells (often a second one at
+    kappa = 1, past a local maximum near 0.98), and only the best node's
+    bracket is refined.  The result is the best point evaluated, so it never
+    loses to either endpoint.
     """
     m = int(check("m", m))
     eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
@@ -108,9 +97,9 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     eta_b, eta_t, n_s = (np.broadcast_to(v, batch).ravel() for v in (eta_b, eta_t, n_s))
     kappa, value = np.zeros(eta_b.size), np.ones(eta_b.size)
     cells = np.flatnonzero(eta_b != eta_t)
-    if cells.size:
-        kappa[cells], value[cells] = _search_log_kappa(
-            m, eta_b[cells], eta_t[cells], n_s[cells])
+    for start in range(0, cells.size, _CHUNK):
+        chunk = cells[start:start + _CHUNK]
+        kappa[chunk], value[chunk] = _search_log_kappa(m, eta_b[chunk], eta_t[chunk], n_s[chunk])
     return kappa.reshape(batch), value.reshape(batch)
 
 
@@ -321,30 +310,37 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
     quantum upper bound and classical lower bound at M rounds, their ratio as
     log10 (computed in log space, so huge M cannot underflow it), and the
     M-independent certificate flag F_quantum < F_classical^2.  Everything is
-    evaluated on the whole grid at once except the quantum fidelity, which
-    goes row by row, one batched kappa search per row for the mixed
-    protocol, to bound the size of the kernel's batches.  A cell's kappa
-    search does not depend on its row, rows may be evaluated concurrently,
-    and assembly order is fixed by the grid.
+    evaluated on the whole grid at once except the quantum fidelity (with
+    its kappa search for the mixed protocol), which runs on the raveled grid
+    _CHUNK cells at a time to bound the kernel's batches.  ``workers``
+    threads (None is 1) take the chunks, and one chunk or one worker runs in
+    the caller's thread.  A cell's result does not depend on its chunk, and
+    the chunks are assembled in grid order.
     """
-    workers = _resolve_workers(workers)
+    workers = 1 if workers is None else workers
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
     x, y, base = spec.x_values, spec.y_values, spec.scenario
     axes = dict(zip((spec.x_name, spec.y_name), np.meshgrid(x, y)))
     eta_b, eta_t, n_s = (
         axes[name] if name in axes else np.full((y.size, x.size), getattr(base, name))
         for name in ("eta_b", "eta_t", "n_s")
     )
+    cells = [v.ravel() for v in (eta_b, eta_t, n_s)]
+    chunks = [slice(start, start + _CHUNK) for start in range(0, x.size * y.size, _CHUNK)]
 
-    def quantum_row(iy: int):
-        return fidelity(spec.quantum, base.m, eta_b[iy], eta_t[iy], n_s[iy])
+    def quantum(chunk: slice):
+        return fidelity(spec.quantum, base.m, *(v[chunk] for v in cells))[:2]
 
-    if workers == 1:
-        rows = [quantum_row(iy) for iy in range(y.size)]
+    threads = min(workers, len(chunks))
+    if threads == 1:
+        parts = list(map(quantum, chunks))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(quantum_row, range(y.size)))
-    f_quantum = np.stack([row[0] for row in rows])
-    kappa_star = np.stack([row[1] for row in rows]) if spec.quantum == "mixed" else None
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(quantum, chunks))
+    f_quantum = np.concatenate([f for f, _ in parts]).reshape(eta_b.shape)
+    kappa_star = (np.concatenate([k for _, k in parts]).reshape(eta_b.shape)
+                  if spec.quantum == "mixed" else None)
 
     f_classical = fidelity("classical", base.m, eta_b, eta_t, n_s)[0]
     rounds = spec.rounds(n_s)

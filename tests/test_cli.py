@@ -165,25 +165,11 @@ def test_figure_five_mixed_dominates(capsys):
         assert f_mixed <= min(f_classical, f_idler_free) + 1e-9
 
 
-def test_figure_deterministic_across_worker_counts(capsys, monkeypatch):
-    monkeypatch.setenv("CPFKIT_WORKERS", "1")
-    _, serial, _ = run_cli(capsys, "figure", "--id", "6", "--resolution", "15")
-    monkeypatch.setenv("CPFKIT_WORKERS", "5")
-    _, threaded, _ = run_cli(capsys, "figure", "--id", "6", "--resolution", "15")
+def test_figure_deterministic_across_worker_counts(capsys):
+    argv = ("figure", "--id", "6", "--resolution", "15")
+    _, serial, _ = run_cli(capsys, *argv, "--workers", "1")
+    _, threaded, _ = run_cli(capsys, *argv, "--workers", "5")
     assert serial == threaded
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [("figure", "--id", "6", "--resolution", "3"),
-     ("region", "--x-points", "3", "--y-points", "2", "--ns", "5")],
-)
-def test_bad_workers_env_var_exits_two(capsys, monkeypatch, argv):
-    monkeypatch.setenv("CPFKIT_WORKERS", "abc")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "CPFKIT_WORKERS" in err and "Traceback" not in err
 
 
 # ----------------------------------------------------------- sweep, region

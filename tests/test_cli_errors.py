@@ -1,13 +1,12 @@
 """Refused invocations: exit code, empty stdout and the flag the message names.
 
 Every case in ``data/cli_errors.json`` is an invocation the command line
-must refuse.  The file pins its exit code and the flags (or
-``CPFKIT_WORKERS``) named after ``error:`` on stderr; the message must name
-one of them first, or none when none are pinned.  The wording itself is not
-pinned.  A case may carry a config file (written to a temporary path that
-replaces ``{config}`` in its argv; with no ``config`` text the path does not
-exist) and environment variables; ``{dir}`` in its argv stands for an empty
-temporary directory.  To capture the file again, run
+must refuse.  The file pins its exit code and the flags named after
+``error:`` on stderr; the message must name one of them first, or none when
+none are pinned.  The wording itself is not pinned.  A case may carry a
+config file (written to a temporary path that replaces ``{config}`` in its
+argv; with no ``config`` text the path does not exist); ``{dir}`` in its
+argv stands for an empty temporary directory.  To capture the file again, run
 ``python tests/test_cli_errors.py`` from the repository root with ``src`` on
 the path.
 """
@@ -15,7 +14,6 @@ the path.
 import contextlib
 import io
 import json
-import os
 import re
 import tempfile
 from pathlib import Path
@@ -28,7 +26,7 @@ from cpfkit.cli import main
 
 CASES = Path(__file__).parent / "data" / "cli_errors.json"
 
-_FLAG = re.compile(r"--[a-z][a-z-]*|CPFKIT_WORKERS")
+_FLAG = re.compile(r"--[a-z][a-z-]*")
 
 _FID = ["fidelity", "--m", "2", "--eta-b", "0.3", "--eta-t", "0.5", "--ns", "1"]
 _SWP = ["sweep", "--variable", "eta_t", "--start", "0", "--stop", "1", "--points", "3",
@@ -39,7 +37,7 @@ _CFG = ["--config", "{config}"]
 
 
 def _invocations() -> list:
-    """(argv, env, config text or None) for every refused invocation."""
+    """(argv, config text or None) for every refused invocation."""
     cases = [
         # fidelity: each scenario flag out of range, non-finite or non-numeric
         [*_FID, "--eta-b", "1.5"],
@@ -118,43 +116,41 @@ def _invocations() -> list:
         ["figure", "--id", "6", "--resolution", "abc"],
         ["figure", "--id", "6", "--res", "3"],
     ]
-    cases = [(argv, {}, None) for argv in cases]
+    cases = [(argv, None) for argv in cases]
     cases += [
-        (["figure", "--id", "6", "--resolution", "3"], {"CPFKIT_WORKERS": "0"}, None),
-        ([*_REG], {"CPFKIT_WORKERS": "abc"}, None),
         # config files
-        (["fidelity", *_CFG], {}, None),
-        (["fidelity", *_CFG], {}, "{not json"),
-        (["fidelity", *_CFG], {}, "[1, 2]"),
-        (["fidelity", *_CFG], {}, '{"bogus_key": 1}'),
-        (["fidelity", "--eta-t", "0.5", "--ns", "1", *_CFG], {}, '{"eta_b": "abc"}'),
-        ([*_KAP[:1], *_KAP[3:], *_CFG], {}, '{"m": 2.5}'),
-        ([*_KAP[:1], *_KAP[3:], *_CFG], {}, '{"m": [2]}'),
-        ([*_KAP[:1], *_KAP[3:], *_CFG], {}, '{"m": 1e400}'),
-        ([*_KAP[:-2], *_CFG], {}, '{"ns": null}'),
-        ([*_KAP[:-2], *_CFG], {}, '{"ns": Infinity}'),
-        ([*_SWP[:-6], *_SWP[-4:], *_CFG], {}, '{"points": NaN}'),
-        ([*_FID, *_CFG], {}, '{"format": "xml"}'),
-        ([*_FID, *_CFG], {}, '{"protocol": "bogus"}'),
-        ([*_SWP, *_CFG], {}, '{"protocols": ""}'),
-        (["figure", *_CFG], {}, '{"id": 12}'),
-        ([*_KAP, *_CFG], {}, '{"m_probes": 5}'),
+        (["fidelity", *_CFG], None),
+        (["fidelity", *_CFG], "{not json"),
+        (["fidelity", *_CFG], "[1, 2]"),
+        (["fidelity", *_CFG], '{"bogus_key": 1}'),
+        (["fidelity", "--eta-t", "0.5", "--ns", "1", *_CFG], '{"eta_b": "abc"}'),
+        ([*_KAP[:1], *_KAP[3:], *_CFG], '{"m": 2.5}'),
+        ([*_KAP[:1], *_KAP[3:], *_CFG], '{"m": [2]}'),
+        ([*_KAP[:1], *_KAP[3:], *_CFG], '{"m": 1e400}'),
+        ([*_KAP[:-2], *_CFG], '{"ns": null}'),
+        ([*_KAP[:-2], *_CFG], '{"ns": Infinity}'),
+        ([*_SWP[:-6], *_SWP[-4:], *_CFG], '{"points": NaN}'),
+        ([*_FID, *_CFG], '{"format": "xml"}'),
+        ([*_FID, *_CFG], '{"protocol": "bogus"}'),
+        ([*_SWP, *_CFG], '{"protocols": ""}'),
+        (["figure", *_CFG], '{"id": 12}'),
+        ([*_KAP, *_CFG], '{"m_probes": 5}'),
         # switches and the output path
-        ([*_FID, *_CFG], {}, '{"db": "false"}'),
-        ([*_FID, *_CFG], {}, '{"db": 1}'),
+        ([*_FID, *_CFG], '{"db": "false"}'),
+        ([*_FID, *_CFG], '{"db": 1}'),
         (["sweep", "--variable", "n_s", "--start", "1", "--stop", "100", "--points", "3",
-          "--eta-b", "0.5", "--eta-t", "0.9", *_CFG], {}, '{"log": "false"}'),
-        ([*_SWP, *_CFG], {}, '{"log": 0}'),
-        ([*_KAP, *_CFG], {}, '{"output": 5}'),
-        ([*_KAP, "--output", "{dir}"], {}, None),
-        ([*_KAP, "--output", "{dir}/missing/x.csv"], {}, None),
+          "--eta-b", "0.5", "--eta-t", "0.9", *_CFG], '{"log": "false"}'),
+        ([*_SWP, *_CFG], '{"log": 0}'),
+        ([*_KAP, *_CFG], '{"output": 5}'),
+        ([*_KAP, "--output", "{dir}"], None),
+        ([*_KAP, "--output", "{dir}/missing/x.csv"], None),
     ]
     # nearly equal etas at a large n_s, where the fidelity kernel cannot run
     near = ["--eta-b", "0.5", "--eta-t", "0.500000001"]
     line = ["--x", "eta_t", "--x-start", "0.500000001", "--x-stop", "0.500000001",
             "--x-points", "1", "--y", "eta_b", "--y-start", "0.5", "--y-stop", "0.5",
             "--y-points", "1"]
-    cases += [(argv, {}, None) for argv in (
+    cases += [(argv, None) for argv in (
         ["kappa", "--m", "2", *near, "--ns", "1e50"],
         ["fidelity", "--protocol", "all", "--m", "7", *near, "--ns", "1e20"],
         ["fidelity", "--protocol", "mixed", "--kappa", "0.1", "--m", "7", *near, "--ns", "1e20"],
@@ -168,11 +164,8 @@ def _invocations() -> list:
 
 
 def _case_id(case) -> str:
-    argv, env, config = case
-    parts = [f"{k}={v}" for k, v in env.items()] + list(argv)
-    if config is not None:
-        parts.append(config)
-    return " ".join(parts)
+    argv, config = case
+    return " ".join(argv if config is None else [*argv, config])
 
 
 def named_flags(err: str) -> list:
@@ -183,24 +176,14 @@ def named_flags(err: str) -> list:
 
 
 def _run(case, directory: Path) -> tuple:
-    argv, env, config = case
+    argv, config = case
     path = directory / "config.json"
     if config is not None:
         path.write_text(config, encoding="utf-8")
     argv = [a.replace("{config}", str(path)).replace("{dir}", str(directory)) for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    saved = {k: os.environ.get(k) for k in ("CPFKIT_WORKERS", *env)}
-    os.environ.pop("CPFKIT_WORKERS", None)
-    os.environ.update(env)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

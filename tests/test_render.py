@@ -55,10 +55,10 @@ def _as_columns(table):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(table=_tables())
 def test_renderers_match_the_cell_by_cell_references(block, table):
+    rendered = _as_columns(table)
     with mock.patch.object(cli, "_BLOCK", block):
-        for rendered in (table, _as_columns(table)):
-            assert _render_csv(rendered) == render_csv_oracle(table)
-            assert _render_json(rendered) == render_json_oracle(table)
+        assert _render_csv(rendered) == render_csv_oracle(table)
+        assert _render_json(rendered) == render_json_oracle(table)
 
 
 def _refuse(token):

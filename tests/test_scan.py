@@ -17,14 +17,10 @@ from cpfkit import (
     optimize_kappa,
     output_fidelity,
     region_scan,
+    scan,
 )
 from cpfkit.cli import main
-from cpfkit.scan import (
-    WORKERS_ENV_VAR,
-    _optimize_kappa_batch,
-    _resolve_workers,
-    _sweep_columns,
-)
+from cpfkit.scan import _optimize_kappa_batch, _sweep_columns
 from helpers import (
     KAPPA_BUDGET_ROW,
     count_kernel_elements,
@@ -189,6 +185,14 @@ def test_optimize_kappa_kernel_budget(m, monkeypatch):
     sizes = count_kernel_elements(monkeypatch)
     _optimize_kappa_batch(m, **KAPPA_BUDGET_ROW)
     assert 0 < sum(sizes) <= 40 * KAPPA_BUDGET_ROW["eta_t"].size
+
+
+def test_optimize_kappa_batches_are_bounded_by_the_chunk(monkeypatch):
+    sizes = count_kernel_elements(monkeypatch)
+    values = np.linspace(0.0, 1.0, 2000)
+    _sweep_columns(Scenario(2, 0.5, None, 5.0), "eta_t", values, ("mixed",))
+    # the largest batch is the coarse grid of a full chunk, not of the sweep
+    assert max(sizes) == scan._CHUNK * (scan.KAPPA_NODES + 1)
 
 
 def test_optimize_kappa_equal_etas_skip_the_kernel(monkeypatch):
@@ -390,7 +394,9 @@ _GRID_ARRAYS = ("x_values", "y_values", "f_quantum", "f_classical", "ub_quantum"
                             "eta_b", (0.5, 0.55), quantum="mixed"), id="mixed_two_rows"),
     pytest.param(_small_region_spec(total_energy=1800.0), id="total_energy"),
 ])
-def test_region_scan_worker_count_invariant(spec):
+def test_region_scan_worker_count_invariant(spec, monkeypatch):
+    # small maps fit in one chunk; at 3 cells a chunk, 5 threads really run
+    monkeypatch.setattr(scan, "_CHUNK", 3)
     serial = region_scan(spec, workers=1)
     threaded = region_scan(spec, workers=5)
     assert (serial.kappa_star is None) == (spec.quantum != "mixed")
@@ -398,6 +404,28 @@ def test_region_scan_worker_count_invariant(spec):
         a, b = getattr(serial, name), getattr(threaded, name)
         assert (a is None and b is None) or np.array_equal(a, b), name
     assert serial.metadata == threaded.metadata
+
+
+_CHUNKED_ARGV = {
+    # the diagonal cells, at eta_b == eta_t, skip the kappa search
+    "mixed_region": ["region", "--quantum", "mixed", "--m", "2", "--ns", "20", "--x-points", "5",
+                     "--y-points", "5", "--workers", "2"],
+    "idler_free_region": ["region", "--m", "3", "--ns", "20", "--x-points", "4",
+                          "--y-points", "3"],
+    "figure_7": ["figure", "--id", "7", "--resolution", "5", "--format", "json"],
+    "mixed_sweep": ["sweep", "--variable", "eta_t", "--start", "0", "--stop", "1", "--points",
+                    "30", "--protocols", "mixed", "--m", "3", "--eta-b", "0.5", "--ns", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", _CHUNKED_ARGV.values(), ids=_CHUNKED_ARGV)
+def test_printed_bytes_do_not_depend_on_the_chunk_size(argv, capsys, monkeypatch):
+    printed = []
+    for chunk in (scan._CHUNK, 1, 7):
+        monkeypatch.setattr(scan, "_CHUNK", chunk)
+        assert main(argv) == 0
+        printed.append(capsys.readouterr())
+    assert printed[1:] == printed[:1] * 2
 
 
 def test_region_scan_fixed_energy_rounds():
@@ -436,23 +464,6 @@ def test_region_scan_mixed_tracks_kappa():
     point = optimize_kappa(Scenario(2, 0.55, 0.9, 50.0))
     assert grid.f_quantum[0, 0] == pytest.approx(point.fidelity, rel=1e-12)
     assert grid.kappa_star[0, 0] == pytest.approx(point.kappa, abs=1e-9)
-
-
-def test_workers_resolution(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-    assert _resolve_workers(None) == 1
-    monkeypatch.setenv(WORKERS_ENV_VAR, "6")
-    assert _resolve_workers(None) == 6
-    assert _resolve_workers(2) == 2
-    with pytest.raises(DomainError):
-        _resolve_workers(0)
-
-
-@pytest.mark.parametrize("raw", ["abc", "1.5", "", "0", "-2"])
-def test_workers_env_var_must_be_a_positive_integer(monkeypatch, raw):
-    monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-    with pytest.raises(DomainError, match=WORKERS_ENV_VAR):
-        _resolve_workers(None)
 
 
 # ------------------------------------------------- expansions and extremes
