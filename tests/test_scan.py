@@ -382,6 +382,10 @@ def test_region_scan_shapes_and_certificate():
     assert np.array_equal(grid.certificate, grid.f_quantum < grid.f_classical**2)
     assert grid.kappa_star is None
     assert grid.metadata["quantum"] == "idler_free"
+    # no worker count is one worker; fewer than one is refused
+    assert region_scan(_small_region_spec()).f_quantum.tobytes() == grid.f_quantum.tobytes()
+    with pytest.raises(DomainError, match="workers"):
+        region_scan(_small_region_spec(), workers=0)
 
 
 _GRID_ARRAYS = ("x_values", "y_values", "f_quantum", "f_classical", "ub_quantum",
