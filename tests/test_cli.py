@@ -172,6 +172,20 @@ def test_figure_deterministic_across_worker_counts(capsys):
     assert serial == threaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("figure", "--id", "6", "--resolution", "3"),
+     ("region", "--x-points", "3", "--y-points", "2", "--ns", "5")],
+)
+def test_workers_env_var_is_ignored(capsys, monkeypatch, argv):
+    # --workers is the one worker knob; the environment does not set it
+    monkeypatch.delenv("CPFKIT_WORKERS", raising=False)
+    plain = run_cli(capsys, *argv)
+    monkeypatch.setenv("CPFKIT_WORKERS", "abc")
+    assert run_cli(capsys, *argv) == plain
+    assert plain[0] == 0
+
+
 # ----------------------------------------------------------- sweep, region
 
 

@@ -1,6 +1,7 @@
 """Scan engines: sweeps, mixing optimization, region maps, small expansions."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -382,10 +383,6 @@ def test_region_scan_shapes_and_certificate():
     assert np.array_equal(grid.certificate, grid.f_quantum < grid.f_classical**2)
     assert grid.kappa_star is None
     assert grid.metadata["quantum"] == "idler_free"
-    # no worker count is one worker; fewer than one is refused
-    assert region_scan(_small_region_spec()).f_quantum.tobytes() == grid.f_quantum.tobytes()
-    with pytest.raises(DomainError, match="workers"):
-        region_scan(_small_region_spec(), workers=0)
 
 
 _GRID_ARRAYS = ("x_values", "y_values", "f_quantum", "f_classical", "ub_quantum",
@@ -468,6 +465,37 @@ def test_region_scan_mixed_tracks_kappa():
     point = optimize_kappa(Scenario(2, 0.55, 0.9, 50.0))
     assert grid.f_quantum[0, 0] == pytest.approx(point.fidelity, rel=1e-12)
     assert grid.kappa_star[0, 0] == pytest.approx(point.kappa, abs=1e-9)
+
+
+def test_workers_resolution(monkeypatch):
+    pools = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(scan, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(scan, "_CHUNK", 10)  # the 5 x 7 map is four chunks
+    serial = region_scan(_small_region_spec(), workers=1)
+    # no worker count is one worker, in the caller's thread
+    assert region_scan(_small_region_spec()).f_quantum.tobytes() == serial.f_quantum.tobytes()
+    assert pools == []
+    # a pool has the workers asked for, but never more than there are chunks
+    region_scan(_small_region_spec(), workers=2)
+    region_scan(_small_region_spec(), workers=6)
+    assert pools == [2, 4]
+    with pytest.raises(DomainError, match="workers"):
+        region_scan(_small_region_spec(), workers=0)
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "", "0", "-2"])
+def test_workers_must_be_a_positive_integer(capsys, raw):
+    argv = ["region", "--x-points", "3", "--y-points", "2", "--ns", "5", "--workers", raw]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--workers" in err and "Traceback" not in err
 
 
 # ------------------------------------------------- expansions and extremes
