@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 # Largest mean photon number per probe mode accepted.  Every evaluation path
-# stays finite beyond it; the first to overflow is the mixed protocol at
-# m = 2, from n_s = 1e87.
+# stays finite beyond it; the first measured to overflow is the kernel on the
+# reduced pair, from n_s = 1e147.
 N_S_MAX = 1e75
 
 

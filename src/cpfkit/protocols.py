@@ -52,7 +52,10 @@ class FidelityReport:
     """Result of :func:`output_fidelity`: value plus how it was computed."""
 
     value: float
-    path: str  # "closed-form" | "reduced" | "direct"
+    # "closed-form" | "reduced" | "direct": "direct" is the full-size pair, and
+    # also the two-mode pair of the auto path at m = 2, whose mixed-probe
+    # value is the pair's closed form rather than the kernel's
+    path: str
     kind: ProtocolKind
     diagnostics: dict = field(default_factory=dict)
     warnings: Tuple[str, ...] = ()
@@ -121,6 +124,47 @@ def idler_free_binary_fidelity(eta_b, eta_t, n_s):
     )
     # algebraically (sqrt(eta_b(1-eta_t)) - sqrt(eta_t(1-eta_b)))^2 >= 0
     return (1.0 + n_s * np.maximum(0.0, gap)) ** -1.0
+
+
+def _mixed_binary_fidelity(eta_b, eta_t, n_s, kappa):
+    """Fidelity of the two-box mixed-probe output pair, element-wise.
+
+    Unchecked: the parameters must lie in their domains, and eta_b != eta_t
+    (equal etas divide 0 by 0 where both are 0).  In the basis
+    (e_0 +/- e_1)/sqrt(2) both covariance sums are diagonal, and both
+    eigenvalues of the kernel's XY are equal, so with x = 2 kappa n_s
+    (= mu - 1), h = eta_b(1-eta_t) + eta_t(1-eta_b) and gap = |eta_b - eta_t|
+
+        F = (2 + x h + sqrt(disc)) / (2 (1 + P))
+            * exp(-(1 - kappa) n_s (sqrt(eta_b) - sqrt(eta_t))^2 / w),
+
+    with P = x h + (x gap / 2)^2, disc = (2 + x h)^2 - 4 (1 + P) and w half
+    the q covariance sum along e_0 - e_1.  disc and w are evaluated as
+    products and sums of nonnegative terms, so that no digits cancel; the
+    kernel's snap and its failure on a singular sum have no counterpart
+    here.  Within 1e-12 relative of the mpmath oracle on its m = 2 audit
+    points and up to n_s = 1e75, also at eta = 1 and at nearly equal etas,
+    where the kernel loses digits (tests/test_kernel_oracle.py).
+    """
+    x = 2.0 * kappa * n_s
+    lo, hi = np.minimum(eta_b, eta_t), np.maximum(eta_b, eta_t)
+    gap = hi - lo
+    h = eta_b * (1.0 - eta_t) + eta_t * (1.0 - eta_b)
+    half = 0.5 * x * gap
+    p = x * h + half * half
+    s = np.sqrt(1.0 + p)
+    # (2 + x h)^2 - 4 (1 + P) as a product, 0 exactly where an output is pure
+    # (lo = 0 or hi = 1), where the difference would keep only rounding
+    disc = (2.0 * x * lo * (1.0 - hi) / (s + 1.0 + half) * (p / (s + 1.0) + half)
+            * (2.0 + x * h + 2.0 * s))
+    root = np.sqrt(eta_b * eta_t)
+    dist = (gap / (np.sqrt(eta_b) + np.sqrt(eta_t))) ** 2  # (sqrt(eta_b) - sqrt(eta_t))^2
+    # half the covariance sum along e_0 - e_1; 1 - eta_b eta_t = (1 - hi) + hi (1 - lo)
+    w = (0.5 * x * dist + ((1.0 - hi) + hi * (1.0 - lo)) / (1.0 + root)
+         + root / (1.0 + x + np.sqrt(x * (x + 2.0))))
+    value = ((2.0 + x * h + np.sqrt(disc)) / (2.0 * (1.0 + p))
+             * np.exp(-(1.0 - kappa) * n_s * dist / w))
+    return np.minimum(value, 1.0)
 
 
 def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
@@ -213,11 +257,13 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
 
     Classical, bipartite and the two-box idler-free protocol use their closed
     forms (path "closed-form", ``pair`` None).  The idler-free protocol at
-    m >= 3 and the mixed protocol at the given ``kappa`` run on the output
-    pair of :func:`output_pair_arrays`, "direct" at m = 2 and "reduced"
-    beyond, and ``pair`` holds its arrays.  Where eta_b == eta_t the m output
-    states are one state and the value is exactly 1; the kernel is not run
-    there, where it loses digits or fails on large n_s.  A pair the kernel
+    m >= 3 and the mixed protocol at the given ``kappa`` have ``pair``, the
+    output pair of :func:`output_pair_arrays`, with path "direct" at m = 2
+    and "reduced" beyond.  The mixed protocol at m = 2 takes its value from
+    the pair's closed form, :func:`_mixed_binary_fidelity`; every other pair
+    goes to the Gaussian kernel.  Where eta_b == eta_t the m output states
+    are one state and the value is exactly 1; nothing is evaluated there,
+    where the kernel loses digits or fails on large n_s.  A pair the kernel
     cannot evaluate is refused on n_s (:func:`pair_fidelity`).  ``m`` is
     checked also where the closed forms do not read it.
     """
@@ -232,16 +278,24 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     else:
         if kind is ProtocolKind.MIXED and kappa is None:
             raise DomainError("the mixed protocol needs a kappa")
-        pair = output_pair_arrays(m, eta_b, eta_t, n_s, FAMILY_KAPPA.get(kind, kappa))
+        kappa = FAMILY_KAPPA.get(kind, kappa)
+        pair = output_pair_arrays(m, eta_b, eta_t, n_s, kappa)
         path = "direct" if m == 2 else "reduced"
+        if kind is ProtocolKind.MIXED and m == 2:
+            # the parameters output_pair_arrays has checked, in the pair's batch
+            args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                         for v in (eta_b, eta_t, n_s, kappa)))
+            evaluate = _mixed_binary_fidelity
+        else:
+            args, evaluate = pair, pair_fidelity
         # the etas, not the arrays: sqrt(eta * eta) need not equal eta
         same = np.equal(eta_b, eta_t)
         if not same.any():
-            return pair_fidelity(*pair), path, pair
+            return evaluate(*args), path, pair
         same = np.broadcast_to(same, pair[0].shape[:-2])
         value = np.ones(same.shape)
         if not same.all():
-            value[~same] = pair_fidelity(*(array[~same] for array in pair))
+            value[~same] = evaluate(*(array[~same] for array in args))
         return value, path, pair
     same = np.equal(eta_b, eta_t)
     return (np.where(same, 1.0, value) if same.any() else value), "closed-form", None

@@ -1,7 +1,7 @@
 """Parameter scans: sweeps, mixing optimization, and advantage maps.
 
 All engines here are deterministic: every cell is evaluated on its own, with
-no stateful accumulation, and cells go to the kernel _CHUNK at a time, so
+no stateful accumulation, and cells are evaluated _CHUNK at a time, so
 results are byte-identical across runs, worker counts and chunk sizes.
 """
 
@@ -36,8 +36,8 @@ KAPPA_MAX_STEPS = 16
 KAPPA_EDGE_STEP = 1e-4
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
-# cells per kernel batch: a kappa search, and a map's quantum column, run
-# _CHUNK cells at a time, which bounds the kernel's memory
+# cells per batch: a kappa search, and a map's quantum column, run _CHUNK
+# cells at a time, which bounds the memory of each kernel or closed-form call
 _CHUNK = 512
 
 SWEEP_VARIABLES = ("eta_b", "eta_t", "n_s", "m", "m_probes")
@@ -52,7 +52,8 @@ def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     protocol uses ``kappa`` when given and otherwise minimizes over it per
     element (path "optimized"); its kappa_used has the fidelity's shape, and
     every other protocol's is None.  The rest is :func:`protocols.route`:
-    closed forms, the two-mode pair at m = 2 or the reduced three-mode pair.
+    closed forms (the mixed protocol's at m = 2 among them), or the kernel on
+    the reduced three-mode pair.
     """
     if protocol == "mixed" and kappa is None:
         kappa, value = _optimize_kappa_batch(m, eta_b, eta_t, n_s)
@@ -76,20 +77,21 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
 
     Returns (kappa, fidelity) with the broadcast shape of the parameters,
     which are checked once, here.  Where eta_b == eta_t every kappa gives
-    fidelity 1, and the cell returns kappa = 0 without a kernel call.  Every
+    fidelity 1, and the cell returns kappa = 0 without being evaluated.  Every
     other cell is searched on its own, _CHUNK cells at a time, so its result
     does not depend on the batch around it.  The search works in
     t = log(kappa), which resolves the sqrt(kappa * n_s) boundary layer of F
-    at kappa = 0.  One kernel call evaluates the coarse grid, which holds
-    both endpoints.  A Brent search (safeguarded parabolic steps,
-    golden-section fallback) then refines the bracket of the best node's
-    neighbours, one kernel call per step for the cells still open; the
-    KAPPA_* constants say when a cell stops.  A best node at kappa = 0 is
-    kept; one at kappa = 1 is refined only if kappa = exp(-KAPPA_EDGE_STEP)
-    is lower.  F(kappa) can have several wells (often a second one at
-    kappa = 1, past a local maximum near 0.98), and only the best node's
-    bracket is refined.  The result is the best point evaluated, so it never
-    loses to either endpoint.
+    at kappa = 0.  One call evaluates the coarse grid, which holds both
+    endpoints.  A Brent search (safeguarded parabolic steps, golden-section
+    fallback) then refines the bracket of the best node's neighbours, one
+    call per step for the cells still open; the KAPPA_* constants say when a
+    cell stops.  A call is the kernel on the reduced pair, or at m = 2 the
+    pair's closed form, :func:`protocols._mixed_binary_fidelity`.  A best
+    node at kappa = 0 is kept; one at kappa = 1 is refined only if
+    kappa = exp(-KAPPA_EDGE_STEP) is lower.  F(kappa) can have several wells
+    (often a second one at kappa = 1, past a local maximum near 0.98), and
+    only the best node's bracket is refined.  The result is the best point
+    evaluated, so it never loses to either endpoint.
     """
     m = int(check("m", m))
     eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
@@ -109,6 +111,9 @@ def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray
     def mixed(cells, kappa):
         # through the protocols module's attributes, so that a wrapper
         # installed there sees every call
+        if m == 2:
+            return protocols._mixed_binary_fidelity(eta_b[cells], eta_t[cells], n_s[cells],
+                                                    kappa)
         pair = protocols.output_pair_arrays(m, eta_b[cells], eta_t[cells], n_s[cells], kappa)
         return protocols.pair_fidelity(*pair)
 
@@ -158,12 +163,14 @@ def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray
                 | ((np.abs(fw - fx) <= KAPPA_FTOL * fx) & (np.abs(fv - fx) <= KAPPA_FTOL * fx))
                 | ((x == b) & (b - a <= KAPPA_EDGE_STEP))
                 | (steps == KAPPA_MAX_STEPS))
-        t_best[cells[done]], f_best[cells[done]] = x[done], fx[done]
         if done.all():
+            t_best[cells], f_best[cells] = x, fx
             break
-        go = ~done
-        cells, x, fx, a, b, w, fw, v, fv, d, e, mid, parabolic, step = (
-            z[go] for z in (cells, x, fx, a, b, w, fw, v, fv, d, e, mid, parabolic, step))
+        if done.any():  # the open cells' state is re-indexed only when one closes
+            t_best[cells[done]], f_best[cells[done]] = x[done], fx[done]
+            go = ~done
+            cells, x, fx, a, b, w, fw, v, fv, d, e, mid, parabolic, step = (
+                z[go] for z in (cells, x, fx, a, b, w, fw, v, fv, d, e, mid, parabolic, step))
 
         step = np.where((x + step - a < tol2) | (b - x - step < tol2),
                         np.copysign(tol, mid - x), step)

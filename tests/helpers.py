@@ -377,3 +377,18 @@ def count_kernel_elements(monkeypatch) -> list:
 
     monkeypatch.setattr(protocols, "fidelity_from_arrays", counting)
     return sizes
+
+
+def count_closed_form_elements(monkeypatch) -> list:
+    """Make cpfkit.protocols._mixed_binary_fidelity, the two-box mixed pair's
+    closed form, record the size of each call; returns the list it appends to."""
+    sizes = []
+    closed_form = protocols._mixed_binary_fidelity
+
+    def counting(eta_b, eta_t, n_s, kappa):
+        value = closed_form(eta_b, eta_t, n_s, kappa)
+        sizes.append(np.size(value))
+        return value
+
+    monkeypatch.setattr(protocols, "_mixed_binary_fidelity", counting)
+    return sizes

@@ -145,16 +145,15 @@ def _invocations() -> list:
         ([*_KAP, "--output", "{dir}"], None),
         ([*_KAP, "--output", "{dir}/missing/x.csv"], None),
     ]
-    # nearly equal etas at a large n_s, where the fidelity kernel cannot run
+    # nearly equal etas at a large n_s, where the fidelity kernel cannot run (at
+    # m = 2 the pair's closed form answers them; tests/test_kernel_oracle.py)
     near = ["--eta-b", "0.5", "--eta-t", "0.500000001"]
     line = ["--x", "eta_t", "--x-start", "0.500000001", "--x-stop", "0.500000001",
             "--x-points", "1", "--y", "eta_b", "--y-start", "0.5", "--y-stop", "0.5",
             "--y-points", "1"]
     cases += [(argv, None) for argv in (
-        ["kappa", "--m", "2", *near, "--ns", "1e50"],
         ["fidelity", "--protocol", "all", "--m", "7", *near, "--ns", "1e20"],
         ["fidelity", "--protocol", "mixed", "--kappa", "0.1", "--m", "7", *near, "--ns", "1e20"],
-        ["region", "--quantum", "mixed", "--m", "2", "--ns", "1e50", *line],
         ["region", "--quantum", "mixed", "--m", "7", "--ns", "1e20", *line],
         ["sweep", "--protocols", "mixed", "--m", "7", "--eta-b", "0.5", "--ns", "1e20",
          "--variable", "eta_t", "--start", "0.500000001", "--stop", "0.500000001",

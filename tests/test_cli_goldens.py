@@ -4,10 +4,13 @@ The expected outputs in ``data/cli_goldens.json`` pin the exact bytes the
 command line prints, so a refactor of the engines behind it can prove that
 nothing visible changed.  To capture them again (only when a change of output
 is intended), run ``python tests/test_cli_goldens.py`` from the repository
-root with ``src`` on the path.
+root with ``src`` on the path.  It prints each case whose bytes change, with
+the largest relative change among its numeric cells and every line that
+changes in anything but its numbers.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -101,16 +104,48 @@ def test_cli_output_matches_golden(argv, goldens, capsys, monkeypatch):
     assert _run(argv, capsys) == goldens[" ".join(argv)]
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _changes(old: str, new: str) -> tuple:
+    """The largest relative change among the numeric cells of two outputs,
+    and the (old, new) lines that differ in anything else."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return 0.0, [(f"{len(old_lines)} lines", f"{len(new_lines)} lines")]
+    largest, other = 0.0, []
+    for before, after in zip(old_lines, new_lines):
+        if before == after:
+            continue
+        if _NUMBER.split(before) != _NUMBER.split(after):
+            other.append((before, after))
+            continue
+        for a, b in zip(*(map(float, _NUMBER.findall(line)) for line in (before, after))):
+            if a != b:
+                largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+    return largest, other
+
+
 def _capture() -> None:
     import contextlib
     import io
 
+    previous = {" ".join(case["argv"]): case["stdout"]
+                for case in json.loads(GOLDENS.read_text(encoding="utf-8"))["cases"]}
     cases = []
     for argv in _invocations():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(list(argv)) == 0, argv
         cases.append({"argv": argv, "stdout": out.getvalue()})
+        old = previous.get(" ".join(argv))
+        if old is None:
+            print(f"new: {' '.join(argv)}")
+        elif old != out.getvalue():
+            largest, other = _changes(old, out.getvalue())
+            print(f"changed: {' '.join(argv)}: largest relative change {largest:.3g}")
+            for before, after in other:
+                print(f"  - {before}\n  + {after}")
     GOLDENS.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
 
 

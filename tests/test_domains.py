@@ -96,7 +96,7 @@ def test_direct_path_refuses_m_above_its_ceiling(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: fidelity("mixed", 2, 0.5, 0.500000001, 1e50),  # the kappa search
+    lambda: fidelity("mixed", 7, 0.5, 0.500000001, 1e20),  # the kappa search
     lambda: fidelity("mixed", 7, 0.5, 0.500000001, 1e20, 0.1),  # a fixed kappa
     lambda: output_fidelity(Scenario(7, 0.5, 0.500000001, 1e20, kappa=0.1), "mixed"),
 ], ids=["optimized", "fixed-kappa", "output_fidelity"])

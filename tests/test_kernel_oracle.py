@@ -4,9 +4,14 @@ The fixture (tests/data/kernel_oracle.json, written by kernel_oracle.py)
 holds, for every audit point, the oracle value and the value of the complex
 2k x 2k eigvals kernel that preceded the q/p split.  The gate compares the
 current kernel with both; a few points are re-derived live so that the
-fixture cannot go stale.  States with q-p correlations, which take the
-kernel's general path, are checked against the oracle at the end.
+fixture cannot go stale.  The fidelity the command line prints,
+``scan.fidelity``, is gated on the same points: at m = 2 it comes from the
+two-box pair's closed form, which is also pinned at points beyond the audit
+grid.  States with q-p correlations, which take the kernel's general path,
+are checked against the oracle at the end.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ import kernel_oracle as oracle  # noqa: E402
 from cpfkit.cli import main  # noqa: E402
 from cpfkit.gaussian import fidelity_from_arrays  # noqa: E402
 from cpfkit.protocols import output_pair_arrays  # noqa: E402
+from cpfkit.scan import fidelity  # noqa: E402
 
 ROWS = oracle.load_fixture()
 
@@ -25,6 +31,8 @@ TOL_ETA_BELOW_ONE = 1e-6
 TOL_ETA_ONE = 1e-4
 # relative, on the states with q-p correlations below (1.9e-13 observed)
 TOL_GENERAL = 1e-12
+# relative, on the two-box mixed pair's closed form (1.8e-13 observed)
+TOL_TWO_BOX = 1e-12
 
 
 def _point(row):
@@ -79,6 +87,67 @@ def test_near_pure_outputs_fixed(errors):
     err, seed = by_point[(2, 0.5, 0.5000001, 0.17, 0.0016)]
     assert seed > 1e-4
     assert err < 1e-12
+
+
+@pytest.mark.parametrize("m", oracle.AUDIT_M)
+def test_printed_fidelity_meets_the_oracle(m):
+    # scan.fidelity at a fixed kappa, as the command line calls it, on every
+    # audit point of this m at once
+    rows = [row for row in ROWS if row["m"] == m]
+    eta_b, eta_t, n_s, kappa = (np.array([row[name] for row in rows])
+                                for name in ("eta_b", "eta_t", "n_s", "kappa"))
+    values = fidelity("mixed", m, eta_b, eta_t, n_s, kappa)[0]
+    for row, value in zip(rows, values):
+        reference = row["oracle"]
+        if m == 2:
+            assert value == pytest.approx(reference, rel=TOL_TWO_BOX, abs=1e-300), _point(row)
+        else:
+            eta_one = 1.0 in (row["eta_b"], row["eta_t"])
+            tol = TOL_ETA_ONE if eta_one else TOL_ETA_BELOW_ONE
+            assert abs(value - reference) <= tol, _point(row)
+
+
+# Two-box points beyond the audit grid, where the kernel loses digits or
+# refuses: nearly equal etas at large n_s, n_s = N_S_MAX, and eta_t = 1.  The
+# oracle needs 120 digits at n_s = 1e75, where 80 digits read 1.1e-6 off.
+HARD_DIGITS = 120
+HARD_POINTS = [
+    (0.5, 0.500000001, 1e20, 0.1),
+    (0.5, 0.500000001, 1e30, 0.1),
+    (0.3, 0.5, 1e75, 1.0),
+    (0.999, 1.0, 1e5, 1.0),
+    (0.3, 1.0, 1e5, 0.3),
+]
+
+
+@pytest.mark.parametrize("point", HARD_POINTS, ids=str)
+def test_two_box_closed_form_at_hard_points(point):
+    reference = oracle.output_fidelity(2, *point, digits=HARD_DIGITS)
+    value = float(fidelity("mixed", 2, *point)[0])
+    assert value == pytest.approx(reference, rel=TOL_TWO_BOX)
+
+
+# the kernel refused these, on n_s, before the two-box closed form
+_NEAR_LINE = ["--x", "eta_t", "--x-start", "0.500000001", "--x-stop", "0.500000001",
+              "--x-points", "1", "--y", "eta_b", "--y-start", "0.5", "--y-stop", "0.5",
+              "--y-points", "1"]
+_ANSWERED = {
+    "kappa": (["kappa", "--m", "2", "--eta-b", "0.5", "--eta-t", "0.500000001",
+               "--ns", "1e50"], "kappa_star", "fidelity"),
+    "region": (["region", "--quantum", "mixed", "--m", "2", "--ns", "1e50", *_NEAR_LINE],
+               "kappa_star", "f_quantum"),
+}
+
+
+@pytest.mark.parametrize("case", _ANSWERED.values(), ids=_ANSWERED)
+def test_near_equal_etas_at_two_boxes_are_answered(case, capsys):
+    argv, kappa_column, fidelity_column = case
+    assert main([*argv, "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    (row,) = (dict(zip(document["columns"], r)) for r in document["rows"])
+    reference = oracle.output_fidelity(2, 0.5, 0.500000001, 1e50, row[kappa_column],
+                                       digits=HARD_DIGITS)
+    assert row[fidelity_column] == pytest.approx(reference, rel=TOL_TWO_BOX, abs=1e-300)
 
 
 # every 101st audit point, which spans all m, eta pairs and kappa values

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpfkit import (
@@ -12,6 +12,7 @@ from cpfkit import (
     bipartite_fidelity,
     build_probe,
     classical_fidelity,
+    fidelity_from_arrays,
     gaussian_fidelity,
     idler_free_binary_fidelity,
     mixed_probe,
@@ -20,9 +21,10 @@ from cpfkit import (
     pure_loss,
     symplectic_form,
 )
-from cpfkit.protocols import PROTOCOL_IDS, route
+from cpfkit.protocols import PROTOCOL_IDS, _mixed_binary_fidelity, route
 from helpers import (
     bipartite_fidelity_numeric,
+    count_kernel_elements,
     photon_number,
     reduced_output_pair,
     reduction_symplectic,
@@ -165,6 +167,32 @@ def test_auto_and_direct_paths_agree(protocol, m, eta_b, eta_t, log_n_s, kappa):
     direct = output_fidelity(scenario, protocol, path="direct")
     assert abs(auto.value - direct.value) <= 1e-6
 
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(eta_b=_ETAS, eta_t=_ETAS, log_n_s=st.floats(-6.0, 6.0), kappa=st.floats(0.0, 1.0))
+def test_two_box_mixed_closed_form_properties(eta_b, eta_t, log_n_s, kappa):
+    assume(eta_b != eta_t)  # the closed form's domain: equal etas divide 0 by 0
+    n_s = 10.0**log_n_s
+    value = float(_mixed_binary_fidelity(eta_b, eta_t, n_s, kappa))
+    assert 0.0 <= value <= 1.0
+    assert float(_mixed_binary_fidelity(eta_t, eta_b, n_s, kappa)) == value
+    if max(eta_b, eta_t) < 1.0:
+        # within the kernel's stated accuracy, where it holds
+        pair = output_pair_arrays(2, eta_b, eta_t, n_s, kappa)
+        assert abs(value - float(fidelity_from_arrays(*pair))) <= 1e-6
+
+
+# up to n_s = 1e4: beyond it the idler-free form's gap cancels at nearly equal
+# etas and loses more than 1e-11 relative by itself
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(eta_b=_ETAS, eta_t=_ETAS, log_n_s=st.floats(-6.0, 4.0))
+def test_two_box_mixed_closed_form_meets_the_endpoint_forms(eta_b, eta_t, log_n_s):
+    assume(eta_b != eta_t)
+    n_s = 10.0**log_n_s
+    for kappa, closed in ((0.0, classical_fidelity), (1.0, idler_free_binary_fidelity)):
+        value = float(_mixed_binary_fidelity(eta_b, eta_t, n_s, kappa))
+        assert value == pytest.approx(float(closed(eta_b, eta_t, n_s)), rel=1e-11, abs=1e-300)
+
 def _through_boxes(probe, modes, scenario, target):
     """The probe's box modes sent through the boxes, the target at ``target``."""
     etas = [scenario.eta_t if box == target else scenario.eta_b for box in range(len(modes))]
@@ -261,6 +289,17 @@ def test_output_fidelity_dispatch_labels():
     mixed_binary = Scenario(2, 0.6, 0.9, 5.0, kappa=0.4)
     assert output_fidelity(mixed_binary, "mixed").path == "direct"
     assert output_fidelity(Scenario(3, 0.6, 0.9, 5.0, kappa=0.4), "mixed").path == "reduced"
+
+
+def test_two_box_mixed_protocol_runs_no_kernel(monkeypatch):
+    sizes = count_kernel_elements(monkeypatch)
+    eta_t = np.array([0.9, 0.6, 1.0])
+    value, path, pair = route("mixed", 2, 0.6, eta_t, 5.0, 0.4)
+    report = output_fidelity(Scenario(2, 0.6, 0.9, 5.0, kappa=0.4), "mixed")
+    assert sizes == []
+    assert path == report.path == "direct" and pair[0].shape == (3, 4, 4)
+    assert value[1] == 1.0 and value[0] == report.value
+    assert report.diagnostics["min_symplectic_eigenvalue"] >= 1.0 - 1e-9
 
 
 def test_mixed_requires_kappa():

@@ -24,6 +24,7 @@ from cpfkit.cli import main
 from cpfkit.scan import _optimize_kappa_batch, _sweep_columns
 from helpers import (
     KAPPA_BUDGET_ROW,
+    count_closed_form_elements,
     count_kernel_elements,
     expansion_coefficient,
     extreme_point_check,
@@ -183,16 +184,32 @@ def test_optimize_kappa_is_independent_of_the_batch(m):
 
 @pytest.mark.parametrize("m", [2, 8])
 def test_optimize_kappa_kernel_budget(m, monkeypatch):
-    sizes = count_kernel_elements(monkeypatch)
+    kernel = count_kernel_elements(monkeypatch)
+    closed_form = count_closed_form_elements(monkeypatch)
     _optimize_kappa_batch(m, **KAPPA_BUDGET_ROW)
-    assert 0 < sum(sizes) <= 40 * KAPPA_BUDGET_ROW["eta_t"].size
+    # at m = 2 the pair's closed form takes the kernel's place, within its budget
+    evaluated, unused = (closed_form, kernel) if m == 2 else (kernel, closed_form)
+    assert unused == []
+    assert 0 < sum(evaluated) <= 40 * KAPPA_BUDGET_ROW["eta_t"].size
+
+
+def _sweep_batches(m, counter, monkeypatch) -> list:
+    sizes = counter(monkeypatch)
+    values = np.linspace(0.0, 1.0, 2000)
+    _sweep_columns(Scenario(m, 0.5, None, 5.0), "eta_t", values, ("mixed",))
+    return sizes
 
 
 def test_optimize_kappa_batches_are_bounded_by_the_chunk(monkeypatch):
-    sizes = count_kernel_elements(monkeypatch)
-    values = np.linspace(0.0, 1.0, 2000)
-    _sweep_columns(Scenario(2, 0.5, None, 5.0), "eta_t", values, ("mixed",))
+    sizes = _sweep_batches(3, count_kernel_elements, monkeypatch)
     # the largest batch is the coarse grid of a full chunk, not of the sweep
+    assert max(sizes) == scan._CHUNK * (scan.KAPPA_NODES + 1)
+
+
+def test_optimize_kappa_closed_form_batches_are_bounded_by_the_chunk(monkeypatch):
+    kernel = count_kernel_elements(monkeypatch)
+    sizes = _sweep_batches(2, count_closed_form_elements, monkeypatch)
+    assert kernel == []
     assert max(sizes) == scan._CHUNK * (scan.KAPPA_NODES + 1)
 
 

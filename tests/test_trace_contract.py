@@ -84,7 +84,7 @@ def test_tracer_counts_every_block_of_rows(fmt, monkeypatch):
     assert counts[f"cli.render_{fmt}.bytes"] == len(traced.encode())
 
 
-@pytest.mark.parametrize("m", ["2", "8"])
+@pytest.mark.parametrize("m", ["2", "3", "8"])
 def test_tracer_counts_the_kappa_optimizer(m, monkeypatch):
     monkeypatch.delenv("CPFKIT_WORKERS", raising=False)
     tracer = _tracer()
@@ -93,6 +93,11 @@ def test_tracer_counts_the_kappa_optimizer(m, monkeypatch):
     assert not set(_OPTIMIZER_PATH) & set(tracer.absent)
     counts = tracer.counts()
     assert counts["scan.optimize_kappa.cells"] == KAPPA_BUDGET_ROW["eta_t"].size
+    if m == "2":
+        # the two-box pair's closed form answers every cell: no kernel call
+        assert counts.get("gaussian.fidelity_from_arrays.calls", 0) == 0
+        assert counts["kernel_in_optimize.calls"] == 0
+        return
 
     sizes = count_kernel_elements(monkeypatch)
     _optimize_kappa_batch(int(m), **KAPPA_BUDGET_ROW)
