@@ -193,6 +193,7 @@ def test_two_box_mixed_closed_form_meets_the_endpoint_forms(eta_b, eta_t, log_n_
         value = float(_mixed_binary_fidelity(eta_b, eta_t, n_s, kappa))
         assert value == pytest.approx(float(closed(eta_b, eta_t, n_s)), rel=1e-11, abs=1e-300)
 
+
 def _through_boxes(probe, modes, scenario, target):
     """The probe's box modes sent through the boxes, the target at ``target``."""
     etas = [scenario.eta_t if box == target else scenario.eta_b for box in range(len(modes))]
@@ -298,7 +299,7 @@ def test_two_box_mixed_protocol_runs_no_kernel(monkeypatch):
     report = output_fidelity(Scenario(2, 0.6, 0.9, 5.0, kappa=0.4), "mixed")
     assert sizes == []
     assert path == report.path == "direct" and pair[0].shape == (3, 4, 4)
-    assert value[1] == 1.0 and value[0] == report.value
+    assert value[1] == 1.0 and value[0] == pytest.approx(report.value, rel=1e-14)
     assert report.diagnostics["min_symplectic_eigenvalue"] >= 1.0 - 1e-9
 
 
