@@ -29,15 +29,7 @@ from .probes import (
     mixed_probe,
     symmetric_cm,
 )
-from .protocols import (
-    FidelityReport,
-    Scenario,
-    bipartite_fidelity,
-    classical_fidelity,
-    idler_free_binary_fidelity,
-    output_fidelity,
-    output_pair_arrays,
-)
+from .protocols import FidelityReport, Scenario, output_fidelity
 from .scan import (
     PROTOCOL_IDS,
     KappaResult,
@@ -66,23 +58,19 @@ __all__ = [
     "RegionGrid",
     "RegionSpec",
     "Scenario",
-    "bipartite_fidelity",
     "bipartite_probe",
     "build_probe",
     "check_physical",
-    "classical_fidelity",
     "classical_perr_lower",
     "evaluate_bounds",
     "fidelity",
     "fidelity_from_arrays",
     "gaussian_fidelity",
-    "idler_free_binary_fidelity",
     "log10_bound_ratio",
     "max_symmetric_correlation",
     "mixed_probe",
     "optimize_kappa",
     "output_fidelity",
-    "output_pair_arrays",
     "perr_lower",
     "perr_upper",
     "perr_upper_raw",

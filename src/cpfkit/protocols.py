@@ -5,7 +5,9 @@ the other m-1 apply eta_b.  Discriminating which box is the target reduces
 to telling apart the m possible output states, whose pairwise fidelity is
 what everything downstream (error bounds, advantage maps) consumes.  This
 module provides the closed forms where they exist and Gaussian-numerics
-paths (full-size "direct" and three-mode "reduced") where they do not.
+paths (full-size "direct" and three-mode "reduced") where they do not.  The
+entries (route, output_fidelity) check their inputs once; what they call
+behind that, the closed forms and output_pair_arrays, checks nothing again.
 """
 
 from __future__ import annotations
@@ -79,19 +81,15 @@ def listed_protocols(m: int) -> tuple:
     return tuple(p for p, (_, swapped) in _PROTOCOLS.items() if m > 2 or not swapped)
 
 
-def _oriented(protocol, eta_b, eta_t):
-    """The probe family of a protocol id and the (eta_b, eta_t) it sees."""
+def _checked(protocol, m, eta_b, eta_t, n_s) -> tuple:
+    """(family, m, eta_b, eta_t, n_s) of a protocol id at one point, checked
+    under the caller's field names before a swapped protocol's etas swap."""
+    m = int(check("m", m))
     if protocol not in _PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}; valid: {PROTOCOL_IDS}")
     kind, swapped = _PROTOCOLS[protocol]
-    if not swapped:
-        return kind, eta_b, eta_t
-    # checked before the swap, so that a message names the caller's field
-    return kind, check("eta_t", eta_t), check("eta_b", eta_b)
-
-
-def _check_point(eta_b, eta_t, n_s) -> tuple:
-    return check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
+    eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
+    return (kind, m, eta_t, eta_b, n_s) if swapped else (kind, m, eta_b, eta_t, n_s)
 
 
 def classical_fidelity(eta_b, eta_t, n_s):
@@ -100,13 +98,11 @@ def classical_fidelity(eta_b, eta_t, n_s):
     The two hypotheses differ on two modes, each a coherent state, giving
     exp(-n_s (sqrt(eta_b) - sqrt(eta_t))^2) independent of m.
     """
-    eta_b, eta_t, n_s = _check_point(eta_b, eta_t, n_s)
     return np.exp(-n_s * (np.sqrt(eta_b) - np.sqrt(eta_t)) ** 2)
 
 
 def bipartite_fidelity(eta_b, eta_t, n_s):
     """Output fidelity with one two-mode squeezed pair per box, idlers retained."""
-    eta_b, eta_t, n_s = _check_point(eta_b, eta_t, n_s)
     gap = 1.0 - np.sqrt((1.0 - eta_b) * (1.0 - eta_t)) - np.sqrt(eta_b * eta_t)
     # the gap is nonnegative by Cauchy-Schwarz; round-off can leave -1e-16
     return (1.0 + n_s * np.maximum(0.0, gap)) ** -2.0
@@ -115,7 +111,6 @@ def bipartite_fidelity(eta_b, eta_t, n_s):
 def idler_free_binary_fidelity(eta_b, eta_t, n_s):
     """Output fidelity of the two-box idler-free probe (a squeezed pair split
     across the boxes)."""
-    eta_b, eta_t, n_s = _check_point(eta_b, eta_t, n_s)
     gap = (
         eta_b
         + eta_t
@@ -178,15 +173,8 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
 
     Returns (cov_1, cov_2, mean_1, mean_2) with the target at box 0 resp. 1.
     """
-    check("m", m)
-    eta_b, eta_t, n_s = _check_point(eta_b, eta_t, n_s)
-    kappa = check("kappa", kappa)
-
-    batch = np.broadcast_shapes(eta_b.shape, eta_t.shape, n_s.shape, kappa.shape)
-    eta_b, eta_t, n_s, kappa = (
-        np.broadcast_to(a, batch) for a in (eta_b, eta_t, n_s, kappa)
-    )
-
+    # the element-wise terms broadcast as they are assigned into the batch
+    batch = np.broadcast_shapes(*map(np.shape, (eta_b, eta_t, n_s, kappa)))
     mu = 1.0 + 2.0 * kappa * n_s
     c = np.sqrt(np.maximum(mu * mu - 1.0, 0.0)) / (m - 1)
     d_b = eta_b * mu + 1.0 - eta_b
@@ -218,15 +206,17 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     return cov_1, cov_1[..., swap[:, None], swap], mean_1, mean_1[..., swap]
 
 
-def pair_fidelity(cov_1, cov_2, mean_1, mean_2):
-    """:func:`fidelity_from_arrays` on output pairs of the auto path.
-
-    The kernel fails there only where a large n_s leaves V_a + V_b
-    numerically singular (eta_b and eta_t nearly equal), so that failure is
-    refused as a :class:`DomainError` on n_s that carries the kernel's reason.
+def pair_fidelity(m: int, eta_b, eta_t, n_s, kappa):
+    """Fidelity of the mixed (at kappa = 1 idler-free) output pair, batched
+    and unchecked: at m = 2 the pair's closed form (eta_b != eta_t), beyond
+    it the kernel on the reduced pair.  The kernel fails only where a large
+    n_s leaves V_a + V_b numerically singular (eta_b and eta_t nearly
+    equal); that is refused as a :class:`DomainError` on n_s with its reason.
     """
+    if m == 2:
+        return _mixed_binary_fidelity(eta_b, eta_t, n_s, kappa)
     try:
-        return fidelity_from_arrays(cov_1, cov_2, mean_1, mean_2)
+        return fidelity_from_arrays(*output_pair_arrays(m, eta_b, eta_t, n_s, kappa))
     except NumericError as exc:
         raise DomainError(f"is too large for the fidelity kernel at this point: {exc}",
                           "n_s") from exc
@@ -237,10 +227,8 @@ def pair_fidelity(cov_1, cov_2, mean_1, mean_2):
 DIRECT_M_MAX = 128
 
 
-def _direct_pair(kind: ProtocolKind, m, eta_b, eta_t, n_s, kappa) -> tuple:
+def _direct_pair(kind: ProtocolKind, m: int, eta_b, eta_t, n_s, kappa) -> tuple:
     """The full-size output pair, in :func:`output_pair_arrays`'s order."""
-    m = int(check("m", m))
-    eta_b, eta_t, n_s = _check_point(eta_b, eta_t, n_s)  # refuses a None
     if m > DIRECT_M_MAX:
         raise DomainError(f"must be at most {DIRECT_M_MAX} on the direct path, got {m}", "m")
     probe = build_probe(kind, m, n_s, kappa if kind is ProtocolKind.MIXED else None)
@@ -253,22 +241,22 @@ def _direct_pair(kind: ProtocolKind, m, eta_b, eta_t, n_s, kappa) -> tuple:
 
 
 def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
-    """Fixed-kappa fidelity of one protocol, batched: (value, path, pair).
+    """Fixed-kappa fidelity of one protocol, batched: (value, path).
 
-    Classical, bipartite and the two-box idler-free protocol use their closed
-    forms (path "closed-form", ``pair`` None).  The idler-free protocol at
-    m >= 3 and the mixed protocol at the given ``kappa`` have ``pair``, the
-    output pair of :func:`output_pair_arrays`, with path "direct" at m = 2
-    and "reduced" beyond.  The mixed protocol at m = 2 takes its value from
-    the pair's closed form, :func:`_mixed_binary_fidelity`; every other pair
-    goes to the Gaussian kernel.  Where eta_b == eta_t the m output states
-    are one state and the value is exactly 1; nothing is evaluated there,
-    where the kernel loses digits or fails on large n_s.  A pair the kernel
-    cannot evaluate is refused on n_s (:func:`pair_fidelity`).  ``m`` is
-    checked also where the closed forms do not read it.
+    The checked entry of every fixed-kappa fidelity: m, eta_b, eta_t and n_s
+    are checked once, under the caller's field names, before a swapped
+    protocol exchanges the etas, and kappa where a pair reads it; nothing
+    behind it checks again.  Classical, bipartite and the two-box idler-free
+    protocol use their closed forms (path "closed-form").  The idler-free
+    protocol at m >= 3 and the mixed protocol at the given ``kappa`` are
+    :func:`pair_fidelity`'s, with path "direct" at m = 2 and "reduced"
+    beyond.  Where eta_b == eta_t the m output states are one state and the
+    value is exactly 1; nothing is evaluated there, where the kernel loses
+    digits or fails on large n_s.
     """
-    check("m", m)
-    kind, eta_b, eta_t = _oriented(protocol, eta_b, eta_t)
+    kind, m, eta_b, eta_t, n_s = _checked(protocol, m, eta_b, eta_t, n_s)
+    # the etas, not the arrays: sqrt(eta * eta) need not equal eta
+    same = np.equal(eta_b, eta_t)
     if kind is ProtocolKind.CLASSICAL:
         value = classical_fidelity(eta_b, eta_t, n_s)
     elif kind is ProtocolKind.BIPARTITE:
@@ -276,29 +264,17 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     elif kind is ProtocolKind.IDLER_FREE and m == 2:
         value = idler_free_binary_fidelity(eta_b, eta_t, n_s)
     else:
-        if kind is ProtocolKind.MIXED and kappa is None:
-            raise DomainError("the mixed protocol needs a kappa")
-        kappa = FAMILY_KAPPA.get(kind, kappa)
-        pair = output_pair_arrays(m, eta_b, eta_t, n_s, kappa)
+        kappa = FAMILY_KAPPA[kind] if kind in FAMILY_KAPPA else check("kappa", kappa)
         path = "direct" if m == 2 else "reduced"
-        if kind is ProtocolKind.MIXED and m == 2:
-            # the parameters output_pair_arrays has checked, in the pair's batch
-            args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                         for v in (eta_b, eta_t, n_s, kappa)))
-            evaluate = _mixed_binary_fidelity
-        else:
-            args, evaluate = pair, pair_fidelity
-        # the etas, not the arrays: sqrt(eta * eta) need not equal eta
-        same = np.equal(eta_b, eta_t)
         if not same.any():
-            return evaluate(*args), path, pair
-        same = np.broadcast_to(same, pair[0].shape[:-2])
+            return pair_fidelity(m, eta_b, eta_t, n_s, kappa), path
+        args = np.broadcast_arrays(eta_b, eta_t, n_s, kappa)
+        same = np.broadcast_to(same, args[0].shape)
         value = np.ones(same.shape)
         if not same.all():
-            value[~same] = evaluate(*(array[~same] for array in args))
-        return value, path, pair
-    same = np.equal(eta_b, eta_t)
-    return (np.where(same, 1.0, value) if same.any() else value), "closed-form", None
+            value[~same] = pair_fidelity(m, *(array[~same] for array in args))
+        return value, path
+    return (np.where(same, 1.0, value) if same.any() else value), "closed-form"
 
 
 def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityReport:
@@ -308,26 +284,29 @@ def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityRep
     the auto path is :func:`route`'s, and the mixed protocol needs
     scenario.kappa.  ``path="direct"`` forces the full m-mode (2m for
     bipartite) computation for any protocol, which exists as a cross-check
-    of the fast paths.  Whenever the fidelity comes from an output pair, the
-    report carries the smaller min symplectic eigenvalue of the two states
-    and a warning for each unphysical one.  A None in m, eta_b, eta_t or n_s
-    is refused as required.
+    of the fast paths.  Whenever the fidelity comes from an output pair (on
+    the auto path built here, after route's checks), the report carries the
+    smaller min symplectic eigenvalue of the two states and a warning for
+    each unphysical one.  A None in m, eta_b, eta_t or n_s is refused as
+    required.
     """
     if path not in ("auto", "direct"):
         raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
-    probe, eta_b, eta_t = _oriented(kind, scenario.eta_b, scenario.eta_t)
+    s = scenario
     if path == "direct":
-        pair = _direct_pair(probe, scenario.m, eta_b, eta_t, scenario.n_s, scenario.kappa)
+        probe, m, eta_b, eta_t, n_s = _checked(kind, s.m, s.eta_b, s.eta_t, s.n_s)
+        pair = _direct_pair(probe, m, eta_b, eta_t, n_s, s.kappa)
         try:
             value, label = fidelity_from_arrays(*pair), "direct"
         except NumericError as exc:
             raise DomainError(f"direct cannot evaluate this point: {exc}", "path") from exc
     else:
-        value, label, pair = route(
-            kind, scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s, scenario.kappa
-        )
-        if pair is None:
+        value, label = route(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
+        probe, swapped = _PROTOCOLS[kind]
+        if label == "closed-form":
             return FidelityReport(float(value), label, probe)
+        eta_b, eta_t = (s.eta_t, s.eta_b) if swapped else (s.eta_b, s.eta_t)
+        pair = output_pair_arrays(s.m, eta_b, eta_t, s.n_s, FAMILY_KAPPA.get(probe, s.kappa))
     cov_1, cov_2, mean_1, mean_2 = pair
     reports = (check_physical(GaussianState(mean_1, cov_1)),
                check_physical(GaussianState(mean_2, cov_2)))

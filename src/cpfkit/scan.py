@@ -8,6 +8,7 @@ results are byte-identical across runs, worker counts and chunk sizes.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Tuple
@@ -51,14 +52,14 @@ def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     Returns (fidelity, kappa_used, path).  Parameters broadcast.  The mixed
     protocol uses ``kappa`` when given and otherwise minimizes over it per
     element (path "optimized"); its kappa_used has the fidelity's shape, and
-    every other protocol's is None.  The rest is :func:`protocols.route`:
-    closed forms (the mixed protocol's at m = 2 among them), or the kernel on
-    the reduced three-mode pair.
+    every other protocol's is None.  The rest is :func:`protocols.route`,
+    which checks the parameters: closed forms (the mixed protocol's at m = 2
+    among them, with no output pair built), or the kernel on the reduced pair.
     """
     if protocol == "mixed" and kappa is None:
         kappa, value = _optimize_kappa_batch(m, eta_b, eta_t, n_s)
         return value, kappa, "optimized"
-    value, path, _ = route(protocol, m, eta_b, eta_t, n_s, kappa)
+    value, path = route(protocol, m, eta_b, eta_t, n_s, kappa)
     if protocol != "mixed":
         return value, None, path
     return value, np.broadcast_to(np.asarray(kappa, dtype=float), np.shape(value)), path
@@ -85,8 +86,8 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     endpoints.  A Brent search (safeguarded parabolic steps, golden-section
     fallback) then refines the bracket of the best node's neighbours, one
     call per step for the cells still open; the KAPPA_* constants say when a
-    cell stops.  A call is the kernel on the reduced pair, or at m = 2 the
-    pair's closed form, :func:`protocols._mixed_binary_fidelity`.  A best
+    cell stops.  A call is :func:`protocols.pair_fidelity`, unchecked: the
+    kernel on the reduced pair, or at m = 2 the pair's closed form.  A best
     node at kappa = 0 is kept; one at kappa = 1 is refined only if
     kappa = exp(-KAPPA_EDGE_STEP) is lower.  F(kappa) can have several wells
     (often a second one at kappa = 1, past a local maximum near 0.98), and
@@ -109,13 +110,9 @@ def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray
     """:func:`_optimize_kappa_batch` on checked 1-d cells with eta_b != eta_t."""
 
     def mixed(cells, kappa):
-        # through the protocols module's attributes, so that a wrapper
+        # through the protocols module's attribute, so that a wrapper
         # installed there sees every call
-        if m == 2:
-            return protocols._mixed_binary_fidelity(eta_b[cells], eta_t[cells], n_s[cells],
-                                                    kappa)
-        pair = protocols.output_pair_arrays(m, eta_b[cells], eta_t[cells], n_s[cells], kappa)
-        return protocols.pair_fidelity(*pair)
+        return protocols.pair_fidelity(m, eta_b[cells], eta_t[cells], n_s[cells], kappa)
 
     every = np.arange(eta_b.size)
     t_floor = np.minimum(math.log(KAPPA_FLOOR) - np.log(n_s), math.log(KAPPA_FLOOR_MAX))
@@ -321,12 +318,13 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
     its kappa search for the mixed protocol), which runs on the raveled grid
     _CHUNK cells at a time to bound the kernel's batches.  ``workers``
     threads (None is 1) take the chunks, and one chunk or one worker runs in
-    the caller's thread.  A cell's result does not depend on its chunk, and
-    the chunks are assembled in grid order.
+    the caller's thread; what is not an integer >= 1 is refused.  A cell's
+    result does not depend on its chunk, and the chunks are assembled in
+    grid order.
     """
     workers = 1 if workers is None else workers
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise DomainError(f"must be an integer >= 1, got {workers!r}", "workers")
     x, y, base = spec.x_values, spec.y_values, spec.scenario
     axes = dict(zip((spec.x_name, spec.y_name), np.meshgrid(x, y)))
     eta_b, eta_t, n_s = (

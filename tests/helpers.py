@@ -2,8 +2,10 @@
 independent references and checks built on cpfkit's public API, kept out of
 the package."""
 
+import contextlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -15,16 +17,19 @@ from cpfkit import (
     InvalidStateError,
     ProtocolKind,
     Scenario,
-    bipartite_fidelity,
     bipartite_probe,
-    classical_fidelity,
+    errors,
     gaussian_fidelity,
-    idler_free_binary_fidelity,
-    output_pair_arrays,
     protocols,
     pure_loss,
 )
 from cpfkit.errors import check
+from cpfkit.protocols import (
+    bipartite_fidelity,
+    classical_fidelity,
+    idler_free_binary_fidelity,
+    output_pair_arrays,
+)
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
@@ -392,3 +397,38 @@ def count_closed_form_elements(monkeypatch) -> list:
 
     monkeypatch.setattr(protocols, "_mixed_binary_fidelity", counting)
     return sizes
+
+
+def count_pair_builds(monkeypatch) -> list:
+    """Make cpfkit.protocols.output_pair_arrays record the batch shape of
+    each pair it builds; returns the list it appends to."""
+    shapes = []
+    build = protocols.output_pair_arrays
+
+    def counting(m, eta_b, eta_t, n_s, kappa):
+        pair = build(m, eta_b, eta_t, n_s, kappa)
+        shapes.append(pair[0].shape[:-2])
+        return pair
+
+    monkeypatch.setattr(protocols, "output_pair_arrays", counting)
+    return shapes
+
+
+@contextlib.contextmanager
+def counting_checks():
+    """Yield a list of the field of every cpfkit.errors.check call made in
+    this thread while the block runs, found by its code object, so that a
+    call through any module's imported name counts."""
+    fields = []
+    code = errors.check.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            fields.append(frame.f_locals["field"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield fields
+    finally:
+        sys.setprofile(previous)

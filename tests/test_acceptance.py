@@ -12,17 +12,15 @@ import pytest
 from cpfkit import (
     RegionSpec,
     Scenario,
-    bipartite_fidelity,
-    classical_fidelity,
     classical_perr_lower,
     fidelity,
-    idler_free_binary_fidelity,
     optimize_kappa,
     output_fidelity,
     perr_lower,
     perr_upper,
     region_scan,
 )
+from cpfkit.protocols import bipartite_fidelity, classical_fidelity, idler_free_binary_fidelity
 from helpers import (
     advantage_certificate,
     expansion_coefficient,

@@ -7,7 +7,6 @@ import pytest
 
 from cpfkit import (
     DomainError,
-    classical_fidelity,
     classical_perr_lower,
     evaluate_bounds,
     log10_bound_ratio,
@@ -16,6 +15,7 @@ from cpfkit import (
     perr_upper_raw,
 )
 from cpfkit.cli import main
+from cpfkit.protocols import classical_fidelity
 from helpers import (
     advantage_certificate,
     perr_lower_general,

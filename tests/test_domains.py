@@ -11,7 +11,6 @@ from cpfkit import (
     DomainError,
     NumericError,
     Scenario,
-    classical_fidelity,
     fidelity,
     optimize_kappa,
     output_fidelity,
@@ -139,7 +138,7 @@ def test_check_refuses_none_as_required():
     with pytest.raises(DomainError, match="^x_start is required$"):
         check("eta_t", None, "x_start")
     with pytest.raises(DomainError, match="^eta_b is required$"):
-        classical_fidelity(None, 0.5, 1.0)
+        fidelity("classical", 2, None, 0.5, 1.0)
     with pytest.raises(DomainError, match="^fidelity is required$"):
         perr_upper(None, 2)
 

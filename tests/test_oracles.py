@@ -11,13 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from cpfkit import (
-    bipartite_fidelity,
-    classical_fidelity,
-    idler_free_binary_fidelity,
-    symmetric_cm,
-    symplectic_eigenvalues,
-)
+from cpfkit import symmetric_cm, symplectic_eigenvalues
+from cpfkit.protocols import bipartite_fidelity, classical_fidelity, idler_free_binary_fidelity
 from helpers import pgm_pure_upper, thermal_fidelity_oracle
 
 # F between thermal states of mean photon number n1, n2: geometric series

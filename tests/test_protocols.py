@@ -9,22 +9,27 @@ from cpfkit import (
     DomainError,
     ProtocolKind,
     Scenario,
-    bipartite_fidelity,
     build_probe,
-    classical_fidelity,
     fidelity_from_arrays,
     gaussian_fidelity,
-    idler_free_binary_fidelity,
     mixed_probe,
     output_fidelity,
-    output_pair_arrays,
     pure_loss,
     symplectic_form,
 )
-from cpfkit.protocols import PROTOCOL_IDS, _mixed_binary_fidelity, route
+from cpfkit.protocols import (
+    PROTOCOL_IDS,
+    _mixed_binary_fidelity,
+    bipartite_fidelity,
+    classical_fidelity,
+    idler_free_binary_fidelity,
+    output_pair_arrays,
+    route,
+)
 from helpers import (
     bipartite_fidelity_numeric,
     count_kernel_elements,
+    count_pair_builds,
     photon_number,
     reduced_output_pair,
     reduction_symplectic,
@@ -103,14 +108,6 @@ def test_closed_forms_vectorize():
         batch = form(0.6, etas, 2.0)
         assert batch.shape == etas.shape
         assert batch[4] == pytest.approx(float(form(0.6, etas[4], 2.0)))
-
-
-def test_closed_forms_reject_bad_domain():
-    for form in (classical_fidelity, bipartite_fidelity, idler_free_binary_fidelity):
-        with pytest.raises(DomainError):
-            form(1.2, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            form(0.5, 0.5, -1.0)
 
 
 def test_bipartite_numeric_matches_closed_form():
@@ -260,8 +257,6 @@ def test_output_pair_arrays_broadcasts():
     assert mean_2.shape == (5, 6)
     # swapping the hypotheses exchanges the diagonal blocks of the first two modes
     assert np.allclose(cov_1[:, 0:2, 0:2], cov_2[:, 2:4, 2:4])
-    with pytest.raises(DomainError):
-        output_pair_arrays(3, 0.8, etas, 2.0, 1.5)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -295,11 +290,29 @@ def test_output_fidelity_dispatch_labels():
 def test_two_box_mixed_protocol_runs_no_kernel(monkeypatch):
     sizes = count_kernel_elements(monkeypatch)
     eta_t = np.array([0.9, 0.6, 1.0])
-    value, path, pair = route("mixed", 2, 0.6, eta_t, 5.0, 0.4)
+    value, path = route("mixed", 2, 0.6, eta_t, 5.0, 0.4)
     report = output_fidelity(Scenario(2, 0.6, 0.9, 5.0, kappa=0.4), "mixed")
     assert sizes == []
-    assert path == report.path == "direct" and pair[0].shape == (3, 4, 4)
+    assert path == report.path == "direct" and value.shape == (3,)
     assert value[1] == 1.0 and value[0] == pytest.approx(report.value, rel=1e-14)
+    assert report.diagnostics["min_symplectic_eigenvalue"] >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("m, protocol, kernel", [
+    (2, "classical", []), (2, "idler_free", []), (2, "mixed", []),
+    (3, "bipartite", []), (3, "idler_free", [1]), (3, "idler_free_reversed", [1]),
+    (3, "mixed", [1]),
+])
+def test_output_fidelity_builds_one_pair_per_pair_protocol_report(m, protocol, kernel,
+                                                                  monkeypatch):
+    builds, sizes = count_pair_builds(monkeypatch), count_kernel_elements(monkeypatch)
+    report = output_fidelity(Scenario(m, 0.6, 0.9, 5.0, kappa=0.4), protocol)
+    assert sizes == kernel
+    if report.path == "closed-form":
+        assert builds == [] and report.diagnostics == {}
+        return
+    # the report's own pair, and at m >= 3 the one the kernel read before it
+    assert builds == [()] * (1 + len(kernel))
     assert report.diagnostics["min_symplectic_eigenvalue"] >= 1.0 - 1e-9
 
 

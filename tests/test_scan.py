@@ -12,20 +12,21 @@ from cpfkit import (
     DomainError,
     RegionSpec,
     Scenario,
-    classical_fidelity,
     fidelity,
-    idler_free_binary_fidelity,
     optimize_kappa,
     output_fidelity,
     region_scan,
     scan,
 )
 from cpfkit.cli import main
+from cpfkit.protocols import classical_fidelity, idler_free_binary_fidelity, route
 from cpfkit.scan import _optimize_kappa_batch, _sweep_columns
 from helpers import (
     KAPPA_BUDGET_ROW,
     count_closed_form_elements,
     count_kernel_elements,
+    count_pair_builds,
+    counting_checks,
     expansion_coefficient,
     extreme_point_check,
 )
@@ -46,17 +47,33 @@ def test_idler_free_fidelity_dispatch():
         assert batch[i] == pytest.approx(point.value, abs=1e-12)
 
 
-@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
-@pytest.mark.parametrize(
-    "field, value",
-    [("eta_b", float("nan")), ("eta_t", float("nan")), ("eta_t", float("inf")),
-     ("n_s", float("inf")), ("n_s", float("nan"))],
-)
-def test_dispatcher_rejects_non_finite(protocol, field, value):
-    point = {"eta_b": 0.3, "eta_t": 0.5, "n_s": 1.0}
+_BAD_FIELDS = [("eta_b", float("nan")), ("eta_t", float("nan")), ("eta_t", float("inf")),
+               ("n_s", float("inf")), ("n_s", float("nan")), ("eta_b", 1.2), ("n_s", -1.0)]
+# (protocol, kappa): the mixed protocol both optimized and at a fixed kappa
+_DISPATCHED = [(p, None) for p in PROTOCOL_IDS] + [("mixed", 0.4)]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("protocol, kappa, field, value", [
+    *((p, k, f, v) for p, k in _DISPATCHED for f, v in _BAD_FIELDS),
+    ("mixed", 0.4, "kappa", 1.5), ("mixed", 0.4, "kappa", float("nan")),
+])
+def test_dispatcher_rejects_non_finite(m, protocol, kappa, field, value):
+    # also out of the domain; a swapped protocol's refusal names the field
+    # the caller set, not the one its probe family sees
+    point = {"eta_b": 0.3, "eta_t": 0.5, "n_s": 1.0, "kappa": kappa}
     point[field] = np.array([0.4, value])
-    with pytest.raises(DomainError, match=field):
-        fidelity(protocol, 3, **point)
+    with pytest.raises(DomainError, match=f"^{field} must be ") as info:
+        fidelity(protocol, m, **point)
+    assert info.value.field == field
+
+
+def test_a_fixed_kappa_two_box_fidelity_builds_no_pair(monkeypatch):
+    builds, sizes = count_pair_builds(monkeypatch), count_kernel_elements(monkeypatch)
+    eta_t = np.array([0.9, 0.6, 1.0])
+    value, kappa, path = fidelity("mixed", 2, 0.6, eta_t, 5.0, 0.4)
+    assert builds == [] and sizes == []
+    assert path == "direct" and kappa.tolist() == [0.4] * 3 and value[1] == 1.0
 
 
 def test_symmetric_pair_fidelity_endpoints():
@@ -191,6 +208,22 @@ def test_optimize_kappa_kernel_budget(m, monkeypatch):
     evaluated, unused = (closed_form, kernel) if m == 2 else (kernel, closed_form)
     assert unused == []
     assert 0 < sum(evaluated) <= 40 * KAPPA_BUDGET_ROW["eta_t"].size
+
+
+def test_the_kappa_search_and_route_check_each_value_once(monkeypatch):
+    # the search checks its four inputs on entry and nothing per Brent step
+    kernel = count_kernel_elements(monkeypatch)
+    with counting_checks() as fields:
+        _optimize_kappa_batch(3, **KAPPA_BUDGET_ROW)
+    assert len(kernel) > 2  # the coarse grid and several steps
+    assert fields == ["m", "eta_b", "eta_t", "n_s"]
+    # route checks each field it reads once, kappa where the pair reads it
+    etas = np.linspace(0.0, 1.0, 5)
+    for protocol, read in (("mixed", ["kappa"]), ("idler_free_reversed", []),
+                           ("classical", [])):
+        with counting_checks() as fields:
+            route(protocol, 3, 0.3, etas, 2.0, 0.4)
+        assert fields == ["m", "eta_b", "eta_t", "n_s", *read], protocol
 
 
 def _sweep_batches(m, counter, monkeypatch) -> list:
@@ -502,8 +535,13 @@ def test_workers_resolution(monkeypatch):
     region_scan(_small_region_spec(), workers=2)
     region_scan(_small_region_spec(), workers=6)
     assert pools == [2, 4]
-    with pytest.raises(DomainError, match="workers"):
-        region_scan(_small_region_spec(), workers=0)
+    region_scan(_small_region_spec(), workers=np.int64(2))
+    assert pools == [2, 4, 2]
+    for workers in (0, -1, 2.5, "2"):
+        with pytest.raises(DomainError, match="^workers must be ") as info:
+            region_scan(_small_region_spec(), workers=workers)
+        assert info.value.field == "workers"
+    assert pools == [2, 4, 2]
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "", "0", "-2"])
