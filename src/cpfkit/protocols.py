@@ -81,15 +81,24 @@ def listed_protocols(m: int) -> tuple:
     return tuple(p for p, (_, swapped) in _PROTOCOLS.items() if m > 2 or not swapped)
 
 
-def _checked(protocol, m, eta_b, eta_t, n_s) -> tuple:
-    """(family, m, eta_b, eta_t, n_s) of a protocol id at one point, checked
-    under the caller's field names before a swapped protocol's etas swap."""
+def _oriented(protocol, eta_b, eta_t, kappa) -> tuple:
+    """(family, eta_b, eta_t, kappa) that a protocol id's output pair sees,
+    unchecked: a swapped protocol's etas exchanged, and the family's own
+    kappa where it has one."""
+    kind, swapped = _PROTOCOLS[protocol]
+    eta_b, eta_t = (eta_t, eta_b) if swapped else (eta_b, eta_t)
+    return kind, eta_b, eta_t, FAMILY_KAPPA.get(kind, kappa)
+
+
+def _checked(protocol, m, eta_b, eta_t, n_s, kappa=None) -> tuple:
+    """(family, m, eta_b, eta_t, n_s, kappa): m, eta_b, eta_t and n_s checked
+    under the caller's field names, then :func:`_oriented`."""
     m = int(check("m", m))
     if protocol not in _PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}; valid: {PROTOCOL_IDS}")
-    kind, swapped = _PROTOCOLS[protocol]
     eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
-    return (kind, m, eta_t, eta_b, n_s) if swapped else (kind, m, eta_b, eta_t, n_s)
+    kind, eta_b, eta_t, kappa = _oriented(protocol, eta_b, eta_t, kappa)
+    return kind, m, eta_b, eta_t, n_s, kappa
 
 
 def classical_fidelity(eta_b, eta_t, n_s):
@@ -254,7 +263,7 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     value is exactly 1; nothing is evaluated there, where the kernel loses
     digits or fails on large n_s.
     """
-    kind, m, eta_b, eta_t, n_s = _checked(protocol, m, eta_b, eta_t, n_s)
+    kind, m, eta_b, eta_t, n_s, kappa = _checked(protocol, m, eta_b, eta_t, n_s, kappa)
     # the etas, not the arrays: sqrt(eta * eta) need not equal eta
     same = np.equal(eta_b, eta_t)
     if kind is ProtocolKind.CLASSICAL:
@@ -264,7 +273,7 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     elif kind is ProtocolKind.IDLER_FREE and m == 2:
         value = idler_free_binary_fidelity(eta_b, eta_t, n_s)
     else:
-        kappa = FAMILY_KAPPA[kind] if kind in FAMILY_KAPPA else check("kappa", kappa)
+        kappa = check("kappa", kappa) if kind is ProtocolKind.MIXED else kappa
         path = "direct" if m == 2 else "reduced"
         if not same.any():
             return pair_fidelity(m, eta_b, eta_t, n_s, kappa), path
@@ -294,19 +303,18 @@ def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityRep
         raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
     s = scenario
     if path == "direct":
-        probe, m, eta_b, eta_t, n_s = _checked(kind, s.m, s.eta_b, s.eta_t, s.n_s)
-        pair = _direct_pair(probe, m, eta_b, eta_t, n_s, s.kappa)
+        probe, *point = _checked(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
+        pair = _direct_pair(probe, *point)
         try:
             value, label = fidelity_from_arrays(*pair), "direct"
         except NumericError as exc:
             raise DomainError(f"direct cannot evaluate this point: {exc}", "path") from exc
     else:
         value, label = route(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
-        probe, swapped = _PROTOCOLS[kind]
+        probe, eta_b, eta_t, kappa = _oriented(kind, s.eta_b, s.eta_t, s.kappa)
         if label == "closed-form":
             return FidelityReport(float(value), label, probe)
-        eta_b, eta_t = (s.eta_t, s.eta_b) if swapped else (s.eta_b, s.eta_t)
-        pair = output_pair_arrays(s.m, eta_b, eta_t, s.n_s, FAMILY_KAPPA.get(probe, s.kappa))
+        pair = output_pair_arrays(s.m, eta_b, eta_t, s.n_s, kappa)
     cov_1, cov_2, mean_1, mean_2 = pair
     reports = (check_physical(GaussianState(mean_1, cov_1)),
                check_physical(GaussianState(mean_2, cov_2)))

@@ -94,8 +94,7 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     only the best node's bracket is refined.  The result is the best point
     evaluated, so it never loses to either endpoint.
     """
-    m = int(check("m", m))
-    eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
+    m, eta_b, eta_t, n_s = protocols._checked("mixed", m, eta_b, eta_t, n_s)[1:5]
     batch = np.broadcast_shapes(eta_b.shape, eta_t.shape, n_s.shape)
     eta_b, eta_t, n_s = (np.broadcast_to(v, batch).ravel() for v in (eta_b, eta_t, n_s))
     kappa, value = np.zeros(eta_b.size), np.ones(eta_b.size)

@@ -1,10 +1,11 @@
 """One SHA-256 over the benchmark workloads' ops replayed through the CLI.
 
 A refactor that claims byte-identical behaviour runs this on the code before
-and after the change and compares the two digests.  The ops come from
-``bench/workloads.py``, loaded from its path and used as it is; each op runs
-in this process through ``cpfkit.cli.main``, and its argv, exit code, stdout
-and stderr all enter the digest.  Usage, from the repository root:
+and after the change and compares the two digests.  The ops are those of
+every workload in ``bench/workloads.py``'s WORKLOADS at each seed given, the
+module loaded from its path and used as it is; each op runs in this process
+through ``cpfkit.cli.main``, and its argv, exit code, stdout and stderr all
+enter the digest.  Usage, from the repository root:
 
     PYTHONPATH=src python tests/tools/replay_digest.py --seeds 3 11
 
@@ -35,13 +36,13 @@ def _load_workloads():
     return module
 
 
-def replay(workloads, seeds) -> tuple:
-    """(number of ops, hex digest) of the named workloads at each seed."""
-    generate = _load_workloads().generate
+def replay(seeds) -> tuple:
+    """(number of ops, hex digest) of every workload at each seed."""
+    workloads = _load_workloads()
     digest, count = hashlib.sha256(), 0
     for seed in seeds:
-        for workload in workloads:
-            for op in generate(workload, seed):
+        for workload in workloads.WORKLOADS:
+            for op in workloads.generate(workload, seed):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     try:
@@ -58,10 +59,8 @@ def replay(workloads, seeds) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 11])
-    parser.add_argument("--workloads", nargs="+", default=["mixed_map", "closed_map"],
-                        choices=["mixed_map", "closed_map"])
     args = parser.parse_args(argv)
-    count, digest = replay(args.workloads, args.seeds)
+    count, digest = replay(args.seeds)
     print(f"{count} ops")
     print(digest)
     return 0
