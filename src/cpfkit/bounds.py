@@ -4,32 +4,17 @@ Everything here consumes one-shot fidelities; using M probe rounds raises
 the fidelity to the M-th power, which is what the ``m_probes`` argument
 does.  Upper bounds certify what a strategy achieves, lower bounds what no
 strategy can beat, so quantum UB < classical LB certifies an advantage.
+:func:`perr_upper` and :func:`perr_lower` check their inputs; the rest are
+unchecked internals of the advantage maps, which take checked values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import check
-
-
-@dataclass(frozen=True)
-class BoundsResult:
-    """Upper and lower error-probability bounds for one setting."""
-
-    upper: float
-    lower: float
-    m: int
-    m_probes: float
-    fidelity_used: float
-
-
-def _check_m_and_rounds(m: int, m_probes) -> None:
-    check("m", m)
-    check("m_probes", m_probes)
 
 
 def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
@@ -38,14 +23,15 @@ def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
     The uniform-prior case of the pretty-good-measurement bound of
     Barnum and Knill, J. Math. Phys. 43, 2097 (2002).
     """
-    fidelity = check("fidelity", fidelity)
-    _check_m_and_rounds(m, m_probes)
     return (m - 1.0) * fidelity**m_probes
 
 
 def perr_upper(fidelity, m: int, m_probes: float = 1.0):
     """Upper bound on the error probability with equiprobable hypotheses,
     (m-1) F^M clamped to [0, 1] (Barnum and Knill, J. Math. Phys. 43, 2097 (2002))."""
+    fidelity = check("fidelity", fidelity)
+    check("m", m)
+    check("m_probes", m_probes)
     return np.minimum(1.0, perr_upper_raw(fidelity, m, m_probes))
 
 
@@ -53,15 +39,14 @@ def perr_lower(fidelity, m: int, m_probes: float = 1.0):
     """Lower bound (m-1)/(2m) F^(2M) on the error probability with
     equiprobable hypotheses (Montanaro, IEEE Information Theory Workshop (ITW) 2008)."""
     fidelity = check("fidelity", fidelity)
-    _check_m_and_rounds(m, m_probes)
+    check("m", m)
+    check("m_probes", m_probes)
     return (m - 1.0) / (2.0 * m) * fidelity ** (2.0 * m_probes)
 
 
 def classical_perr_lower(eta_b, eta_t, n_s, m: int, m_probes: float = 1.0):
     """Error-probability floor for every classical strategy of total energy
     M n_s per box, (m-1)/(2m) exp(-2 M n_s (sqrt(eta_b)-sqrt(eta_t))^2)."""
-    eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
-    _check_m_and_rounds(m, m_probes)
     return (m - 1.0) / (2.0 * m) * np.exp(-_classical_exponent(eta_b, eta_t, n_s, m_probes))
 
 
@@ -77,21 +62,9 @@ def _classical_exponent(eta_b, eta_t, n_s, m_probes):
         return np.where(gap == 0.0, 0.0, exponent)
 
 
-def evaluate_bounds(fidelity: float, m: int, m_probes: float = 1.0) -> BoundsResult:
-    """Both uniform-prior bounds for one fidelity, packaged together."""
-    return BoundsResult(
-        float(perr_upper(fidelity, m, m_probes)),
-        float(perr_lower(fidelity, m, m_probes)),
-        int(m),
-        float(m_probes),
-        float(np.asarray(fidelity, dtype=float)),
-    )
-
-
 def log10_bound_ratio(fidelity_a, eta_b, eta_t, n_s, m: int, m_probes):
     """log10 of perr_upper_raw(F_A, m, M) / classical_perr_lower(...), evaluated
     in log space so huge M never underflows the power."""
-    fidelity_a = check("fidelity", fidelity_a, "fidelity_a")
     log_upper = math.log10(m - 1.0) + m_probes * np.log10(fidelity_a)
     log_lower = math.log10((m - 1.0) / (2.0 * m)) - _classical_exponent(
         eta_b, eta_t, n_s, m_probes

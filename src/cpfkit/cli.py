@@ -296,14 +296,13 @@ def _fidelity_table(p: dict) -> Table:
             value, label = report.value, report.path
             kappa_used = scenario.kappa if name == "mixed" else None
             min_nu = report.diagnostics.get("min_symplectic_eigenvalue")
-        rows.append([
-            name, float(value), kappa_used, label, min_nu,
-            float(perr_upper(value, scenario.m, scenario.m_probes)),
-            float(perr_lower(value, scenario.m, scenario.m_probes)),
-        ])
+        rows.append([name, float(value), kappa_used, label, min_nu])
 
+    # the bounds of the whole fidelity column at once
+    values, m, rounds = np.array([row[1] for row in rows]), scenario.m, scenario.m_probes
+    rows = _Rows(*zip(*rows), perr_upper(values, m, rounds), perr_lower(values, m, rounds))
     parameters = {**asdict(scenario), "protocol": protocol, "path": path}
-    return Table("fidelity", parameters, columns, _Rows(*zip(*rows)), ("fidelity",), notes)
+    return Table("fidelity", parameters, columns, rows, ("fidelity",), notes)
 
 
 def _sweep_table(p: dict) -> Table:

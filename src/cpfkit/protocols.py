@@ -30,8 +30,9 @@ class Scenario:
     m boxes, background/target transmissivities eta_b/eta_t, mean photon
     number n_s per probe mode, m_probes repetitions (enters the error-
     probability bounds, not the one-shot fidelity), and an optional mixing
-    fraction kappa for the mixed protocol.  A field is None where a sweep's
-    grid or a map's axis sets it; what needs it then refuses it as required.
+    fraction kappa for the mixed protocol, each checked and kept as an int
+    (m) or a float.  A field is None where a sweep's grid or a map's axis
+    sets it; what needs it then refuses it as required.
     """
 
     m: int | None
@@ -46,7 +47,7 @@ class Scenario:
             object.__setattr__(self, "m", int(check("m", self.m)))
         for name in ("eta_b", "eta_t", "n_s", "m_probes", "kappa"):
             if getattr(self, name) is not None:
-                check(name, getattr(self, name))
+                object.__setattr__(self, name, float(check(name, getattr(self, name))))
 
 
 @dataclass(frozen=True)

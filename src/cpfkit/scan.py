@@ -65,14 +65,6 @@ def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     return value, np.broadcast_to(np.asarray(kappa, dtype=float), np.shape(value)), path
 
 
-@dataclass(frozen=True)
-class KappaResult:
-    """Optimal mixing fraction and the fidelity it attains."""
-
-    kappa: float
-    fidelity: float
-
-
 def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the mixed-probe fidelity over kappa, element-wise on a batch.
 
@@ -191,15 +183,12 @@ def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray
     return np.exp(t_best), f_best
 
 
-def optimize_kappa(scenario: Scenario) -> KappaResult:
-    """Best mixing fraction for one scenario (smallest output fidelity).
-
-    With eta_b = eta_t every kappa gives fidelity 1; the search is skipped
-    and kappa = 0 is returned.
-    """
-    kappa, fidelity = _optimize_kappa_batch(scenario.m, scenario.eta_b, scenario.eta_t,
-                                            scenario.n_s)
-    return KappaResult(float(kappa), float(fidelity))
+def _required(scenario: Scenario, name: str):
+    """The (checked) field ``name`` of ``scenario``; a None is refused."""
+    value = getattr(scenario, name)
+    if value is None:
+        raise DomainError("is required", name)
+    return value
 
 
 def _sweep_column(base: Scenario, variable: str, protocol: str, values: np.ndarray):
@@ -213,17 +202,17 @@ def _sweep_column(base: Scenario, variable: str, protocol: str, values: np.ndarr
         fids, kappas = np.stack([p[0] for p in points]), [p[1] for p in points]
         return fids, None if kappas[0] is None else np.stack(kappas)
     eta_b, eta_t, n_s = (
-        values if variable == name else np.full(values.shape, check(name, getattr(base, name)))
+        values if variable == name else np.full(values.shape, _required(base, name))
         for name in ("eta_b", "eta_t", "n_s")
     )
     return fidelity(protocol, base.m, eta_b, eta_t, n_s, base.kappa)[:2]
 
 
-def _sweep_columns(scenario: Scenario, variable: str, values, protocols) -> dict:
-    """(fidelity, kappa) grids along the grid ``values`` of ``variable``, one
-    of :data:`SWEEP_VARIABLES`, per protocol in ``protocols``, in canonical
-    order.  The scenario's ``variable`` field is None or ignored."""
-    values = check(variable, values)
+def _sweep_columns(scenario: Scenario, variable: str, values: np.ndarray, protocols) -> dict:
+    """(fidelity, kappa) grids along the checked float grid ``values`` of
+    ``variable``, one of :data:`SWEEP_VARIABLES`, per protocol in
+    ``protocols``, in canonical order; :func:`fidelity` checks the fields it
+    reads.  The scenario's ``variable`` field is None or ignored."""
     return {p: _sweep_column(scenario, variable, p, values)
             for p in PROTOCOL_IDS if p in protocols}
 
@@ -268,9 +257,10 @@ class RegionSpec:
         object.__setattr__(self, "scenario", replace(self.scenario, **dict.fromkeys(axes)))
         for name in ("m", *REGION_AXES, "m_probes"):
             if name not in axes and (name != "m_probes" or self.total_energy is None):
-                check(name, getattr(self.scenario, name))  # a None is refused
+                _required(self.scenario, name)
         if self.total_energy is not None:
-            check("total_energy", self.total_energy)
+            total_energy = float(check("total_energy", self.total_energy))
+            object.__setattr__(self, "total_energy", total_energy)
             n_s = self.x_values if self.x_name == "n_s" else (
                 self.y_values if self.y_name == "n_s" else self.scenario.n_s)
             try:

@@ -6,6 +6,7 @@ import contextlib
 import json
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -415,20 +416,29 @@ def count_pair_builds(monkeypatch) -> list:
 
 
 @contextlib.contextmanager
-def counting_checks():
-    """Yield a list of the field of every cpfkit.errors.check call made in
-    this thread while the block runs, found by its code object, so that a
-    call through any module's imported name counts."""
+def counting_checks(callers: bool = False):
+    """Yield a list of the field of every cpfkit.errors.check call made while
+    the block runs, in this thread or in a thread started in the block, found
+    by its code object, so that a call through any module's imported name
+    counts.  With ``callers`` each entry is (calling function, field), the
+    function written as module.qualname."""
     fields = []
     code = errors.check.__code__
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is code:
-            fields.append(frame.f_locals["field"])
+            field = frame.f_locals["field"]
+            if callers:
+                caller = frame.f_back
+                name = getattr(caller.f_code, "co_qualname", caller.f_code.co_name)
+                field = (f"{caller.f_globals['__name__']}.{name}", field)
+            fields.append(field)
 
-    previous = sys.getprofile()
+    previous = sys.getprofile(), threading.getprofile()
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         yield fields
     finally:
-        sys.setprofile(previous)
+        sys.setprofile(previous[0])
+        threading.setprofile(previous[1])

@@ -12,14 +12,13 @@ import pytest
 from cpfkit import (
     RegionSpec,
     Scenario,
-    classical_perr_lower,
     fidelity,
-    optimize_kappa,
     output_fidelity,
     perr_lower,
     perr_upper,
     region_scan,
 )
+from cpfkit.bounds import classical_perr_lower
 from cpfkit.protocols import bipartite_fidelity, classical_fidelity, idler_free_binary_fidelity
 from helpers import (
     advantage_certificate,
@@ -166,10 +165,10 @@ def test_mixed_certificate_region():
     for eta_t in np.linspace(0.88, 1.0, 61):
         f_cl = float(classical_fidelity(eta_b, float(eta_t), n_s))
         f_if = float(idler_free_binary_fidelity(eta_b, float(eta_t), n_s))
-        best = optimize_kappa(Scenario(m, eta_b, float(eta_t), n_s))
+        best = float(fidelity("mixed", m, eta_b, float(eta_t), n_s)[0])
         if not (
-            advantage_certificate(best.fidelity, f_cl)
-            and advantage_certificate(best.fidelity, f_if)
+            advantage_certificate(best, f_cl)
+            and advantage_certificate(best, f_if)
         ):
             failures.append(float(eta_t))
     _report(
@@ -264,8 +263,8 @@ def test_mixed_strategy_dominates_endpoints():
     for eta_t in np.linspace(0.0, 1.0, 50):
         f_cl = float(classical_fidelity(eta_b, float(eta_t), n_s))
         f_if = float(idler_free_binary_fidelity(eta_b, float(eta_t), n_s))
-        best = optimize_kappa(Scenario(m, eta_b, float(eta_t), n_s))
-        worst = max(worst, best.fidelity - min(f_cl, f_if))
+        best = float(fidelity("mixed", m, eta_b, float(eta_t), n_s)[0])
+        worst = max(worst, best - min(f_cl, f_if))
     _report(
         worst <= 1e-12,
         "optimized mixing never loses to the classical or idler-free endpoints "

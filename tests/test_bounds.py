@@ -4,16 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cpfkit import (
-    DomainError,
-    classical_perr_lower,
-    evaluate_bounds,
-    log10_bound_ratio,
-    perr_lower,
-    perr_upper,
-    perr_upper_raw,
-)
+from cpfkit import DomainError, perr_lower, perr_upper
+from cpfkit.bounds import classical_perr_lower, log10_bound_ratio, perr_upper_raw
 from cpfkit.cli import main
 from cpfkit.protocols import classical_fidelity
 from helpers import (
@@ -85,19 +80,23 @@ def test_fidelity_domain_checked():
         perr_upper(0.5, 2, 0.5)
 
 
+@given(st.floats(0.0, 1.0), st.integers(2, 10**6), st.floats(1.0, 1e6))
+def test_bounds_bracket_within_the_unit_interval(fidelity, m, rounds):
+    lower, upper = perr_lower(fidelity, m, rounds), perr_upper(fidelity, m, rounds)
+    assert 0.0 <= lower <= upper <= 1.0
+    assert upper.tobytes() == np.minimum(1.0, perr_upper_raw(fidelity, m, rounds)).tobytes()
+
+
 _NAN = float("nan")
 _NAN_MATRIX = [[1.0, _NAN], [_NAN, 1.0]]
 _NAN_CASES = [
-    (perr_upper_raw, (_NAN, 2), "fidelity"),
     (perr_upper, (_NAN, 2), "fidelity"),
     (perr_lower, (_NAN, 2), "fidelity"),
     (pgm_pure_upper, (_NAN, 2), "fidelity"),
-    (evaluate_bounds, (_NAN, 2), "fidelity"),
     (perr_upper_general, ([0.5, 0.5], _NAN_MATRIX), "fidelities"),
     (perr_lower_general, ([0.5, 0.5], _NAN_MATRIX), "fidelities"),
     (advantage_certificate, (_NAN, 0.5), "fidelity_a"),
     (advantage_certificate, (0.5, _NAN), "fidelity_b"),
-    (log10_bound_ratio, (_NAN, 0.3, 0.5, 1.0, 2, 1.0), "fidelity_a"),
 ]
 
 
@@ -208,12 +207,3 @@ def test_log10_ratio_is_inf_only_where_the_classical_exponent_overflows(capsys):
     # 2 M n_s gap = 2e308 itself exceeds the double range
     assert cells[one, zero] == cells[zero, one] == "inf"
     assert cells[zero, zero] == cells[half, half] == cells[one, one] == "6.02059991328e-01"
-
-
-def test_evaluate_bounds_packaging():
-    result = evaluate_bounds(0.8, 3, 2.0)
-    assert result.upper == pytest.approx(float(perr_upper(0.8, 3, 2.0)))
-    assert result.lower == pytest.approx(float(perr_lower(0.8, 3, 2.0)))
-    assert result.m == 3
-    assert result.m_probes == 2.0
-    assert result.fidelity_used == 0.8

@@ -10,11 +10,12 @@ from cpfkit import (
     N_S_MAX,
     DomainError,
     NumericError,
+    RegionSpec,
     Scenario,
     fidelity,
-    optimize_kappa,
     output_fidelity,
     perr_upper,
+    region_scan,
 )
 from cpfkit.cli import main
 from cpfkit.errors import DOMAINS, check
@@ -156,6 +157,41 @@ def test_output_fidelity_refuses_a_none_field(field, protocol, path):
 
 @pytest.mark.parametrize("field", ["m", "eta_b", "eta_t", "n_s"])
 def test_optimize_kappa_refuses_a_none_field(field):
-    scenario = replace(Scenario(3, 0.3, 0.5, 2.0), **{field: None})
+    point = {"m": 3, "eta_b": 0.3, "eta_t": 0.5, "n_s": 2.0, field: None}
     with pytest.raises(DomainError, match=f"^{field} is required$"):
-        optimize_kappa(scenario)
+        fidelity("mixed", **point)
+
+
+# float fields at values a float32 holds exactly, so that every spelling
+# below is the same number
+_FLOAT_FIELDS = {"eta_b": 0.25, "eta_t": 0.5, "n_s": 2.0, "m_probes": 3.0, "kappa": 0.75}
+_SPELLINGS = [str, np.float32, np.array]
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS, ids=["text", "float32", "0-d"])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_a_scenario_keeps_the_float_it_checked(field, spelling):
+    plain = Scenario(3, **_FLOAT_FIELDS)
+    given = Scenario(3, **{**_FLOAT_FIELDS, field: spelling(_FLOAT_FIELDS[field])})
+    assert given == plain and type(getattr(given, field)) is float
+    for protocol in ("classical", "idler_free", "mixed"):
+        assert output_fidelity(given, protocol) == output_fidelity(plain, protocol)
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS, ids=["text", "float32", "0-d"])
+@pytest.mark.parametrize("n_s, m_probes, total_energy", [(20.0, 20.0, None),
+                                                        (20.0, None, 100.0)])
+def test_a_region_spec_keeps_the_floats_it_checked(n_s, m_probes, total_energy, spelling):
+    def scan(*values):
+        n_s, m_probes, total_energy = values
+        return region_scan(RegionSpec(Scenario(2, None, None, n_s, m_probes), "eta_t",
+                                      (0.25, 0.5), "eta_b", (0.75,), "idler_free",
+                                      total_energy))
+
+    values = (n_s, m_probes, total_energy)
+    plain = scan(*values)
+    given = scan(*(None if v is None else spelling(v) for v in values))
+    assert given.metadata == plain.metadata
+    for name in ("f_quantum", "f_classical", "ub_quantum", "lb_classical", "log10_ratio",
+                 "m_probes"):
+        assert getattr(given, name).tobytes() == getattr(plain, name).tobytes(), name

@@ -13,7 +13,6 @@ from cpfkit import (
     RegionSpec,
     Scenario,
     fidelity,
-    optimize_kappa,
     output_fidelity,
     region_scan,
     scan,
@@ -89,11 +88,12 @@ def test_symmetric_pair_fidelity_endpoints():
 
 def test_optimize_kappa_matches_brute_force():
     for eta_b, eta_t, n_s in [(0.55, 0.9, 50.0), (0.2, 0.7, 1.0), (0.95, 0.5, 10.0)]:
-        result = optimize_kappa(Scenario(2, eta_b, eta_t, n_s))
+        value, kappa, path = fidelity("mixed", 2, eta_b, eta_t, n_s)
         grid = np.linspace(0.0, 1.0, 2001)
         brute = fidelity("mixed", 2, eta_b, eta_t, n_s, grid)[0]
-        assert result.fidelity <= float(brute.min()) + 1e-9
-        assert 0.0 <= result.kappa <= 1.0
+        assert path == "optimized"
+        assert float(value) <= float(brute.min()) + 1e-9
+        assert 0.0 <= float(kappa) <= 1.0
 
 
 def test_optimize_kappa_never_beaten_by_endpoints(rng):
@@ -104,28 +104,29 @@ def test_optimize_kappa_never_beaten_by_endpoints(rng):
             float(rng.uniform(0.05, 0.95)),
             float(10.0 ** rng.uniform(-1.0, 1.7)),
         )
-        result = optimize_kappa(scenario)
+        value = float(fidelity("mixed", scenario.m, scenario.eta_b, scenario.eta_t,
+                               scenario.n_s)[0])
         f_classical = float(
             classical_fidelity(scenario.eta_b, scenario.eta_t, scenario.n_s)
         )
         f_idler_free = float(
             idler_free_binary_fidelity(scenario.eta_b, scenario.eta_t, scenario.n_s)
         )
-        assert result.fidelity <= min(f_classical, f_idler_free) + 1e-12
+        assert value <= min(f_classical, f_idler_free) + 1e-12
 
 
 def test_optimize_kappa_degenerate_diagonal():
     # equal transmissivities make every kappa optimal; only the value is pinned
-    result = optimize_kappa(Scenario(2, 0.6, 0.6, 30.0))
-    assert 0.0 <= result.kappa <= 1.0
-    assert result.fidelity == pytest.approx(1.0, abs=1e-12)
+    value, kappa, _ = fidelity("mixed", 2, 0.6, 0.6, 30.0)
+    assert 0.0 <= float(kappa) <= 1.0
+    assert float(value) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_optimize_kappa_three_boxes():
-    result = optimize_kappa(Scenario(3, 0.55, 0.9, 50.0))
+    value = float(fidelity("mixed", 3, 0.55, 0.9, 50.0)[0])
     f_if = float(fidelity("idler_free", 3, 0.55, 0.9, 50.0)[0])
     f_cl = float(classical_fidelity(0.55, 0.9, 50.0))
-    assert result.fidelity <= min(f_if, f_cl) + 1e-12
+    assert value <= min(f_if, f_cl) + 1e-12
 
 
 def _drawn_cells(count: int, seed: int) -> list:
@@ -210,7 +211,7 @@ def test_optimize_kappa_kernel_budget(m, monkeypatch):
     assert 0 < sum(evaluated) <= 40 * KAPPA_BUDGET_ROW["eta_t"].size
 
 
-def test_the_kappa_search_and_route_check_each_value_once(monkeypatch):
+def test_the_kappa_search_and_route_check_each_value_once(monkeypatch, capsys):
     # the search checks its four inputs on entry and nothing per Brent step
     kernel = count_kernel_elements(monkeypatch)
     with counting_checks() as fields:
@@ -224,6 +225,30 @@ def test_the_kappa_search_and_route_check_each_value_once(monkeypatch):
         with counting_checks() as fields:
             route(protocol, 3, 0.3, etas, 2.0, 0.4)
         assert fields == ["m", "eta_b", "eta_t", "n_s", *read], protocol
+    # behind a map or a sweep they are the only checkers: the bounds of a
+    # map and the fields of a sweep are not checked again
+    point = ["m", "eta_b", "eta_t", "n_s"]
+    for quantum, total_energy in (("mixed", None), ("idler_free", 1800.0)):
+        spec = RegionSpec(Scenario(3, 0.55, None, 50.0), "eta_t", KAPPA_BUDGET_ROW["eta_t"],
+                          "eta_b", (0.55, 0.9), quantum, total_energy)
+        with counting_checks() as fields:
+            region_scan(spec)
+        assert fields == point * 2, quantum  # the quantum chunk, then the classical map
+    pinned, free = Scenario(3, 0.5, None, 5.0, kappa=0.4), Scenario(None, 0.5, 0.6, 5.0)
+    with counting_checks() as fields:
+        _sweep_columns(pinned, "eta_t", etas, PROTOCOL_IDS)
+    assert fields == point * len(PROTOCOL_IDS) + ["kappa"]  # the mixed column is last
+    with counting_checks() as fields:
+        _sweep_columns(free, "m", np.array([2.0, 3.0]), ("mixed",))
+    assert fields == point * 2
+    # a fidelity table checks its bounds' fields once, not once per row
+    argv = ["fidelity", "--protocol", "all", "--m", "3", "--eta-b", "0.3", "--eta-t", "0.5",
+            "--ns", "2", "--m-probes", "4"]
+    with counting_checks() as fields:
+        assert main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + len(PROTOCOL_IDS)
+    assert fields[-6:] == ["fidelity", "m", "m_probes"] * 2
+    assert fields.count("fidelity") == 2 and fields.count("m_probes") == 3
 
 
 def _sweep_batches(m, counter, monkeypatch) -> list:
@@ -330,15 +355,23 @@ def test_sweep_over_m_recurses():
      ("n_s", float("nan")), ("m", float("nan")), ("m", float("inf")),
      ("m_probes", float("inf"))],
 )
-def test_sweep_rejects_non_finite_grid(variable, value):
-    first = 2.0 if variable == "m" else 0.5
-    with pytest.raises(DomainError, match=variable):
-        _sweep_columns(Scenario(2, 0.5, 0.6, 1.0), variable, (first, value), PROTOCOL_IDS)
+def test_sweep_rejects_non_finite_grid(variable, value, capsys):
+    # the grid is checked where the flags set it, under the flag at fault
+    first = 2.0 if variable in ("m", "m_probes") else 0.5
+    argv = ["sweep", "--m", "2", "--eta-b", "0.5", "--eta-t", "0.6", "--ns", "1",
+            "--variable", variable, "--start", str(first), "--stop", str(value),
+            "--protocols", ",".join(PROTOCOL_IDS)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --stop must be ")
 
 
-def test_sweep_rejects_nonpositive_energy_grid():
-    with pytest.raises(DomainError, match="n_s"):
-        _sweep_columns(Scenario(2, 0.5, 0.6, None), "n_s", np.array([0.0, 1.0]), ("classical",))
+def test_sweep_rejects_nonpositive_energy_grid(capsys):
+    argv = ["sweep", "--m", "2", "--eta-b", "0.5", "--eta-t", "0.6", "--variable", "n_s",
+            "--start", "0.0", "--stop", "1.0", "--protocols", "classical"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --start must be in (0, ")
 
 
 @pytest.mark.parametrize("variable, field", [("eta_t", "eta_b"), ("n_s", "eta_t"),
@@ -512,9 +545,9 @@ def test_region_scan_mixed_tracks_kappa():
     )
     grid = region_scan(spec, workers=1)
     assert grid.kappa_star.shape == (1, 2)
-    point = optimize_kappa(Scenario(2, 0.55, 0.9, 50.0))
-    assert grid.f_quantum[0, 0] == pytest.approx(point.fidelity, rel=1e-12)
-    assert grid.kappa_star[0, 0] == pytest.approx(point.kappa, abs=1e-9)
+    value, kappa, _ = fidelity("mixed", 2, 0.55, 0.9, 50.0)
+    assert grid.f_quantum[0, 0] == pytest.approx(float(value), rel=1e-12)
+    assert grid.kappa_star[0, 0] == pytest.approx(float(kappa), abs=1e-9)
 
 
 def test_workers_resolution(monkeypatch):

@@ -28,7 +28,7 @@ import cpfkit.cli
 _WORKLOADS = Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
 
 
-def _load_workloads():
+def load_workloads():
     spec = importlib.util.spec_from_file_location("cpfkit_bench_workloads", _WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
@@ -38,7 +38,7 @@ def _load_workloads():
 
 def replay(seeds) -> tuple:
     """(number of ops, hex digest) of every workload at each seed."""
-    workloads = _load_workloads()
+    workloads = load_workloads()
     digest, count = hashlib.sha256(), 0
     for seed in seeds:
         for workload in workloads.WORKLOADS:
