@@ -13,15 +13,7 @@ from .gaussian import (
     symplectic_eigenvalues,
     symplectic_form,
 )
-from .probes import (
-    ProtocolKind,
-    bipartite_probe,
-    build_probe,
-    max_symmetric_correlation,
-    mixed_probe,
-    symmetric_cm,
-)
-from .protocols import FidelityReport, Scenario, output_fidelity
+from .protocols import FidelityReport, ProtocolKind, Scenario, output_fidelity
 from .scan import PROTOCOL_IDS, RegionGrid, RegionSpec, fidelity, region_scan
 
 __version__ = "0.1.0"
@@ -40,20 +32,15 @@ __all__ = [
     "RegionGrid",
     "RegionSpec",
     "Scenario",
-    "bipartite_probe",
-    "build_probe",
     "check_physical",
     "fidelity",
     "fidelity_from_arrays",
     "gaussian_fidelity",
-    "max_symmetric_correlation",
-    "mixed_probe",
     "output_fidelity",
     "perr_lower",
     "perr_upper",
     "pure_loss",
     "region_scan",
-    "symmetric_cm",
     "symplectic_eigenvalues",
     "symplectic_form",
 ]

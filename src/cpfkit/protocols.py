@@ -7,20 +7,37 @@ what everything downstream (error bounds, advantage maps) consumes.  This
 module provides the closed forms where they exist and Gaussian-numerics
 paths (full-size "direct" and three-mode "reduced") where they do not.  The
 entries (route, output_fidelity) check their inputs once; what they call
-behind that, the closed forms and output_pair_arrays, checks nothing again.
+behind that, the closed forms, output_pair_arrays and build_probe, checks
+nothing again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericError, check
 from .gaussian import GaussianState, check_physical, fidelity_from_arrays, pure_loss
-from .probes import FAMILY_KAPPA, ProtocolKind, build_probe
+
+
+class ProtocolKind(str, Enum):
+    """The four probe families, at equal energy n_s per box mode: coherent
+    states, two-mode squeezed pairs with retained idlers, the idler-free
+    symmetric correlated state, and their mix at a correlation fraction."""
+
+    CLASSICAL = "classical"
+    BIPARTITE = "bipartite"
+    IDLER_FREE = "idler_free"
+    MIXED = "mixed"
+
+
+# the correlation fraction of each probe family that is a fixed member of the
+# mixed family
+FAMILY_KAPPA = {ProtocolKind.CLASSICAL: 0.0, ProtocolKind.IDLER_FREE: 1.0}
 
 
 @dataclass(frozen=True)
@@ -237,11 +254,36 @@ def pair_fidelity(m: int, eta_b, eta_t, n_s, kappa):
 DIRECT_M_MAX = 128
 
 
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def build_probe(kind: ProtocolKind, m: int, n_s, kappa) -> GaussianState:
+    """The direct path's full-size probe of family ``kind`` for m boxes at
+    energy n_s per box mode, unchecked: m, n_s and a mixed kappa have been
+    checked, and ``kappa`` is the family's own.  The bipartite probe is the
+    tensor product of m two-mode squeezed pairs, ordered (idler, signal)
+    per box, and ignores ``kappa``.  Every other probe is the symmetric
+    mixed one: it spends kappa*n_s on correlations (mu*I on the diagonal,
+    the largest physical c*Z off it) and the rest on coherent amplitude.
+    """
+    boxes = m
+    if kind is ProtocolKind.BIPARTITE:  # a pair is the idler-free probe of two boxes
+        m, kappa = 2, 1.0
+    mu = 2.0 * kappa * n_s + 1.0
+    c = math.sqrt(mu * mu - 1.0) / (m - 1)
+    cm = np.kron(np.eye(m), mu * np.eye(2)) + np.kron(1.0 - np.eye(m), c * _Z)
+    if kind is ProtocolKind.BIPARTITE:
+        return GaussianState(np.zeros(4 * boxes), np.kron(np.eye(boxes), cm))
+    mean = np.zeros(2 * m)
+    mean[0::2] = 2.0 * math.sqrt((1.0 - kappa) * n_s)
+    return GaussianState(mean, cm)
+
+
 def _direct_pair(kind: ProtocolKind, m: int, eta_b, eta_t, n_s, kappa) -> tuple:
     """The full-size output pair, in :func:`output_pair_arrays`'s order."""
     if m > DIRECT_M_MAX:
         raise DomainError(f"must be at most {DIRECT_M_MAX} on the direct path, got {m}", "m")
-    probe = build_probe(kind, m, n_s, kappa if kind is ProtocolKind.MIXED else None)
+    probe = build_probe(kind, m, n_s, kappa)
     # the box modes: every mode, or every signal (odd) mode of the bipartite probe
     step = probe.n_modes // m
     modes = np.arange(step - 1, probe.n_modes, step)
@@ -304,8 +346,9 @@ def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityRep
         raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
     s = scenario
     if path == "direct":
-        probe, *point = _checked(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
-        pair = _direct_pair(probe, *point)
+        probe, *point, kappa = _checked(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
+        kappa = check("kappa", kappa) if probe is ProtocolKind.MIXED else kappa
+        pair = _direct_pair(probe, *point, kappa)
         try:
             value, label = fidelity_from_arrays(*pair), "direct"
         except NumericError as exc:

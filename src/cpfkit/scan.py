@@ -254,7 +254,8 @@ class RegionSpec:
                 raise DomainError(f"axis must be 1-d with at least one value, got shape "
                                   f"{values.shape}", name)
             object.__setattr__(self, attr, values)
-        object.__setattr__(self, "scenario", replace(self.scenario, **dict.fromkeys(axes)))
+        if any(getattr(self.scenario, name) is not None for name in axes):
+            object.__setattr__(self, "scenario", replace(self.scenario, **dict.fromkeys(axes)))
         for name in ("m", *REGION_AXES, "m_probes"):
             if name not in axes and (name != "m_probes" or self.total_energy is None):
                 _required(self.scenario, name)

@@ -18,7 +18,6 @@ from cpfkit import (
     InvalidStateError,
     ProtocolKind,
     Scenario,
-    bipartite_probe,
     errors,
     gaussian_fidelity,
     protocols,
@@ -54,6 +53,11 @@ def thermal_state(n_bar: float) -> GaussianState:
     if n_bar < 0:
         raise DomainError(f"mean photon number must be nonnegative, got {n_bar}")
     return GaussianState(np.zeros(2), (2.0 * n_bar + 1.0) * np.eye(2))
+
+
+def symmetric_cm(m: int, mu: float, c: float) -> np.ndarray:
+    """Fully symmetric m-mode covariance: mu*I on the diagonal, c*Z off it."""
+    return np.kron(np.eye(m), mu * np.eye(2)) + np.kron(1.0 - np.eye(m), np.diag([c, -c]))
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -178,7 +182,8 @@ def bipartite_fidelity_numeric(eta_b: float, eta_t: float, n_s: float) -> float:
     the fidelity between a pair whose signal passed eta_t and one whose signal
     passed eta_b, so the total is that pair fidelity squared.
     """
-    probe = bipartite_probe(n_s)
+    mu = 2.0 * n_s + 1.0  # a two-mode squeezed pair: mode 0 idler, mode 1 signal
+    probe = GaussianState(np.zeros(4), symmetric_cm(2, mu, math.sqrt(mu * mu - 1.0)))
     through_t = pure_loss(probe, 1, eta_t)
     through_b = pure_loss(probe, 1, eta_b)
     return gaussian_fidelity(through_t, through_b) ** 2

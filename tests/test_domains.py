@@ -19,7 +19,6 @@ from cpfkit import (
 )
 from cpfkit.cli import main
 from cpfkit.errors import DOMAINS, check
-from cpfkit.probes import bipartite_probe
 from cpfkit.protocols import DIRECT_M_MAX
 
 _FIXED = [(p, None) for p in ("classical", "bipartite", "idler_free", "idler_free_reversed")]
@@ -107,12 +106,6 @@ def test_kernel_failure_on_the_auto_path_is_refused_on_n_s(call):
     assert info.value.field == "n_s"
     assert isinstance(info.value.__cause__, NumericError)
     assert "singular" in info.value.reason
-
-
-def test_bipartite_probe_refuses_nan_energy():
-    with pytest.raises(DomainError) as info:
-        bipartite_probe(float("nan"))
-    assert info.value.field == "n_s"
 
 
 def test_check_names_the_field_or_the_given_name():

@@ -12,9 +12,7 @@ from cpfkit import (
     InvalidStateError,
     check_physical,
     gaussian_fidelity,
-    max_symmetric_correlation,
     pure_loss,
-    symmetric_cm,
     symplectic_eigenvalues,
     symplectic_form,
 )
@@ -23,6 +21,7 @@ from helpers import (
     displace,
     keep_modes,
     photon_number,
+    symmetric_cm,
     tensor,
     thermal_fidelity_oracle,
     thermal_state,
@@ -190,7 +189,7 @@ def test_pure_loss_refusals(mode, eta, error, match):
 def test_symmetric_cm_spectrum_analytic(m, mu, fraction):
     # mu I diagonal with c Z couplings: one eigenvalue sqrt(mu^2 - (m-1)^2 c^2)
     # and m-1 copies of sqrt(mu^2 - c^2)
-    c = fraction * max_symmetric_correlation(m, mu)
+    c = fraction * math.sqrt(mu * mu - 1.0) / (m - 1)  # up to the largest physical c
     nus = symplectic_eigenvalues(symmetric_cm(m, mu, c))
     lone = math.sqrt(mu * mu - (m - 1.0) ** 2 * c * c)
     bulk = math.sqrt(mu * mu - c * c)
@@ -208,7 +207,7 @@ def test_symplectic_eigenvalues_reject_bad_input():
 def test_check_physical_boundary():
     assert check_physical(vacuum_state(3)).ok
     mu = 3.0
-    c_max = max_symmetric_correlation(4, mu)
+    c_max = math.sqrt(mu * mu - 1.0) / 3.0  # the largest physical c at m = 4
     at_edge = GaussianState(np.zeros(8), symmetric_cm(4, mu, c_max))
     assert check_physical(at_edge).ok
     beyond = GaussianState(np.zeros(8), symmetric_cm(4, mu, 1.01 * c_max))

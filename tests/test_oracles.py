@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from cpfkit import symmetric_cm, symplectic_eigenvalues
+from cpfkit import symplectic_eigenvalues
 from cpfkit.protocols import bipartite_fidelity, classical_fidelity, idler_free_binary_fidelity
-from helpers import pgm_pure_upper, thermal_fidelity_oracle
+from helpers import pgm_pure_upper, symmetric_cm, thermal_fidelity_oracle
 
 # F between thermal states of mean photon number n1, n2: geometric series
 # sum_k sqrt(p_k q_k) = 1 / (sqrt((n1+1)(n2+1)) (1 - sqrt(n1 n2 / ((n1+1)(n2+1)))))

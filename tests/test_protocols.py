@@ -9,10 +9,8 @@ from cpfkit import (
     DomainError,
     ProtocolKind,
     Scenario,
-    build_probe,
     fidelity_from_arrays,
     gaussian_fidelity,
-    mixed_probe,
     output_fidelity,
     pure_loss,
     symplectic_form,
@@ -21,6 +19,7 @@ from cpfkit.protocols import (
     PROTOCOL_IDS,
     _mixed_binary_fidelity,
     bipartite_fidelity,
+    build_probe,
     classical_fidelity,
     idler_free_binary_fidelity,
     output_pair_arrays,
@@ -30,6 +29,7 @@ from helpers import (
     bipartite_fidelity_numeric,
     count_kernel_elements,
     count_pair_builds,
+    counting_checks,
     photon_number,
     reduced_output_pair,
     reduction_symplectic,
@@ -201,7 +201,7 @@ def test_hypothesis_pairs_equivalent(rng):
     # outputs for any two distinct target positions have the same fidelity
     for m in (3, 4):
         scenario = Scenario(m, 0.7, 0.35, 2.0, kappa=0.6)
-        probe = mixed_probe(m, scenario.n_s, scenario.kappa)
+        probe = build_probe(ProtocolKind.MIXED, m, scenario.n_s, scenario.kappa)
         outputs = [_through_boxes(probe, range(m), scenario, t) for t in range(m)]
         reference = gaussian_fidelity(outputs[0], outputs[1])
         for i in range(m):
@@ -225,7 +225,7 @@ def test_reduction_symplectic_is_orthogonal_symplectic(m):
 @pytest.mark.parametrize("m", [4, 5, 7])
 def test_reduction_block_diagonalizes_output(m):
     scenario = Scenario(m, 0.8, 0.4, 3.0, kappa=0.5)
-    probe = mixed_probe(m, scenario.n_s, scenario.kappa)
+    probe = build_probe(ProtocolKind.MIXED, m, scenario.n_s, scenario.kappa)
     out = _through_boxes(probe, range(m), scenario, 0)
     s = reduction_symplectic(m)
     cm = s @ out.cm @ s.T
@@ -345,6 +345,17 @@ def test_direct_path_numeric_failure_is_refused_naming_the_path():
     assert info.value.field == "path"
 
 
+def test_the_direct_path_checks_each_value_once():
+    # the probe builder behind the entry checks nothing again
+    scenario = Scenario(5, 0.3, 0.5, 2.0, kappa=0.4)
+    for protocol, read in (("mixed", ["kappa"]), ("idler_free", [])):
+        with counting_checks() as fields:
+            output_fidelity(scenario, protocol, path="direct")
+        assert fields == ["m", "eta_b", "eta_t", "n_s", *read], protocol
+    with pytest.raises(DomainError, match="^kappa is required$"):
+        output_fidelity(Scenario(5, 0.3, 0.5, 2.0), "mixed", path="direct")
+
+
 def test_output_fidelity_rejects_bad_path():
     with pytest.raises(DomainError):
         output_fidelity(Scenario(2, 0.6, 0.9, 5.0), "classical", path="reduced")
@@ -353,7 +364,7 @@ def test_output_fidelity_rejects_bad_path():
 def test_bipartite_direct_uses_idlers():
     # the 2m-mode probe keeps one idler per box; only signals meet the loss
     scenario = Scenario(2, 0.7, 0.2, 3.0)
-    probe = build_probe(ProtocolKind.BIPARTITE, 2, 3.0)
+    probe = build_probe(ProtocolKind.BIPARTITE, 2, 3.0, None)
     out = _through_boxes(probe, [1, 3], scenario, 0)
 
     assert photon_number(out, 0) == pytest.approx(3.0, rel=1e-12)  # idler untouched

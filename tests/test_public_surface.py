@@ -67,6 +67,6 @@ def test_every_public_name_is_used_by_the_package_or_the_readme():
 
 
 def test_a_docstring_mention_is_not_a_reference():
-    # probes.build_probe's docstring says "tensor product"; tensor is a test helper
-    assert "tensor" in (_PACKAGE / "probes.py").read_text(encoding="utf-8")
+    # protocols.build_probe's docstring says "tensor product"; tensor is a test helper
+    assert "tensor" in (_PACKAGE / "protocols.py").read_text(encoding="utf-8")
     assert "tensor" not in package_references()

@@ -251,6 +251,18 @@ def test_the_kappa_search_and_route_check_each_value_once(monkeypatch, capsys):
     assert fields.count("fidelity") == 2 and fields.count("m_probes") == 3
 
 
+def test_a_region_spec_checks_only_its_axes():
+    # a scenario whose axis fields are None already is kept, not checked again
+    scenario, xs, ys = Scenario(3, None, None, 50.0), np.linspace(0.0, 1.0, 3), [0.5, 0.9]
+    with counting_checks() as fields:
+        spec = RegionSpec(scenario, "eta_t", xs, "eta_b", ys)
+    assert fields == ["eta_t", "eta_b"]
+    assert spec.scenario is scenario
+    # a value given on an axis is still replaced by None
+    spec = RegionSpec(Scenario(3, 0.4, 0.6, 50.0), "eta_t", xs, "eta_b", ys)
+    assert spec.scenario == scenario
+
+
 def _sweep_batches(m, counter, monkeypatch) -> list:
     sizes = counter(monkeypatch)
     values = np.linspace(0.0, 1.0, 2000)

@@ -5,7 +5,9 @@
 counts rows and bytes from their arguments and results.  On the
 mixed-probe path it wraps ``cpfkit.scan._optimize_kappa_batch`` and the
 assembly and kernel where ``cpfkit.protocols`` holds them, and counts cells
-and kernel batch elements.  A refactor that renames one of them, or changes
+and kernel batch elements.  On the direct path it wraps the probe builder
+and the physicality check where ``cpfkit.protocols`` holds them, and counts
+their calls.  A refactor that renames one of them, or changes
 what it takes or returns, would silently empty those per-layer metrics;
 these tests catch it.  The tracer is loaded from its file and used as it is.
 """
@@ -27,6 +29,7 @@ _TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 _PATCHED = ("_region_rows", "_render_csv", "_render_json", "region_scan")
 _OPTIMIZER_PATH = ("cpfkit.scan._optimize_kappa_batch", "cpfkit.protocols.output_pair_arrays",
                    "cpfkit.protocols.fidelity_from_arrays")
+_DIRECT_PATH = ("cpfkit.protocols.build_probe", "cpfkit.protocols.check_physical")
 
 
 def _tracer():
@@ -104,3 +107,19 @@ def test_tracer_counts_the_kappa_optimizer(m, monkeypatch):
     assert counts["gaussian.fidelity_from_arrays.elements"] == sum(sizes)
     assert counts["kernel_in_optimize.elements"] == sum(sizes)
     assert counts["gaussian.fidelity_from_arrays.calls"] == len(sizes)
+
+
+def test_tracer_counts_the_direct_path_probes():
+    argv = ["fidelity", "--protocol", "all", "--m", "5", "--eta-b", "0.3", "--eta-t", "0.5",
+            "--ns", "2", "--path", "direct"]
+    tracer = _tracer()
+    with tracer.installed():
+        traced = _run(argv)
+    assert not set(_DIRECT_PATH) & set(tracer.absent)
+    assert traced == _run(argv)
+    # one probe and two output states per direct row; without --kappa the
+    # mixed row is optimized on the auto path and builds no probe
+    assert traced.count(",direct,") == 4 and traced.count(",optimized,") == 1
+    counts = tracer.counts()
+    assert counts["probes.build_probe.calls"] == 4
+    assert counts["gaussian.check_physical.calls"] == 8
