@@ -108,6 +108,12 @@ def test_kernel_failure_on_the_auto_path_is_refused_on_n_s(call):
     assert "singular" in info.value.reason
 
 
+def test_bipartite_probe_refuses_nan_energy():
+    with pytest.raises(DomainError) as info:
+        output_fidelity(Scenario(2, 0.3, 0.8, float("nan")), "bipartite", path="direct")
+    assert info.value.field == "n_s"
+
+
 def test_check_names_the_field_or_the_given_name():
     assert check("m", [2, 3.0]).tolist() == [2.0, 3.0]
     with pytest.raises(DomainError) as info:
