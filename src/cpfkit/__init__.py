@@ -8,9 +8,7 @@ from .gaussian import (
     PhysicalityReport,
     check_physical,
     fidelity_from_arrays,
-    gaussian_fidelity,
     pure_loss,
-    symplectic_eigenvalues,
     symplectic_form,
 )
 from .protocols import FidelityReport, ProtocolKind, Scenario, output_fidelity
@@ -35,12 +33,10 @@ __all__ = [
     "check_physical",
     "fidelity",
     "fidelity_from_arrays",
-    "gaussian_fidelity",
     "output_fidelity",
     "perr_lower",
     "perr_upper",
     "pure_loss",
     "region_scan",
-    "symplectic_eigenvalues",
     "symplectic_form",
 ]

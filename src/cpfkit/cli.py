@@ -258,11 +258,9 @@ def _grid(p: dict, prefix: str, variable: str, logspace: bool = False) -> tuple:
     if not logspace:
         values = np.linspace(start, stop, points)
     elif start > 0 and stop > 0:
-        values = np.logspace(np.log10(start), np.log10(stop), points)
+        values = np.geomspace(start, stop, points)
     else:
         raise DomainError("needs positive --start and --stop", "log")
-    # between valid endpoints only m can leave its domain, at non-integers
-    check(variable, values, prefix + "start")
     return start, stop, points, values
 
 
@@ -309,6 +307,9 @@ def _sweep_table(p: dict) -> Table:
     variable = _choice(p, "variable")
     logspace = bool(p.get("log"))
     start, stop, points, values = _grid(p, "", variable, logspace)
+    # between valid endpoints only an m grid can leave its domain, at
+    # non-integers; a map's axes are checked by its RegionSpec
+    check(variable, values, "start")
     scenario = _scenario_from(p, variable)
     protocols = [s.strip() for s in str(p["protocols"]).split(",") if s.strip()]
     if not protocols:

@@ -20,10 +20,7 @@ from .errors import DomainError, InvalidStateError, NumericError
 # eigenvalue is at least 1 - PHYSICALITY_TOL.
 PHYSICALITY_TOL = 1e-9
 
-# general fidelity kernel: eigenvalue moduli this close to 1 are treated as exactly 1
-SNAP_TOL = 1e-8
-
-# q/p-split fidelity kernel: eigenvalues of XY within SNAP_ULPS * eps * ||X||_F ||Y||_F
+# fidelity kernel: eigenvalues of XY within SNAP_ULPS * eps * ||X||_F ||Y||_F
 # of 1 are treated as exactly 1
 SNAP_ULPS = 64.0
 _EPS = float(np.finfo(float).eps)
@@ -120,28 +117,11 @@ def _symplectic_moduli(cm: np.ndarray) -> np.ndarray:
     return mods[..., ::2]
 
 
-def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a symmetric positive-definite covariance matrix.
-
-    Returns the n moduli in ascending order.  A physical state has all of them
-    >= 1 in this convention.
-    """
-    cm = np.asarray(cm, dtype=float)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
-        raise InvalidStateError(f"cm must be square with even dimension, got {cm.shape}")
-    scale = max(1.0, float(np.abs(cm).max()))
-    if float(np.abs(cm - cm.T).max()) > _SYMMETRY_RTOL * scale:
-        raise InvalidStateError("covariance matrix is not symmetric")
-    if np.linalg.eigvalsh((cm + cm.T) / 2.0)[0] <= 0.0:
-        raise InvalidStateError("covariance matrix is not positive definite")
-    return _symplectic_moduli((cm + cm.T) / 2.0)
-
-
-def check_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> PhysicalityReport:
+def check_physical(state: GaussianState) -> PhysicalityReport:
     """Report whether ``state`` is a valid quantum state.  Never raises."""
     pd = bool(np.linalg.eigvalsh(state.cm)[0] > 0.0)
     min_nu = float(_symplectic_moduli(state.cm)[0])
-    return PhysicalityReport(min_nu, pd, pd and min_nu >= 1.0 - tol)
+    return PhysicalityReport(min_nu, pd, pd and min_nu >= 1.0 - PHYSICALITY_TOL)
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,20 +139,53 @@ def _quadrature_index(n_modes: int):
     return rows, cols, mask, eye
 
 
-def _real_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real parts of the eigenvalues of a batch of real n x n matrices."""
-    if m.shape[-1] != 2:
-        return np.linalg.eigvals(m).real
-    half_trace = (m[..., 0, 0] + m[..., 1, 1]) / 2.0
-    half_gap = (m[..., 0, 0] - m[..., 1, 1]) / 2.0
-    # a negative discriminant is a rounded-apart complex pair with real part half_trace
-    root = np.sqrt(np.maximum(half_gap * half_gap + m[..., 0, 1] * m[..., 1, 0], 0.0))
-    return np.stack((half_trace - root, half_trace + root), axis=-1)
+def fidelity_from_arrays(
+    cov_a: np.ndarray, cov_b: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray
+) -> np.ndarray:
+    """Uhlmann fidelity F = Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)) for Gaussian states
+    whose covariances have no q-p entries, as every state cpfkit builds.
 
+    Batched core: covariances have shape (..., 2n, 2n), means (..., 2n), and
+    leading dimensions broadcast.  No physicality validation is performed
+    here; :func:`check_physical` reports it.  A covariance with a q-p entry
+    raises :class:`InvalidStateError`.
 
-def _split_terms(cov_a, cov_b, delta):
-    """log_num, log det(V_a+V_b) and the mean exponent for q/p-decoupled states."""
-    rows, cols, _, eye = _quadrature_index(cov_a.shape[-1] // 2)
+    Banchi-Braunstein-Pirandola formula (PRL 115, 260501, 2015): with
+    G = (V_a+V_b)^-1 and V_aux = Omega^T G (Omega + V_b Omega V_a),
+
+        F_tot^4 = det[(sqrt(I + (V_aux Omega)^-2) + I) V_aux] / det((V_a+V_b)/2)
+        F = F_tot * exp(-1/4 du^T G du),  du = u_b - u_a.
+
+    For physical inputs the eigenvalues of V_aux Omega are pairs +/- i nu_j
+    with nu_j >= 1, and the numerator determinant equals
+    prod_j (nu_j + sqrt(nu_j^2 - 1))^2, accumulated in log space as a sum of
+    arccosh(nu_j) terms (determinants overflow doubles once entries grow like
+    mu^2n).  Without q-p entries V = V_q (+) V_p, V_aux Omega squares to
+    -(YX) (+) -(XY) with X = G_q (I + V_b,q V_a,p) and
+    Y = G_p (I + V_b,p V_a,q), so nu_j^2 = lambda_j are the eigenvalues of
+    the real n x n product XY, log det and the exponent split into q and p
+    parts, and arccosh(nu) = arcsinh(sqrt(lambda - 1)) with lambda - 1 taken
+    from the eigenvalues of XY - I.  A pure direction of the Uhlmann product
+    operator has lambda = 1 exactly, where a rounding error delta in lambda
+    would cost sqrt(delta) through the square-root kink, so lambda is set to
+    1 when |lambda - 1| <= SNAP_ULPS * eps * ||X||_F ||Y||_F, a multiple of
+    the rounding error of the product XY.
+
+    Accuracy against a 60-digit mpmath evaluation of the same formula, on
+    the output pairs of the audit grid in tests/test_kernel_oracle.py
+    (m in {2, 3, 5}, n_s from 1e-6 to 1e6, kappa from 0 to 1, eta pairs
+    including 0, 1 and eta_b ~ eta_t): at most 2.3e-7 absolute when both
+    eta < 1, the largest errors coming from the snap on nearly vacuum
+    outputs; at most 6.6e-5 when an eta equals 1, where XY - I is nearly
+    nilpotent and its eigenvalues lose half the digits.
+    """
+    cov_a = np.asarray(cov_a, dtype=float)
+    cov_b = np.asarray(cov_b, dtype=float)
+    delta = np.asarray(mean_b, dtype=float) - np.asarray(mean_a, dtype=float)
+    two_n = cov_a.shape[-1]
+    rows, cols, qp, eye = _quadrature_index(two_n // 2)
+    if (cov_a * qp).any() or (cov_b * qp).any():
+        raise InvalidStateError("the fidelity kernel needs covariances without q-p entries")
     a = cov_a[..., rows, cols]  # (..., 2, n, n): V_a,q and V_a,p
     b = cov_b[..., rows, cols]
     total = a + b
@@ -185,7 +198,7 @@ def _split_terms(cov_a, cov_b, delta):
     # X = G_q (I + V_b,q V_a,p) and Y = G_p (I + V_b,p V_a,q)
     xy = g @ (eye + b @ a[..., ::-1, :, :])
     x, y = xy[..., 0, :, :], xy[..., 1, :, :]
-    excess = _real_eigenvalues(x @ y - eye)  # lambda_j - 1
+    excess = np.linalg.eigvals(x @ y - eye).real  # lambda_j - 1
     if not np.isfinite(excess).all():
         raise NumericError("eigenvalue computation for the fidelity kernel failed")
     squares = (xy * xy).sum(axis=(-2, -1))
@@ -195,107 +208,6 @@ def _split_terms(cov_a, cov_b, delta):
     # arccosh(sqrt(1 + x)) = arcsinh(sqrt(x)); each nu_j stands for a +/- pair
     log_num = 2.0 * np.arcsinh(np.sqrt(excess)).sum(axis=-1)
     d = delta[..., rows[..., 0]]
-    quad = np.einsum("...si,...sij,...sj->...", d, g, d)
-    return log_num, logdet.sum(axis=-1), -0.25 * quad
-
-
-def _general_terms(cov_a, cov_b, delta):
-    """log_num, log det(V_a+V_b) and the mean exponent for arbitrary states."""
-    omega = symplectic_form(cov_a.shape[-1] // 2)
-    total = cov_a + cov_b
-    total = (total + np.swapaxes(total, -1, -2)) / 2.0
-    sign, logdet_total = np.linalg.slogdet(total)
-    if np.any(sign <= 0.0) or not np.all(np.isfinite(logdet_total)):
-        raise NumericError("covariance sum V_a + V_b is singular or indefinite")
-    g = np.linalg.inv(total)
-
-    v_aux = omega.T @ g @ (omega + cov_b @ omega @ cov_a)
-    w = np.linalg.eigvals(v_aux @ omega)
-    if not np.all(np.isfinite(w.real)):
-        raise NumericError("eigenvalue computation for the fidelity kernel failed")
-    nu = np.abs(w)
-    nu = np.where(np.abs(nu - 1.0) <= SNAP_TOL, 1.0, np.maximum(nu, 1.0))
-    # each +/- pair appears twice in nu, squaring the per-mode factor as required
-    log_num = np.sum(np.arccosh(nu), axis=-1)
-    return log_num, logdet_total, -0.25 * np.einsum("...i,...ij,...j", delta, g, delta)
-
-
-def fidelity_from_arrays(
-    cov_a: np.ndarray, cov_b: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray
-) -> np.ndarray:
-    """Uhlmann fidelity F = Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)) for Gaussian states.
-
-    Batched core: covariances have shape (..., 2n, 2n), means (..., 2n), and
-    leading dimensions broadcast.  No physicality validation is performed here;
-    use :func:`gaussian_fidelity` for the checked scalar interface.
-
-    Banchi-Braunstein-Pirandola formula (PRL 115, 260501, 2015): with
-    G = (V_a+V_b)^-1 and V_aux = Omega^T G (Omega + V_b Omega V_a),
-
-        F_tot^4 = det[(sqrt(I + (V_aux Omega)^-2) + I) V_aux] / det((V_a+V_b)/2)
-        F = F_tot * exp(-1/4 du^T G du),  du = u_b - u_a.
-
-    For physical inputs the eigenvalues of V_aux Omega are pairs +/- i nu_j
-    with nu_j >= 1, and the numerator determinant equals
-    prod_j (nu_j + sqrt(nu_j^2 - 1))^2, accumulated in log space as a sum of
-    arccosh(nu_j) terms (determinants overflow doubles once entries grow like
-    mu^2n).  Two paths evaluate it, chosen by the input:
-
-    * **q/p split**, whenever neither covariance has q-p entries (true of
-      every state cpfkit builds).  Then V = V_q (+) V_p, V_aux Omega squares
-      to -(YX) (+) -(XY) with X = G_q (I + V_b,q V_a,p) and
-      Y = G_p (I + V_b,p V_a,q), so nu_j^2 = lambda_j are the eigenvalues of
-      the real n x n product XY (closed form for n = 2), log det and the
-      exponent split into q and p parts, and
-      arccosh(nu) = arcsinh(sqrt(lambda - 1)) with lambda - 1 taken from the
-      eigenvalues of XY - I.  A pure direction of the Uhlmann product
-      operator has lambda = 1 exactly, where a rounding error delta in
-      lambda would cost sqrt(delta) through the square-root kink, so
-      lambda is set to 1 when
-      |lambda - 1| <= SNAP_ULPS * eps * ||X||_F ||Y||_F, a multiple of the
-      rounding error of the product XY.
-    * **general**, for states with q-p correlations: the complex eigenvalues
-      of the 2n x 2n V_aux Omega, with moduli within SNAP_TOL of 1 snapped
-      to 1.
-
-    Accuracy of the split path against a 60-digit mpmath evaluation of the
-    same formula, on the output pairs of the audit grid in
-    tests/test_kernel_oracle.py (m in {2, 3, 5}, n_s from 1e-6 to 1e6, kappa
-    from 0 to 1, eta pairs including 0, 1 and eta_b ~ eta_t): at most 2.3e-7
-    absolute when both eta < 1, the largest errors coming from the snap on
-    nearly vacuum outputs; at most 6.6e-5 when an eta equals 1, where XY - I
-    is nearly nilpotent and its eigenvalues lose half the digits (the
-    general path loses as much there).
-    """
-    cov_a = np.asarray(cov_a, dtype=float)
-    cov_b = np.asarray(cov_b, dtype=float)
-    delta = np.asarray(mean_b, dtype=float) - np.asarray(mean_a, dtype=float)
-    two_n = cov_a.shape[-1]
-    qp = _quadrature_index(two_n // 2)[2]
-    if (cov_a * qp).any() or (cov_b * qp).any():
-        log_num, logdet_total, exponent = _general_terms(cov_a, cov_b, delta)
-    else:
-        log_num, logdet_total, exponent = _split_terms(cov_a, cov_b, delta)
-    log_f = 0.25 * (log_num - logdet_total + two_n * math.log(2.0)) + exponent
+    exponent = -0.25 * np.einsum("...si,...sij,...sj->...", d, g, d)
+    log_f = 0.25 * (log_num - logdet.sum(axis=-1) + two_n * math.log(2.0)) + exponent
     return np.minimum(np.exp(log_f), 1.0)
-
-
-def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
-    """Fidelity F(a, b) = Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)), in [0, 1].
-
-    Raises :class:`InvalidStateError` when the states have different mode
-    counts or fail the physicality check.
-    """
-    if a.n_modes != b.n_modes:
-        raise InvalidStateError(
-            f"states have different mode counts: {a.n_modes} vs {b.n_modes}"
-        )
-    for label, state in (("first", a), ("second", b)):
-        report = check_physical(state)
-        if not report.ok:
-            raise InvalidStateError(
-                f"{label} state is unphysical "
-                f"(min symplectic eigenvalue {report.min_symplectic_eigenvalue:.9g}, "
-                f"positive definite: {report.positive_definite})"
-            )
-    return float(fidelity_from_arrays(a.cm, b.cm, a.mean, b.mean))

@@ -18,8 +18,9 @@ from cpfkit import (
     InvalidStateError,
     ProtocolKind,
     Scenario,
+    check_physical,
     errors,
-    gaussian_fidelity,
+    fidelity_from_arrays,
     protocols,
     pure_loss,
 )
@@ -98,6 +99,12 @@ def photon_number(state: GaussianState, mode: int) -> float:
     return (state.cm[i, i] + state.cm[j, j] - 2.0) / 4.0 + (
         state.mean[i] ** 2 + state.mean[j] ** 2
     ) / 4.0
+
+
+def state_fidelity(a: GaussianState, b: GaussianState) -> float:
+    """The fidelity of two physical states through the kernel."""
+    assert check_physical(a).ok and check_physical(b).ok
+    return float(fidelity_from_arrays(a.cm, b.cm, a.mean, b.mean))
 
 
 def _check_priors_and_matrix(priors, fidelities) -> tuple:
@@ -186,7 +193,7 @@ def bipartite_fidelity_numeric(eta_b: float, eta_t: float, n_s: float) -> float:
     probe = GaussianState(np.zeros(4), symmetric_cm(2, mu, math.sqrt(mu * mu - 1.0)))
     through_t = pure_loss(probe, 1, eta_t)
     through_b = pure_loss(probe, 1, eta_b)
-    return gaussian_fidelity(through_t, through_b) ** 2
+    return state_fidelity(through_t, through_b) ** 2
 
 
 def reduction_symplectic(m: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 
 from cpfkit import cli
 from cpfkit.cli import main
+from helpers import counting_checks
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -219,6 +220,33 @@ def test_sweep_rejects_fractional_box_count(capsys):
     )
     assert code == 2
     assert "integer" in err
+
+
+def test_log_sweep_ends_at_the_typed_endpoints(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--variable", "n_s", "--log", "--start", "0.3", "--stop", "700",
+        "--points", "5", "--m", "2", "--eta-b", "0.9", "--eta-t", "0.95",
+        "--protocols", "classical", "--format", "json",
+    )
+    assert code == 0
+    values = [row[1] for row in json.loads(out)["rows"]]
+    assert (values[0], values[-1]) == (0.3, 700.0)
+
+
+def test_region_checks_each_axis_once(capsys):
+    with counting_checks(callers=True) as calls:
+        code, _, _ = run_cli(
+            capsys, "region", "--x", "eta_t", "--x-points", "4", "--y", "eta_b",
+            "--y-start", "0.1", "--y-stop", "0.9", "--y-points", "3", "--ns", "20",
+            "--m", "3", "--quantum", "idler_free",
+        )
+    assert code == 0
+    for axis in ("eta_t", "eta_b"):
+        # the command line checks the axis's two endpoints, its RegionSpec the
+        # whole axis
+        callers = [caller for caller, field in calls if field == axis]
+        assert sum(caller.startswith("cpfkit.cli.") for caller in callers) == 2
+        assert callers.count("cpfkit.scan.RegionSpec.__post_init__") == 1
 
 
 def test_region_columns_and_certificate_cells(capsys):

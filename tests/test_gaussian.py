@@ -5,22 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_physical_state
+from conftest import random_decoupled_state, random_physical_state
 from cpfkit import (
     DomainError,
     GaussianState,
     InvalidStateError,
     check_physical,
-    gaussian_fidelity,
+    fidelity_from_arrays,
     pure_loss,
-    symplectic_eigenvalues,
     symplectic_form,
 )
+from cpfkit.gaussian import _symplectic_moduli
 from helpers import (
     coherent_state,
     displace,
     keep_modes,
     photon_number,
+    state_fidelity,
     symmetric_cm,
     tensor,
     thermal_fidelity_oracle,
@@ -69,7 +70,7 @@ def test_vacuum_and_coherent_layout():
 def test_thermal_state_energy(n_bar):
     state = thermal_state(n_bar)
     assert photon_number(state, 0) == pytest.approx(n_bar, abs=1e-14)
-    assert symplectic_eigenvalues(state.cm) == pytest.approx([2 * n_bar + 1])
+    assert _symplectic_moduli(state.cm) == pytest.approx([2 * n_bar + 1])
 
 
 def test_photon_number_splits_thermal_and_coherent():
@@ -190,18 +191,11 @@ def test_symmetric_cm_spectrum_analytic(m, mu, fraction):
     # mu I diagonal with c Z couplings: one eigenvalue sqrt(mu^2 - (m-1)^2 c^2)
     # and m-1 copies of sqrt(mu^2 - c^2)
     c = fraction * math.sqrt(mu * mu - 1.0) / (m - 1)  # up to the largest physical c
-    nus = symplectic_eigenvalues(symmetric_cm(m, mu, c))
+    nus = _symplectic_moduli(symmetric_cm(m, mu, c))
     lone = math.sqrt(mu * mu - (m - 1.0) ** 2 * c * c)
     bulk = math.sqrt(mu * mu - c * c)
     expected = np.sort(np.array([lone] + [bulk] * (m - 1)))
     assert np.allclose(nus, expected, rtol=1e-10)
-
-
-def test_symplectic_eigenvalues_reject_bad_input():
-    with pytest.raises(InvalidStateError):
-        symplectic_eigenvalues(np.eye(3))
-    with pytest.raises(InvalidStateError):
-        symplectic_eigenvalues(-np.eye(2))
 
 
 def test_check_physical_boundary():
@@ -221,39 +215,39 @@ def test_check_physical_boundary():
 
 def test_fidelity_self_is_one(rng):
     for n in (1, 2, 3):
-        state = random_physical_state(rng, n)
-        assert gaussian_fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
+        state = random_decoupled_state(rng, n)
+        assert state_fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_symmetric(rng):
     for n in (1, 2, 3):
-        a = random_physical_state(rng, n)
-        b = random_physical_state(rng, n)
-        assert gaussian_fidelity(a, b) == pytest.approx(gaussian_fidelity(b, a), abs=1e-10)
+        a = random_decoupled_state(rng, n)
+        b = random_decoupled_state(rng, n)
+        assert state_fidelity(a, b) == pytest.approx(state_fidelity(b, a), abs=1e-10)
 
 
 def test_fidelity_in_unit_interval(rng):
     for _ in range(20):
-        a = random_physical_state(rng, 2)
-        b = random_physical_state(rng, 2)
-        f = gaussian_fidelity(a, b)
+        a = random_decoupled_state(rng, 2)
+        b = random_decoupled_state(rng, 2)
+        f = state_fidelity(a, b)
         assert 0.0 <= f <= 1.0
 
 
 def test_fidelity_multiplicative_over_tensor(rng):
-    a1, b1 = random_physical_state(rng, 1), random_physical_state(rng, 1)
-    a2, b2 = random_physical_state(rng, 2), random_physical_state(rng, 2)
-    joint = gaussian_fidelity(tensor(a1, a2), tensor(b1, b2))
-    split = gaussian_fidelity(a1, b1) * gaussian_fidelity(a2, b2)
+    a1, b1 = random_decoupled_state(rng, 1), random_decoupled_state(rng, 1)
+    a2, b2 = random_decoupled_state(rng, 2), random_decoupled_state(rng, 2)
+    joint = state_fidelity(tensor(a1, a2), tensor(b1, b2))
+    split = state_fidelity(a1, b1) * state_fidelity(a2, b2)
     assert joint == pytest.approx(split, rel=1e-9)
 
 
 def test_fidelity_displacement_invariant(rng):
-    a = random_physical_state(rng, 2)
-    b = random_physical_state(rng, 2)
+    a = random_decoupled_state(rng, 2)
+    b = random_decoupled_state(rng, 2)
     offset = rng.normal(size=4)
-    before = gaussian_fidelity(a, b)
-    after = gaussian_fidelity(displace(a, offset), displace(b, offset))
+    before = state_fidelity(a, b)
+    after = state_fidelity(displace(a, offset), displace(b, offset))
     assert after == pytest.approx(before, rel=1e-12)
 
 
@@ -261,29 +255,28 @@ def test_fidelity_coherent_pair_exact():
     # F = exp(-|alpha - beta|^2 / 2); the kernel's unit eigenvalues are snapped,
     # so the identity holds to machine precision
     alpha, beta = 1.3 - 0.4j, -0.2 + 1.1j
-    f = gaussian_fidelity(coherent_state([alpha]), coherent_state([beta]))
+    f = state_fidelity(coherent_state([alpha]), coherent_state([beta]))
     assert f == pytest.approx(math.exp(-abs(alpha - beta) ** 2 / 2.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("n1", [0.0, 0.5, 1.0, 5.0, 20.0])
 @pytest.mark.parametrize("n2", [0.0, 0.5, 1.0, 5.0, 20.0])
 def test_fidelity_matches_thermal_oracle(n1, n2):
-    f = gaussian_fidelity(thermal_state(n1), thermal_state(n2))
+    f = state_fidelity(thermal_state(n1), thermal_state(n2))
     assert f == pytest.approx(thermal_fidelity_oracle(n1, n2), rel=1e-12)
 
 
 def test_fidelity_orthogonalizes_with_distance():
-    far = gaussian_fidelity(coherent_state([0.0]), coherent_state([6.0]))
-    near = gaussian_fidelity(coherent_state([0.0]), coherent_state([0.5]))
+    far = state_fidelity(coherent_state([0.0]), coherent_state([6.0]))
+    near = state_fidelity(coherent_state([0.0]), coherent_state([0.5]))
     assert far < 1e-7 < near
 
 
-def test_fidelity_rejects_mode_mismatch():
-    with pytest.raises(InvalidStateError):
-        gaussian_fidelity(vacuum_state(1), vacuum_state(2))
-
-
-def test_fidelity_validates_physicality():
-    squeezed_below = GaussianState(np.zeros(2), 0.5 * np.eye(2))
-    with pytest.raises(InvalidStateError):
-        gaussian_fidelity(squeezed_below, vacuum_state(1))
+def test_fidelity_refuses_qp_entries(rng):
+    # the kernel splits q from p; a q-p entry in either covariance is refused
+    state = random_decoupled_state(rng, 2)
+    correlated = state.cm.copy()
+    correlated[0, 3] = correlated[3, 0] = 0.1
+    for cov_a, cov_b in ((correlated, state.cm), (state.cm, correlated)):
+        with pytest.raises(InvalidStateError, match="q-p entries"):
+            fidelity_from_arrays(cov_a, cov_b, state.mean, state.mean)

@@ -7,8 +7,7 @@ current kernel with both; a few points are re-derived live so that the
 fixture cannot go stale.  The fidelity the command line prints,
 ``scan.fidelity``, is gated on the same points: at m = 2 it comes from the
 two-box pair's closed form, which is also pinned at points beyond the audit
-grid.  States with q-p correlations, which take the kernel's general path,
-are checked against the oracle at the end.
+grid.
 """
 
 import json
@@ -29,8 +28,6 @@ ROWS = oracle.load_fixture()
 # the accuracy stated in README.md, "Accuracy"
 TOL_ETA_BELOW_ONE = 1e-6
 TOL_ETA_ONE = 1e-4
-# relative, on the states with q-p correlations below (1.9e-13 observed)
-TOL_GENERAL = 1e-12
 # relative, on the two-box mixed pair's closed form (1.8e-13 observed)
 TOL_TWO_BOX = 1e-12
 
@@ -174,65 +171,3 @@ def test_kappa_optimum_is_not_a_kernel_artefact(capsys):
         2, 0.25375519476203323, 0.2527819465204907, 0.03337590306825458, kappa_star
     )
     assert abs(printed - reference) <= 1e-9
-
-
-# ------------------------------------------- the general path: q-p correlations
-
-
-def _squeezed_thermal(nu, r, theta):
-    """nu R(theta) diag(e^-2r, e^2r) R(theta)^T: a thermal mode of symplectic
-    eigenvalue nu, squeezed by r and rotated by theta."""
-    c, s = mpmath.cos(theta), mpmath.sin(theta)
-    rotation = mpmath.matrix([[c, s], [-s, c]])
-    return nu * rotation * mpmath.diag([mpmath.exp(-2 * r), mpmath.exp(2 * r)]) * rotation.T
-
-
-def _two_mode(nu_1, nu_2, r_1, r_2, phi, t):
-    """Squeezed thermal modes, the second rotated by phi, mixed on a beam
-    splitter of angle t: q-p terms within and across the modes."""
-    product = mpmath.zeros(4)
-    for offset, block in ((0, _squeezed_thermal(nu_1, r_1, 0)),
-                          (2, _squeezed_thermal(nu_2, r_2, phi))):
-        for i in range(2):
-            for j in range(2):
-                product[offset + i, offset + j] = block[i, j]
-    c, s = mpmath.cos(t), mpmath.sin(t)
-    splitter = mpmath.zeros(4)
-    for i in range(2):
-        splitter[i, i] = splitter[2 + i, 2 + i] = c
-        splitter[i, 2 + i], splitter[2 + i, i] = s, -s
-    return splitter * product * splitter.T
-
-
-def _mp(*values):
-    return [mpmath.mpf(v) for v in values]
-
-
-# (builder, its parameters for state a and for state b, mean a, mean b)
-_GENERAL_PAIRS = {
-    "rotated-squeezed-thermal": (_squeezed_thermal, ("1.5", "0.4", "0.3"),
-                                 ("2", "0.1", "1.1"), ("0.2", "-0.5"), ("1", "0.3")),
-    "strongly-squeezed": (_squeezed_thermal, ("1.05", "1.5", "0.3"),
-                          ("5", "0.8", "-0.9"), ("0", "0"), ("2", "-1")),
-    "two-mode": (_two_mode, ("1.2", "1.7", "0.5", "0.2", "0.7", "0.4"),
-                 ("1.4", "1.1", "0.3", "0.6", "-0.5", "1"),
-                 ("0.3", "0.1", "-0.4", "0.8"), ("-0.2", "0.5", "0.6", "-0.1")),
-    "two-mode-strongly-squeezed": (_two_mode, ("3", "1.02", "1.2", "0.9", "2", "0.8"),
-                                   ("1.1", "2.5", "0.1", "1.1", "-1.3", "0.3"),
-                                   ("1", "0", "0", "-1"), ("0", "0.5", "-0.5", "0")),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_GENERAL_PAIRS))
-def test_general_path_matches_oracle(name):
-    build, params_a, params_b, mean_a, mean_b = _GENERAL_PAIRS[name]
-    with mpmath.workdps(oracle.DIGITS):
-        pair = (build(*_mp(*params_a)), build(*_mp(*params_b)),
-                mpmath.matrix(_mp(*mean_a)), mpmath.matrix(_mp(*mean_b)))
-        reference = float(oracle.fidelity(*pair))
-    cov_a, cov_b = (np.array(v.tolist(), dtype=float) for v in pair[:2])
-    m_a, m_b = (np.array(v.tolist(), dtype=float).ravel() for v in pair[2:])
-    # a q-p entry sends the kernel down the general path
-    assert cov_a[0::2, 1::2].any() and cov_b[0::2, 1::2].any()
-    value = float(fidelity_from_arrays(cov_a, cov_b, m_a, m_b))
-    assert value == pytest.approx(reference, rel=TOL_GENERAL)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cpfkit import symplectic_eigenvalues
+from cpfkit.gaussian import _symplectic_moduli
 from cpfkit.protocols import bipartite_fidelity, classical_fidelity, idler_free_binary_fidelity
 from helpers import pgm_pure_upper, symmetric_cm, thermal_fidelity_oracle
 
@@ -81,5 +81,5 @@ def test_pgm_pure_upper_frozen():
 def test_symmetric_probe_eigenvalues_frozen():
     # m = 3, mu = 3 at maximal correlation c = sqrt(mu^2-1)/(m-1) = sqrt(2):
     # one pure direction (nu = 1) and a doubly degenerate nu = sqrt(mu^2 - c^2)
-    nus = symplectic_eigenvalues(symmetric_cm(3, 3.0, math.sqrt(2.0)))
+    nus = _symplectic_moduli(symmetric_cm(3, 3.0, math.sqrt(2.0)))
     assert np.allclose(nus, [1.0, math.sqrt(7.0), math.sqrt(7.0)], rtol=1e-12)

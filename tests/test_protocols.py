@@ -10,7 +10,6 @@ from cpfkit import (
     ProtocolKind,
     Scenario,
     fidelity_from_arrays,
-    gaussian_fidelity,
     output_fidelity,
     pure_loss,
     symplectic_form,
@@ -33,6 +32,7 @@ from helpers import (
     photon_number,
     reduced_output_pair,
     reduction_symplectic,
+    state_fidelity,
     traced_block_cm,
 )
 
@@ -203,10 +203,10 @@ def test_hypothesis_pairs_equivalent(rng):
         scenario = Scenario(m, 0.7, 0.35, 2.0, kappa=0.6)
         probe = build_probe(ProtocolKind.MIXED, m, scenario.n_s, scenario.kappa)
         outputs = [_through_boxes(probe, range(m), scenario, t) for t in range(m)]
-        reference = gaussian_fidelity(outputs[0], outputs[1])
+        reference = state_fidelity(outputs[0], outputs[1])
         for i in range(m):
             for j in range(i + 1, m):
-                assert gaussian_fidelity(outputs[i], outputs[j]) == pytest.approx(
+                assert state_fidelity(outputs[i], outputs[j]) == pytest.approx(
                     reference, abs=1e-10
                 )
 

@@ -10,7 +10,10 @@ enter the digest.  Usage, from the repository root:
     PYTHONPATH=src python tests/tools/replay_digest.py --seeds 3 11
 
 Point PYTHONPATH at another checkout's ``src`` to digest that code with the
-same ops.  The digest is the last line printed; the op count comes before it.
+same ops.  The digest is the last line printed; the op count comes before
+it, and before that one digest per op class (``op.cls``), over the same
+parts of that class's ops only, so a change that alters known ops shows
+which classes moved.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ def load_workloads():
 
 
 def replay(seeds) -> tuple:
-    """(number of ops, hex digest) of every workload at each seed."""
+    """(number of ops, hex digest, {op class: hex digest}) of every workload
+    at each seed."""
     workloads = load_workloads()
-    digest, count = hashlib.sha256(), 0
+    digest, count, classes = hashlib.sha256(), 0, {}
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             for op in workloads.generate(workload, seed):
@@ -49,18 +53,22 @@ def replay(seeds) -> tuple:
                         code = cpfkit.cli.main(list(op.argv))
                     except Exception as exc:  # an escaped exception is part of the behaviour
                         code = f"{type(exc).__name__}: {exc}"
+                by_class = classes.setdefault(op.cls, hashlib.sha256())
                 for part in ("\0".join(op.argv), str(code), out.getvalue(), err.getvalue()):
-                    digest.update(part.encode())
-                    digest.update(b"\0\0")
+                    for target in (digest, by_class):
+                        target.update(part.encode())
+                        target.update(b"\0\0")
                 count += 1
-    return count, digest.hexdigest()
+    return count, digest.hexdigest(), {cls: d.hexdigest() for cls, d in sorted(classes.items())}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 11])
     args = parser.parse_args(argv)
-    count, digest = replay(args.seeds)
+    count, digest, classes = replay(args.seeds)
+    for cls, class_digest in classes.items():
+        print(f"{cls} {class_digest}")
     print(f"{count} ops")
     print(digest)
     return 0
