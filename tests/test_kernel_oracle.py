@@ -7,7 +7,8 @@ current kernel with both; a few points are re-derived live so that the
 fixture cannot go stale.  The fidelity the command line prints,
 ``scan.fidelity``, is gated on the same points: at m = 2 it comes from the
 two-box pair's closed form, which is also pinned at points beyond the audit
-grid.
+grid.  Squeezed, displaced pairs outside the probe families are checked
+against the oracle at the end.
 """
 
 import json
@@ -30,6 +31,8 @@ TOL_ETA_BELOW_ONE = 1e-6
 TOL_ETA_ONE = 1e-4
 # relative, on the two-box mixed pair's closed form (1.8e-13 observed)
 TOL_TWO_BOX = 1e-12
+# relative, on the squeezed pairs at the end (3.1e-14 observed)
+TOL_SPLIT = 1e-12
 
 
 def _point(row):
@@ -171,3 +174,64 @@ def test_kappa_optimum_is_not_a_kernel_artefact(capsys):
         2, 0.25375519476203323, 0.2527819465204907, 0.03337590306825458, kappa_star
     )
     assert abs(printed - reference) <= 1e-9
+
+
+# ------------------------------------- the q/p split beyond the probe families
+
+
+def _squeezed_thermal(nu, r):
+    """nu diag(e^-2r, e^2r): a thermal mode of symplectic eigenvalue nu,
+    squeezed by r in q."""
+    return nu * mpmath.diag([mpmath.exp(-2 * r), mpmath.exp(2 * r)])
+
+
+def _two_mode(nu_1, nu_2, r_1, r_2, t):
+    """Squeezed thermal modes mixed on a beam splitter of angle t, which
+    couples q_1 with q_2 and p_1 with p_2 but never a q with a p."""
+    product = mpmath.zeros(4)
+    for offset, block in ((0, _squeezed_thermal(nu_1, r_1)),
+                          (2, _squeezed_thermal(nu_2, -r_2))):
+        for i in range(2):
+            for j in range(2):
+                product[offset + i, offset + j] = block[i, j]
+    c, s = mpmath.cos(t), mpmath.sin(t)
+    splitter = mpmath.zeros(4)
+    for i in range(2):
+        splitter[i, i] = splitter[2 + i, 2 + i] = c
+        splitter[i, 2 + i], splitter[2 + i, i] = s, -s
+    return splitter * product * splitter.T
+
+
+def _mp(*values):
+    return [mpmath.mpf(v) for v in values]
+
+
+# (builder, its parameters for state a and for state b, mean a, mean b)
+_SPLIT_PAIRS = {
+    "squeezed-thermal": (_squeezed_thermal, ("1.5", "0.4"), ("2", "-0.1"),
+                         ("0.2", "-0.5"), ("1", "0.3")),
+    "strongly-squeezed": (_squeezed_thermal, ("1.05", "1.5"), ("5", "0.8"),
+                          ("0", "0"), ("2", "-1")),
+    "two-mode": (_two_mode, ("1.2", "1.7", "0.5", "0.2", "0.4"),
+                 ("1.4", "1.1", "0.3", "0.6", "1"),
+                 ("0.3", "0.1", "-0.4", "0.8"), ("-0.2", "0.5", "0.6", "-0.1")),
+    "two-mode-strongly-squeezed": (_two_mode, ("3", "1.02", "1.2", "0.9", "0.8"),
+                                   ("1.1", "2.5", "0.1", "1.1", "0.3"),
+                                   ("1", "0", "0", "-1"), ("0", "0.5", "-0.5", "0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_PAIRS))
+def test_split_path_matches_oracle(name):
+    # squeezed, displaced pairs without the probe families' symmetry, against
+    # the oracle's full 2k x 2k formula
+    build, params_a, params_b, mean_a, mean_b = _SPLIT_PAIRS[name]
+    with mpmath.workdps(oracle.DIGITS):
+        pair = (build(*_mp(*params_a)), build(*_mp(*params_b)),
+                mpmath.matrix(_mp(*mean_a)), mpmath.matrix(_mp(*mean_b)))
+        reference = float(oracle.fidelity(*pair))
+    cov_a, cov_b = (np.array(v.tolist(), dtype=float) for v in pair[:2])
+    m_a, m_b = (np.array(v.tolist(), dtype=float).ravel() for v in pair[2:])
+    assert not (cov_a[0::2, 1::2].any() or cov_b[0::2, 1::2].any())
+    value = float(fidelity_from_arrays(cov_a, cov_b, m_a, m_b))
+    assert value == pytest.approx(reference, rel=TOL_SPLIT)
