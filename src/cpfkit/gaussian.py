@@ -145,10 +145,11 @@ def fidelity_from_arrays(
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)) for Gaussian states
     whose covariances have no q-p entries, as every state cpfkit builds.
 
-    Batched core: covariances have shape (..., 2n, 2n), means (..., 2n), and
-    leading dimensions broadcast.  No physicality validation is performed
-    here; :func:`check_physical` reports it.  A covariance with a q-p entry
-    raises :class:`InvalidStateError`.
+    Batched core: covariances have shape (..., 2n, 2n) and means (..., 2n)
+    for one n >= 1, and leading dimensions broadcast; other shapes, and a
+    covariance with a q-p entry, raise :class:`InvalidStateError`.  No
+    physicality validation is performed here; :func:`check_physical`
+    reports it.
 
     Banchi-Braunstein-Pirandola formula (PRL 115, 260501, 2015): with
     G = (V_a+V_b)^-1 and V_aux = Omega^T G (Omega + V_b Omega V_a),
@@ -179,10 +180,13 @@ def fidelity_from_arrays(
     outputs; at most 6.6e-5 when an eta equals 1, where XY - I is nearly
     nilpotent and its eigenvalues lose half the digits.
     """
-    cov_a = np.asarray(cov_a, dtype=float)
-    cov_b = np.asarray(cov_b, dtype=float)
+    cov_a, cov_b = np.asarray(cov_a, dtype=float), np.asarray(cov_b, dtype=float)
+    shapes = (cov_a.shape[-2:], cov_b.shape[-2:], np.shape(mean_a)[-1:], np.shape(mean_b)[-1:])
+    two_n = cov_a.shape[-1] if cov_a.ndim else 0
+    if not two_n or two_n % 2 or shapes != ((two_n, two_n),) * 2 + ((two_n,),) * 2:
+        raise InvalidStateError("the fidelity kernel needs 2n x 2n covariances and length-2n "
+                                f"means of one n, got last axes {shapes}")
     delta = np.asarray(mean_b, dtype=float) - np.asarray(mean_a, dtype=float)
-    two_n = cov_a.shape[-1]
     rows, cols, qp, eye = _quadrature_index(two_n // 2)
     if (cov_a * qp).any() or (cov_b * qp).any():
         raise InvalidStateError("the fidelity kernel needs covariances without q-p entries")

@@ -233,6 +233,26 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     return cov_1, cov_1[..., swap[:, None], swap], mean_1, mean_1[..., swap]
 
 
+# cells per kernel or closed-form call behind route, kappa searches and maps
+_CHUNK = 512
+
+
+def _cellwise(evaluate, defaults, eta_b, eta_t, *rest) -> tuple:
+    """One array of the parameters' broadcast shape per default.  A cell
+    with eta_b == eta_t (one output state; the kernel loses digits or fails
+    there) gets ``defaults`` unevaluated; the others go raveled, _CHUNK at a
+    time, to evaluate(eta_b, eta_t, *rest), one value per default and cell."""
+    arrays = np.broadcast_arrays(eta_b, eta_t, *rest)
+    cells = [array.ravel() for array in arrays]
+    out = [np.full(cells[0].size, default) for default in defaults]
+    todo = np.flatnonzero(cells[0] != cells[1])
+    for start in range(0, todo.size, _CHUNK):
+        chunk = todo[start:start + _CHUNK]
+        for array, value in zip(out, evaluate(*(cell[chunk] for cell in cells))):
+            array[chunk] = value
+    return tuple(array.reshape(arrays[0].shape) for array in out)
+
+
 def pair_fidelity(m: int, eta_b, eta_t, n_s, kappa):
     """Fidelity of the mixed (at kappa = 1 idler-free) output pair, batched
     and unchecked: at m = 2 the pair's closed form (eta_b != eta_t), beyond
@@ -301,14 +321,10 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     behind it checks again.  Classical, bipartite and the two-box idler-free
     protocol use their closed forms (path "closed-form").  The idler-free
     protocol at m >= 3 and the mixed protocol at the given ``kappa`` are
-    :func:`pair_fidelity`'s, with path "direct" at m = 2 and "reduced"
-    beyond.  Where eta_b == eta_t the m output states are one state and the
-    value is exactly 1; nothing is evaluated there, where the kernel loses
-    digits or fails on large n_s.
+    :func:`pair_fidelity`'s through :func:`_cellwise`, path "direct" at m = 2
+    and "reduced" beyond.  Where eta_b == eta_t the value is exactly 1.
     """
     kind, m, eta_b, eta_t, n_s, kappa = _checked(protocol, m, eta_b, eta_t, n_s, kappa)
-    # the etas, not the arrays: sqrt(eta * eta) need not equal eta
-    same = np.equal(eta_b, eta_t)
     if kind is ProtocolKind.CLASSICAL:
         value = classical_fidelity(eta_b, eta_t, n_s)
     elif kind is ProtocolKind.BIPARTITE:
@@ -317,15 +333,11 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
         value = idler_free_binary_fidelity(eta_b, eta_t, n_s)
     else:
         kappa = check("kappa", kappa) if kind is ProtocolKind.MIXED else kappa
-        path = "direct" if m == 2 else "reduced"
-        if not same.any():
-            return pair_fidelity(m, eta_b, eta_t, n_s, kappa), path
-        args = np.broadcast_arrays(eta_b, eta_t, n_s, kappa)
-        same = np.broadcast_to(same, args[0].shape)
-        value = np.ones(same.shape)
-        if not same.all():
-            value[~same] = pair_fidelity(m, *(array[~same] for array in args))
-        return value, path
+        value, = _cellwise(lambda *cell: (pair_fidelity(m, *cell),), (1.0,),
+                           eta_b, eta_t, n_s, kappa)
+        return value, "direct" if m == 2 else "reduced"
+    # the etas, not the arrays: sqrt(eta * eta) need not equal eta
+    same = np.equal(eta_b, eta_t)
     return (np.where(same, 1.0, value) if same.any() else value), "closed-form"
 
 

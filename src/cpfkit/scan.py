@@ -1,7 +1,7 @@
 """Parameter scans: sweeps, mixing optimization, and advantage maps.
 
 All engines here are deterministic: every cell is evaluated on its own, with
-no stateful accumulation, and cells are evaluated _CHUNK at a time, so
+no stateful accumulation, and cells run protocols._CHUNK at a time, so
 results are byte-identical across runs, worker counts and chunk sizes.
 """
 
@@ -37,10 +37,6 @@ KAPPA_MAX_STEPS = 16
 KAPPA_EDGE_STEP = 1e-4
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
-# cells per batch: a kappa search, and a map's quantum column, run _CHUNK
-# cells at a time, which bounds the memory of each kernel or closed-form call
-_CHUNK = 512
-
 SWEEP_VARIABLES = ("eta_b", "eta_t", "n_s", "m", "m_probes")
 REGION_AXES = ("eta_b", "eta_t", "n_s")
 QUANTUM_PROTOCOLS = ("idler_free", "bipartite", "mixed")
@@ -69,10 +65,9 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     """Minimize the mixed-probe fidelity over kappa, element-wise on a batch.
 
     Returns (kappa, fidelity) with the broadcast shape of the parameters,
-    which are checked once, here.  Where eta_b == eta_t every kappa gives
-    fidelity 1, and the cell returns kappa = 0 without being evaluated.  Every
-    other cell is searched on its own, _CHUNK cells at a time, so its result
-    does not depend on the batch around it.  The search works in
+    which are checked once, here.  Through :func:`protocols._cellwise`, a cell
+    at eta_b == eta_t returns kappa = 0 and fidelity 1 unsearched, and every
+    other cell is searched on its own, whatever its batch.  The search works in
     t = log(kappa), which resolves the sqrt(kappa * n_s) boundary layer of F
     at kappa = 0.  One call evaluates the coarse grid, which holds both
     endpoints.  A Brent search (safeguarded parabolic steps, golden-section
@@ -86,15 +81,8 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     only the best node's bracket is refined.  The result is the best point
     evaluated, so it never loses to either endpoint.
     """
-    m, eta_b, eta_t, n_s = protocols._checked("mixed", m, eta_b, eta_t, n_s)[1:5]
-    batch = np.broadcast_shapes(eta_b.shape, eta_t.shape, n_s.shape)
-    eta_b, eta_t, n_s = (np.broadcast_to(v, batch).ravel() for v in (eta_b, eta_t, n_s))
-    kappa, value = np.zeros(eta_b.size), np.ones(eta_b.size)
-    cells = np.flatnonzero(eta_b != eta_t)
-    for start in range(0, cells.size, _CHUNK):
-        chunk = cells[start:start + _CHUNK]
-        kappa[chunk], value[chunk] = _search_log_kappa(m, eta_b[chunk], eta_t[chunk], n_s[chunk])
-    return kappa.reshape(batch), value.reshape(batch)
+    m, *point = protocols._checked("mixed", m, eta_b, eta_t, n_s)[1:5]
+    return protocols._cellwise(lambda *cells: _search_log_kappa(m, *cells), (0.0, 1.0), *point)
 
 
 def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray]:
@@ -201,11 +189,11 @@ def _sweep_column(base: Scenario, variable: str, protocol: str, values: np.ndarr
         ]
         fids, kappas = np.stack([p[0] for p in points]), [p[1] for p in points]
         return fids, None if kappas[0] is None else np.stack(kappas)
-    eta_b, eta_t, n_s = (
-        values if variable == name else np.full(values.shape, _required(base, name))
-        for name in ("eta_b", "eta_t", "n_s")
-    )
-    return fidelity(protocol, base.m, eta_b, eta_t, n_s, base.kappa)[:2]
+    cells = values[:1] if variable == "m_probes" else values  # no fidelity reads M
+    eta_b, eta_t, n_s = (cells if variable == name else np.full(cells.shape, _required(base, name))
+                         for name in ("eta_b", "eta_t", "n_s"))
+    return tuple(grid if grid is None else np.broadcast_to(grid, values.shape)
+                 for grid in fidelity(protocol, base.m, eta_b, eta_t, n_s, base.kappa)[:2])
 
 
 def _sweep_columns(scenario: Scenario, variable: str, values: np.ndarray, protocols) -> dict:
@@ -306,7 +294,7 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
     M-independent certificate flag F_quantum < F_classical^2.  Everything is
     evaluated on the whole grid at once except the quantum fidelity (with
     its kappa search for the mixed protocol), which runs on the raveled grid
-    _CHUNK cells at a time to bound the kernel's batches.  ``workers``
+    protocols._CHUNK cells at a time to bound the kernel's batches; ``workers``
     threads (None is 1) take the chunks, and one chunk or one worker runs in
     the caller's thread; what is not an integer >= 1 is refused.  A cell's
     result does not depend on its chunk, and the chunks are assembled in
@@ -322,7 +310,7 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
         for name in ("eta_b", "eta_t", "n_s")
     )
     cells = [v.ravel() for v in (eta_b, eta_t, n_s)]
-    chunks = [slice(start, start + _CHUNK) for start in range(0, x.size * y.size, _CHUNK)]
+    chunks = [slice(i, i + protocols._CHUNK) for i in range(0, x.size * y.size, protocols._CHUNK)]
 
     def quantum(chunk: slice):
         return fidelity(spec.quantum, base.m, *(v[chunk] for v in cells))[:2]

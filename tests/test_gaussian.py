@@ -272,6 +272,22 @@ def test_fidelity_orthogonalizes_with_distance():
     assert far < 1e-7 < near
 
 
+@pytest.mark.parametrize("cov_a, cov_b, mean_a, mean_b", [
+    pytest.param(np.eye(2), np.eye(4), np.zeros(2), np.zeros(4), id="two_mode_counts"),
+    pytest.param(np.eye(3), np.eye(3), np.zeros(3), np.zeros(3), id="odd_size"),
+    pytest.param(np.eye(4), np.eye(4), np.zeros(2), np.zeros(2), id="short_means"),
+    pytest.param(np.eye(4), np.eye(4), np.zeros(4), np.zeros(6), id="one_long_mean"),
+    pytest.param(np.ones((4, 2)), np.ones((4, 2)), np.zeros(2), np.zeros(2), id="not_square"),
+    pytest.param(np.ones(2), np.ones(2), np.zeros(2), np.zeros(2), id="vector_covariances"),
+    pytest.param(np.eye(0), np.eye(0), np.zeros(0), np.zeros(0), id="no_modes"),
+])
+def test_fidelity_refuses_mismatched_shapes(cov_a, cov_b, mean_a, mean_b):
+    # shapes are compared before anything is computed, so numpy's own
+    # broadcast and index errors never surface
+    with pytest.raises(InvalidStateError, match="2n x 2n covariances"):
+        fidelity_from_arrays(cov_a, cov_b, mean_a, mean_b)
+
+
 def test_fidelity_refuses_qp_entries(rng):
     # the kernel splits q from p; a q-p entry in either covariance is refused
     state = random_decoupled_state(rng, 2)

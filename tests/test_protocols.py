@@ -1,5 +1,7 @@
 """Protocol fidelities: closed forms, reduction, dispatch, symmetries."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -311,8 +313,9 @@ def test_output_fidelity_builds_one_pair_per_pair_protocol_report(m, protocol, k
     if report.path == "closed-form":
         assert builds == [] and report.diagnostics == {}
         return
-    # the report's own pair, and at m >= 3 the one the kernel read before it
-    assert builds == [()] * (1 + len(kernel))
+    # the report's own pair, and at m >= 3 the one-cell batch the kernel read
+    # before it
+    assert [math.prod(shape) for shape in builds] == [1] * (1 + len(kernel))
     assert report.diagnostics["min_symplectic_eigenvalue"] >= 1.0 - 1e-9
 
 

@@ -14,6 +14,7 @@ from cpfkit import (
     Scenario,
     fidelity,
     output_fidelity,
+    protocols,
     region_scan,
     scan,
 )
@@ -263,24 +264,50 @@ def test_a_region_spec_checks_only_its_axes():
     assert spec.scenario == scenario
 
 
-def _sweep_batches(m, counter, monkeypatch) -> list:
+def _sweep_batches(m, counter, monkeypatch, kappa=None, ids=("mixed",)) -> list:
     sizes = counter(monkeypatch)
     values = np.linspace(0.0, 1.0, 2000)
-    _sweep_columns(Scenario(m, 0.5, None, 5.0), "eta_t", values, ("mixed",))
+    _sweep_columns(Scenario(m, 0.5, None, 5.0, kappa=kappa), "eta_t", values, ids)
     return sizes
 
 
 def test_optimize_kappa_batches_are_bounded_by_the_chunk(monkeypatch):
     sizes = _sweep_batches(3, count_kernel_elements, monkeypatch)
     # the largest batch is the coarse grid of a full chunk, not of the sweep
-    assert max(sizes) == scan._CHUNK * (scan.KAPPA_NODES + 1)
+    assert max(sizes) == protocols._CHUNK * (scan.KAPPA_NODES + 1)
 
 
 def test_optimize_kappa_closed_form_batches_are_bounded_by_the_chunk(monkeypatch):
     kernel = count_kernel_elements(monkeypatch)
     sizes = _sweep_batches(2, count_closed_form_elements, monkeypatch)
     assert kernel == []
-    assert max(sizes) == scan._CHUNK * (scan.KAPPA_NODES + 1)
+    assert max(sizes) == protocols._CHUNK * (scan.KAPPA_NODES + 1)
+
+
+def test_fixed_kappa_pair_batches_are_bounded_by_the_chunk(monkeypatch):
+    # route's pair branch chunks as the search does: two columns of 2,000
+    # cells, none at eta_t == eta_b, in batches of at most one chunk
+    sizes = _sweep_batches(3, count_kernel_elements, monkeypatch, 0.4, ("idler_free", "mixed"))
+    assert max(sizes) == protocols._CHUNK
+    assert sum(sizes) == 2 * 2000
+
+
+def test_an_m_probes_sweep_searches_one_cell(monkeypatch, capsys):
+    # no fidelity reads M: the grid's one distinct cell is searched once and
+    # printed on every row
+    cells, search = [], scan._search_log_kappa
+
+    def counting(m, eta_b, eta_t, n_s):
+        cells.append(eta_b.size)
+        return search(m, eta_b, eta_t, n_s)
+
+    monkeypatch.setattr(scan, "_search_log_kappa", counting)
+    argv = ["sweep", "--variable", "m_probes", "--start", "1", "--stop", "50", "--points", "50",
+            "--protocols", "mixed", "--m", "3", "--eta-b", "0.5", "--eta-t", "0.7", "--ns", "5"]
+    assert main(argv) == 0
+    assert cells == [1]
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 50 and len({row.split(",", 2)[2] for row in rows}) == 1
 
 
 def test_optimize_kappa_equal_etas_skip_the_kernel(monkeypatch):
@@ -492,7 +519,7 @@ _GRID_ARRAYS = ("x_values", "y_values", "f_quantum", "f_classical", "ub_quantum"
 ])
 def test_region_scan_worker_count_invariant(spec, monkeypatch):
     # small maps fit in one chunk; at 3 cells a chunk, 5 threads really run
-    monkeypatch.setattr(scan, "_CHUNK", 3)
+    monkeypatch.setattr(protocols, "_CHUNK", 3)
     serial = region_scan(spec, workers=1)
     threaded = region_scan(spec, workers=5)
     assert (serial.kappa_star is None) == (spec.quantum != "mixed")
@@ -511,14 +538,18 @@ _CHUNKED_ARGV = {
     "figure_7": ["figure", "--id", "7", "--resolution", "5", "--format", "json"],
     "mixed_sweep": ["sweep", "--variable", "eta_t", "--start", "0", "--stop", "1", "--points",
                     "30", "--protocols", "mixed", "--m", "3", "--eta-b", "0.5", "--ns", "5"],
+    # route's pair branch at a fixed kappa, with one cell at eta_t == eta_b
+    "fixed_kappa_sweep": ["sweep", "--variable", "eta_t", "--start", "0", "--stop", "1",
+                          "--points", "21", "--protocols", "idler_free,mixed", "--m", "3",
+                          "--kappa", "0.4", "--eta-b", "0.5", "--ns", "5"],
 }
 
 
 @pytest.mark.parametrize("argv", _CHUNKED_ARGV.values(), ids=_CHUNKED_ARGV)
 def test_printed_bytes_do_not_depend_on_the_chunk_size(argv, capsys, monkeypatch):
     printed = []
-    for chunk in (scan._CHUNK, 1, 7):
-        monkeypatch.setattr(scan, "_CHUNK", chunk)
+    for chunk in (protocols._CHUNK, 1, 7):
+        monkeypatch.setattr(protocols, "_CHUNK", chunk)
         assert main(argv) == 0
         printed.append(capsys.readouterr())
     assert printed[1:] == printed[:1] * 2
@@ -571,7 +602,7 @@ def test_workers_resolution(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(scan, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(scan, "_CHUNK", 10)  # the 5 x 7 map is four chunks
+    monkeypatch.setattr(protocols, "_CHUNK", 10)  # the 5 x 7 map is four chunks
     serial = region_scan(_small_region_spec(), workers=1)
     # no worker count is one worker, in the caller's thread
     assert region_scan(_small_region_spec()).f_quantum.tobytes() == serial.f_quantum.tobytes()
