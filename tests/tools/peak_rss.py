@@ -28,11 +28,7 @@ def measure(argv) -> tuple:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if not argv or argv[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0 if argv else 2
-    code, peak_mb, cpu_s = measure(argv)
+    code, peak_mb, cpu_s = measure(sys.argv[1:] if argv is None else argv)
     print(f"exit {code}")
     print(f"peak_rss_mb {peak_mb:.1f}")
     print(f"cpu_s {cpu_s:.2f}")
