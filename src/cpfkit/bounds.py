@@ -18,12 +18,12 @@ from .errors import check
 
 
 def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
-    """Unclamped (m-1) F^M, useful for ratios; may exceed 1.  The power is
-    np.power, so that Python floats round as perr_upper's checked arrays do.
-    The uniform-prior case of the pretty-good-measurement bound of Barnum and
-    Knill, J. Math. Phys. 43, 2097 (2002).
+    """Unclamped (m-1) F^M, useful for ratios; may exceed 1.
+
+    The uniform-prior case of the pretty-good-measurement bound of
+    Barnum and Knill, J. Math. Phys. 43, 2097 (2002).
     """
-    return (m - 1.0) * np.power(fidelity, m_probes)
+    return (m - 1.0) * fidelity**m_probes
 
 
 def perr_upper(fidelity, m: int, m_probes: float = 1.0):

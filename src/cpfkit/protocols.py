@@ -233,21 +233,21 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     return cov_1, cov_1[..., swap[:, None], swap], mean_1, mean_1[..., swap]
 
 
-# cells per kernel or closed-form call behind route, kappa searches and maps
-_CHUNK = 512
+_CHUNK = 512  # cells per kernel or closed-form call behind route, kappa searches and maps
 
 
 def _cellwise(evaluate, defaults, eta_b, eta_t, *rest) -> tuple:
-    """One array of the parameters' broadcast shape per default.  A cell
-    with eta_b == eta_t (one output state; the kernel loses digits or fails
-    there) gets ``defaults`` unevaluated; the others go raveled, _CHUNK at a
-    time, to evaluate(eta_b, eta_t, *rest), one value per default and cell."""
+    """Per default, an array of the broadcast shape (one point: a scalar), the
+    default where eta_b == eta_t (one output state; the kernel fails there),
+    else evaluate(eta_b, eta_t, *rest) on _CHUNK raveled cells at a time."""
+    if not any(map(np.ndim, (eta_b, eta_t, *rest))):  # one point, unraveled: scalar arithmetic
+        values = defaults if eta_b == eta_t else evaluate(eta_b, eta_t, *rest)
+        return tuple(np.reshape(value, ())[()] for value in values)
     arrays = np.broadcast_arrays(eta_b, eta_t, *rest)
     cells = [array.ravel() for array in arrays]
     out = [np.full(cells[0].size, default) for default in defaults]
     todo = np.flatnonzero(cells[0] != cells[1])
-    for start in range(0, todo.size, _CHUNK):
-        chunk = todo[start:start + _CHUNK]
+    for chunk in (todo[start:start + _CHUNK] for start in range(0, todo.size, _CHUNK)):
         for array, value in zip(out, evaluate(*(cell[chunk] for cell in cells))):
             array[chunk] = value
     return tuple(array.reshape(arrays[0].shape) for array in out)
@@ -333,8 +333,7 @@ def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
         value = idler_free_binary_fidelity(eta_b, eta_t, n_s)
     else:
         kappa = check("kappa", kappa) if kind is ProtocolKind.MIXED else kappa
-        value, = _cellwise(lambda *cell: (pair_fidelity(m, *cell),), (1.0,),
-                           eta_b, eta_t, n_s, kappa)
+        value, = _cellwise(lambda *c: (pair_fidelity(m, *c),), (1.0,), eta_b, eta_t, n_s, kappa)
         return value, "direct" if m == 2 else "reduced"
     # the etas, not the arrays: sqrt(eta * eta) need not equal eta
     same = np.equal(eta_b, eta_t)

@@ -82,7 +82,8 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     evaluated, so it never loses to either endpoint.
     """
     m, *point = protocols._checked("mixed", m, eta_b, eta_t, n_s)[1:5]
-    return protocols._cellwise(lambda *cells: _search_log_kappa(m, *cells), (0.0, 1.0), *point)
+    return protocols._cellwise(lambda *c: _search_log_kappa(m, *map(np.ravel, c)), (0.0, 1.0),
+                               *point)
 
 
 def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray]:

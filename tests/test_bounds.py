@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cpfkit import DomainError, perr_lower, perr_upper
@@ -81,7 +81,6 @@ def test_fidelity_domain_checked():
 
 
 @given(st.floats(0.0, 1.0), st.integers(2, 10**6), st.floats(1.0, 1e6))
-@example(0.99999, 2, 671486.5)  # Python's float ** and np.power differ by an ulp here
 def test_bounds_bracket_within_the_unit_interval(fidelity, m, rounds):
     lower, upper = perr_lower(fidelity, m, rounds), perr_upper(fidelity, m, rounds)
     assert 0.0 <= lower <= upper <= 1.0

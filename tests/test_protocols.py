@@ -1,7 +1,5 @@
 """Protocol fidelities: closed forms, reduction, dispatch, symmetries."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -102,6 +100,17 @@ def test_route_gives_exactly_one_when_the_hypotheses_coincide(protocol, m, n_s):
     # the other cells are what they are on their own
     assert value[4:].tolist() == route(protocol, m, eta_b[4:], eta_t[4:], n_s, 1.0)[0].tolist()
     assert float(route(protocol, m, 0.5, 0.5, n_s, 1.0)[0]) == 1.0
+
+
+@pytest.mark.parametrize("protocol, m", [("mixed", 2), ("idler_free", 3), ("mixed", 5)])
+@pytest.mark.parametrize("eta_t", [0.5, 0.3])
+def test_a_pair_point_comes_back_as_a_numpy_scalar(protocol, m, eta_t):
+    # one point is evaluated as it is, not as a one-cell batch, and its value
+    # is a float (json.dumps takes it) at equal etas too
+    value, path = route(protocol, m, 0.3, eta_t, 2.0, 0.4)
+    assert path != "closed-form" and type(value) is np.float64
+    batch = route(protocol, m, np.array([0.3]), np.array([eta_t]), 2.0, 0.4)[0]
+    assert value == pytest.approx(batch[0], rel=1e-14)
 
 
 def test_closed_forms_vectorize():
@@ -313,9 +322,8 @@ def test_output_fidelity_builds_one_pair_per_pair_protocol_report(m, protocol, k
     if report.path == "closed-form":
         assert builds == [] and report.diagnostics == {}
         return
-    # the report's own pair, and at m >= 3 the one-cell batch the kernel read
-    # before it
-    assert [math.prod(shape) for shape in builds] == [1] * (1 + len(kernel))
+    # the report's own pair, and at m >= 3 the one the kernel read before it
+    assert builds == [()] * (1 + len(kernel))
     assert report.diagnostics["min_symplectic_eigenvalue"] >= 1.0 - 1e-9
 
 
