@@ -11,8 +11,8 @@ from .gaussian import (
     pure_loss,
     symplectic_form,
 )
-from .protocols import FidelityReport, ProtocolKind, Scenario, output_fidelity
-from .scan import PROTOCOL_IDS, RegionGrid, RegionSpec, fidelity, region_scan
+from .protocols import FidelityReport, ProtocolKind, Scenario
+from .scan import PROTOCOL_IDS, RegionGrid, RegionSpec, fidelity, output_fidelity, region_scan
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,7 @@ def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
     The uniform-prior case of the pretty-good-measurement bound of
     Barnum and Knill, J. Math. Phys. 43, 2097 (2002).
     """
-    return (m - 1.0) * fidelity**m_probes
+    return (m - 1.0) * np.power(fidelity, m_probes)  # on floats too, as perr_upper rounds
 
 
 def perr_upper(fidelity, m: int, m_probes: float = 1.0):

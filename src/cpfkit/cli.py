@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import perr_lower, perr_upper
 from .errors import CpfError, DomainError, check
-from .protocols import Scenario, listed_protocols, output_fidelity
+from .protocols import Scenario, listed_protocols
 from .scan import (
     PROTOCOL_IDS,
     QUANTUM_PROTOCOLS,
@@ -34,6 +34,7 @@ from .scan import (
     SWEEP_VARIABLES,
     RegionSpec,
     fidelity,
+    output_fidelity,
     region_scan,
     _sweep_columns,
 )
@@ -279,22 +280,15 @@ def _fidelity_table(p: dict) -> Table:
     ]
     rows, notes = [], []
     for name in names:
-        if name == "mixed" and scenario.kappa is None:
-            # the one case output_fidelity cannot answer: kappa is optimized
-            if path == "direct":
-                notes.append("--path direct needs --kappa for the mixed protocol; "
-                             "its row is optimized on the auto path")
-            value, kappa_used, label = fidelity(
-                name, scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s
-            )
-            kappa_used, min_nu = float(kappa_used), None
-        else:
-            report = output_fidelity(scenario, name, path)
-            notes.extend(report.warnings)
-            value, label = report.value, report.path
-            kappa_used = scenario.kappa if name == "mixed" else None
-            min_nu = report.diagnostics.get("min_symplectic_eigenvalue")
-        rows.append([name, float(value), kappa_used, label, min_nu])
+        row_path = path
+        if name == "mixed" and scenario.kappa is None and path == "direct":
+            notes.append("--path direct needs --kappa for the mixed protocol; "
+                         "its row is optimized on the auto path")
+            row_path = "auto"
+        report = output_fidelity(scenario, name, row_path)
+        notes.extend(report.warnings)
+        rows.append([name, report.value, report.kappa, report.path,
+                     report.diagnostics.get("min_symplectic_eigenvalue")])
 
     # the bounds of the whole fidelity column at once
     values, m, rounds = np.array([row[1] for row in rows]), scenario.m, scenario.m_probes

@@ -5,10 +5,9 @@ the other m-1 apply eta_b.  Discriminating which box is the target reduces
 to telling apart the m possible output states, whose pairwise fidelity is
 what everything downstream (error bounds, advantage maps) consumes.  This
 module provides the closed forms where they exist and Gaussian-numerics
-paths (full-size "direct" and three-mode "reduced") where they do not.  The
-entries (route, output_fidelity) check their inputs once; what they call
-behind that, the closed forms, output_pair_arrays and build_probe, checks
-nothing again.
+paths (full-size "direct" and three-mode "reduced") where they do not.
+Only Scenario and _checked check their inputs; scan.fidelity, the one
+checked dispatcher, and scan.output_fidelity call these unchecked internals.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ class Scenario:
     eta_t: float | None
     n_s: float | None
     m_probes: float | None = 1.0
-    kappa: float | None = None
+    kappa: float | None = None  # the mixed protocol's, given or optimized
 
     def __post_init__(self):
         if self.m is not None:
@@ -72,13 +71,14 @@ class FidelityReport:
     """Result of :func:`output_fidelity`: value plus how it was computed."""
 
     value: float
-    # "closed-form" | "reduced" | "direct": "direct" is the full-size pair, and
-    # also the two-mode pair of the auto path at m = 2, whose mixed-probe
+    # "closed-form" | "reduced" | "direct" | "optimized": "direct" is the full-size
+    # pair, and also the two-mode pair of the auto path at m = 2, whose mixed-probe
     # value is the pair's closed form rather than the kernel's
     path: str
     kind: ProtocolKind
     diagnostics: dict = field(default_factory=dict)
     warnings: Tuple[str, ...] = ()
+    kappa: float | None = None  # the mixed protocol's, given or optimized
 
 
 # protocol id -> (probe family, whether eta_b and eta_t swap roles), in the
@@ -233,7 +233,7 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     return cov_1, cov_1[..., swap[:, None], swap], mean_1, mean_1[..., swap]
 
 
-_CHUNK = 512  # cells per kernel or closed-form call behind route, kappa searches and maps
+_CHUNK = 512  # cells per kernel or closed-form call of a pair, a kappa search or a map
 
 
 def _cellwise(evaluate, defaults, eta_b, eta_t, *rest) -> tuple:
@@ -312,76 +312,12 @@ def _direct_pair(kind: ProtocolKind, m: int, eta_b, eta_t, n_s, kappa) -> tuple:
     return out_1.cm, out_2.cm, out_1.mean, out_2.mean
 
 
-def route(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
-    """Fixed-kappa fidelity of one protocol, batched: (value, path).
-
-    The checked entry of every fixed-kappa fidelity: m, eta_b, eta_t and n_s
-    are checked once, under the caller's field names, before a swapped
-    protocol exchanges the etas, and kappa where a pair reads it; nothing
-    behind it checks again.  Classical, bipartite and the two-box idler-free
-    protocol use their closed forms (path "closed-form").  The idler-free
-    protocol at m >= 3 and the mixed protocol at the given ``kappa`` are
-    :func:`pair_fidelity`'s through :func:`_cellwise`, path "direct" at m = 2
-    and "reduced" beyond.  Where eta_b == eta_t the value is exactly 1.
-    """
-    kind, m, eta_b, eta_t, n_s, kappa = _checked(protocol, m, eta_b, eta_t, n_s, kappa)
-    if kind is ProtocolKind.CLASSICAL:
-        value = classical_fidelity(eta_b, eta_t, n_s)
-    elif kind is ProtocolKind.BIPARTITE:
-        value = bipartite_fidelity(eta_b, eta_t, n_s)
-    elif kind is ProtocolKind.IDLER_FREE and m == 2:
-        value = idler_free_binary_fidelity(eta_b, eta_t, n_s)
-    else:
-        kappa = check("kappa", kappa) if kind is ProtocolKind.MIXED else kappa
-        value, = _cellwise(lambda *c: (pair_fidelity(m, *c),), (1.0,), eta_b, eta_t, n_s, kappa)
-        return value, "direct" if m == 2 else "reduced"
-    # the etas, not the arrays: sqrt(eta * eta) need not equal eta
-    same = np.equal(eta_b, eta_t)
-    return (np.where(same, 1.0, value) if same.any() else value), "closed-form"
-
-
-def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityReport:
-    """One-shot output fidelity for a protocol, with the evaluation path taken.
-
-    ``kind`` is a :class:`ProtocolKind` or any id in :data:`PROTOCOL_IDS`;
-    the auto path is :func:`route`'s, and the mixed protocol needs
-    scenario.kappa.  ``path="direct"`` forces the full m-mode (2m for
-    bipartite) computation for any protocol, which exists as a cross-check
-    of the fast paths.  Whenever the fidelity comes from an output pair (on
-    the auto path built here, after route's checks), the report carries the
-    smaller min symplectic eigenvalue of the two states and a warning for
-    each unphysical one.  A None in m, eta_b, eta_t or n_s is refused as
-    required.
-    """
-    if path not in ("auto", "direct"):
-        raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
-    s = scenario
-    if path == "direct":
-        probe, *point, kappa = _checked(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
-        kappa = check("kappa", kappa) if probe is ProtocolKind.MIXED else kappa
-        pair = _direct_pair(probe, *point, kappa)
-        try:
-            value, label = fidelity_from_arrays(*pair), "direct"
-        except NumericError as exc:
-            raise DomainError(f"direct cannot evaluate this point: {exc}", "path") from exc
-    else:
-        value, label = route(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
-        probe, eta_b, eta_t, kappa = _oriented(kind, s.eta_b, s.eta_t, s.kappa)
-        if label == "closed-form":
-            return FidelityReport(float(value), label, probe)
-        pair = output_pair_arrays(s.m, eta_b, eta_t, s.n_s, kappa)
-    cov_1, cov_2, mean_1, mean_2 = pair
-    reports = (check_physical(GaussianState(mean_1, cov_1)),
-               check_physical(GaussianState(mean_2, cov_2)))
-    warnings = tuple(
-        f"output state {i} has min symplectic eigenvalue {r.min_symplectic_eigenvalue:.12g}"
-        for i, r in enumerate(reports)
-        if not r.ok
-    )
-    return FidelityReport(
-        float(value),
-        label,
-        probe,
-        {"min_symplectic_eigenvalue": min(r.min_symplectic_eigenvalue for r in reports)},
-        warnings,
-    )
+def _physicality(pair) -> tuple:
+    """(diagnostics, warnings) of an output pair in :func:`output_pair_arrays`'s
+    order: the smaller min symplectic eigenvalue of the two states, and a
+    warning for each unphysical one."""
+    reports = [check_physical(GaussianState(mean, cov)) for cov, mean in zip(pair[:2], pair[2:])]
+    nus = [r.min_symplectic_eigenvalue for r in reports]
+    warnings = tuple(f"output state {i} has min symplectic eigenvalue {nu:.12g}"
+                     for i, (nu, r) in enumerate(zip(nus, reports)) if not r.ok)
+    return {"min_symplectic_eigenvalue": min(nus)}, warnings

@@ -1,8 +1,12 @@
-"""Parameter scans: sweeps, mixing optimization, and advantage maps.
+"""Fidelity dispatch, parameter scans: sweeps, mixing optimization, and
+advantage maps.
 
-All engines here are deterministic: every cell is evaluated on its own, with
-no stateful accumulation, and cells run protocols._CHUNK at a time, so
-results are byte-identical across runs, worker counts and chunk sizes.
+:func:`fidelity` is the one checked, vectorized dispatcher of every protocol,
+and :func:`output_fidelity` its one-point report; the kappa search, sweeps
+and maps behind them check nothing again.  All engines here are
+deterministic: every cell is evaluated on its own, with no stateful
+accumulation, and cells run protocols._CHUNK at a time, so results are
+byte-identical across runs, worker counts and chunk sizes.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import numpy as np
 
 from . import protocols
 from .bounds import classical_perr_lower, log10_bound_ratio, perr_upper_raw
-from .errors import DomainError, check
-from .protocols import PROTOCOL_IDS, Scenario, route
+from .errors import DomainError, NumericError, check
+from .protocols import PROTOCOL_IDS, FidelityReport, ProtocolKind, Scenario
 
 # The mixed-probe kappa search runs in t = log(kappa).  Its coarse grid is
 # kappa = 0 and KAPPA_NODES nodes evenly spaced in t from KAPPA_FLOOR squeezed
@@ -45,28 +49,85 @@ QUANTUM_PROTOCOLS = ("idler_free", "bipartite", "mixed")
 def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     """Output fidelity of any protocol in :data:`PROTOCOL_IDS`, vectorized.
 
-    Returns (fidelity, kappa_used, path).  Parameters broadcast.  The mixed
-    protocol uses ``kappa`` when given and otherwise minimizes over it per
-    element (path "optimized"); its kappa_used has the fidelity's shape, and
-    every other protocol's is None.  The rest is :func:`protocols.route`,
-    which checks the parameters: closed forms (the mixed protocol's at m = 2
-    among them, with no output pair built), or the kernel on the reduced pair.
+    Returns (fidelity, kappa_used, path).  Parameters broadcast.  The one
+    checked dispatcher: m, eta_b, eta_t and n_s are checked once, under the
+    caller's field names, before a swapped protocol exchanges the etas, and a
+    given mixed kappa too; nothing behind it checks again.  Classical,
+    bipartite and the two-box idler-free protocol use their closed forms
+    (path "closed-form").  The mixed protocol uses ``kappa`` when given and
+    otherwise minimizes over it per element (path "optimized"); its
+    kappa_used has the fidelity's shape, and every other protocol's is None.
+    The idler-free protocol at m >= 3 and the mixed one at a given kappa are
+    :func:`protocols.pair_fidelity`'s, path "direct" at m = 2 (the pair's
+    closed form, with no output pair built) and "reduced" beyond (the kernel
+    on the reduced pair).  Where eta_b == eta_t the value is exactly 1.
     """
-    if protocol == "mixed" and kappa is None:
+    kind, m, eta_b, eta_t, n_s, kappa = protocols._checked(protocol, m, eta_b, eta_t, n_s, kappa)
+    mixed = kind is ProtocolKind.MIXED
+    if mixed and kappa is None:
         kappa, value = _optimize_kappa_batch(m, eta_b, eta_t, n_s)
         return value, kappa, "optimized"
-    value, path = route(protocol, m, eta_b, eta_t, n_s, kappa)
-    if protocol != "mixed":
-        return value, None, path
-    return value, np.broadcast_to(np.asarray(kappa, dtype=float), np.shape(value)), path
+    # through the protocols module's attributes, as in _search_log_kappa
+    if kind is ProtocolKind.CLASSICAL:
+        value = protocols.classical_fidelity(eta_b, eta_t, n_s)
+    elif kind is ProtocolKind.BIPARTITE:
+        value = protocols.bipartite_fidelity(eta_b, eta_t, n_s)
+    elif kind is ProtocolKind.IDLER_FREE and m == 2:
+        value = protocols.idler_free_binary_fidelity(eta_b, eta_t, n_s)
+    else:
+        kappa = check("kappa", kappa) if mixed else kappa
+        value, = protocols._cellwise(lambda *c: (protocols.pair_fidelity(m, *c),), (1.0,),
+                                     eta_b, eta_t, n_s, kappa)
+        kappa = np.broadcast_to(kappa, np.shape(value)) if mixed else None
+        return value, kappa, "direct" if m == 2 else "reduced"
+    # the etas, not the arrays: sqrt(eta * eta) need not equal eta
+    same = np.equal(eta_b, eta_t)
+    return (np.where(same, 1.0, value) if same.any() else value), None, "closed-form"
+
+
+def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityReport:
+    """One-shot output fidelity for a protocol, with the evaluation path taken.
+
+    ``kind`` is a :class:`ProtocolKind` or any id in :data:`PROTOCOL_IDS`.
+    The auto path is :func:`fidelity`'s: the mixed protocol without
+    scenario.kappa is minimized over kappa (path "optimized"), and the
+    report's kappa is the mixed protocol's, given or optimized (else None).
+    ``path="direct"`` forces the full m-mode (2m for bipartite) computation
+    for any protocol, which exists as a cross-check of the fast paths, and
+    needs scenario.kappa for the mixed protocol.  Whenever the fidelity
+    comes from an output pair at a given kappa (on the auto path built here,
+    after fidelity's checks), the report carries the smaller min symplectic
+    eigenvalue of the two states and a warning for each unphysical one.  A
+    None in m, eta_b, eta_t or n_s is refused as required.
+    """
+    if path not in ("auto", "direct"):
+        raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
+    s, pair = scenario, None
+    if path == "direct":
+        probe, *point, kappa = protocols._checked(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
+        kappa = check("kappa", kappa) if probe is ProtocolKind.MIXED else kappa
+        pair = protocols._direct_pair(probe, *point, kappa)
+        try:
+            value, label = protocols.fidelity_from_arrays(*pair), "direct"
+        except NumericError as exc:
+            raise DomainError(f"direct cannot evaluate this point: {exc}", "path") from exc
+    else:
+        value, kappa, label = fidelity(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
+        probe, eta_b, eta_t, pair_kappa = protocols._oriented(kind, s.eta_b, s.eta_t, s.kappa)
+        if label in ("direct", "reduced"):
+            pair = protocols.output_pair_arrays(s.m, eta_b, eta_t, s.n_s, pair_kappa)
+    report = ({}, ()) if pair is None else protocols._physicality(pair)
+    kappa = float(kappa) if probe is ProtocolKind.MIXED else None
+    return FidelityReport(float(value), label, probe, *report, kappa)
 
 
 def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the mixed-probe fidelity over kappa, element-wise on a batch.
 
     Returns (kappa, fidelity) with the broadcast shape of the parameters,
-    which are checked once, here.  Through :func:`protocols._cellwise`, a cell
-    at eta_b == eta_t returns kappa = 0 and fidelity 1 unsearched, and every
+    which :func:`fidelity` has checked; like :func:`protocols.pair_fidelity`
+    it checks nothing.  Through :func:`protocols._cellwise`, a cell at
+    eta_b == eta_t returns kappa = 0 and fidelity 1 unsearched, and every
     other cell is searched on its own, whatever its batch.  The search works in
     t = log(kappa), which resolves the sqrt(kappa * n_s) boundary layer of F
     at kappa = 0.  One call evaluates the coarse grid, which holds both
@@ -81,9 +142,8 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     only the best node's bracket is refined.  The result is the best point
     evaluated, so it never loses to either endpoint.
     """
-    m, *point = protocols._checked("mixed", m, eta_b, eta_t, n_s)[1:5]
     return protocols._cellwise(lambda *c: _search_log_kappa(m, *map(np.ravel, c)), (0.0, 1.0),
-                               *point)
+                               eta_b, eta_t, n_s)
 
 
 def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray]:

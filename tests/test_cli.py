@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cpfkit import cli
+from cpfkit import Scenario, cli, output_fidelity
 from cpfkit.cli import main
 from helpers import counting_checks
 
@@ -34,6 +34,28 @@ def load_schema():
 
 
 # ---------------------------------------------------------------- fidelity
+
+
+@pytest.mark.parametrize("path", ["auto", "direct"])
+@pytest.mark.parametrize("kappa", [None, 0.4])
+@pytest.mark.parametrize("m", [2, 3])
+def test_every_fidelity_row_is_its_protocols_report(m, kappa, path, capsys):
+    # one output_fidelity call per row: value, kappa, path and min symplectic
+    # eigenvalue are the report's; a mixed row without --kappa runs on the
+    # auto path, also under --path direct
+    argv = ["fidelity", "--protocol", "all", "--m", str(m), "--eta-b", "0.3", "--eta-t", "0.5",
+            "--ns", "2", "--path", path, "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, *([] if kappa is None else ["--kappa", str(kappa)]))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    scenario = Scenario(m, 0.3, 0.5, 2.0, kappa=kappa)
+    assert [row[0] for row in rows] == list(cli.listed_protocols(m))
+    for name, value, row_kappa, row_path, min_nu, *_ in rows:
+        auto = name == "mixed" and kappa is None
+        report = output_fidelity(scenario, name, "auto" if auto else path)
+        assert [value, row_kappa, row_path] == [report.value, report.kappa, report.path], name
+        assert min_nu == report.diagnostics.get("min_symplectic_eigenvalue"), name
+    assert (rows[-1][3] == "optimized") == (kappa is None)
 
 
 def test_fidelity_all_binary_has_four_rows(capsys):

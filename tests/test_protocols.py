@@ -9,6 +9,7 @@ from cpfkit import (
     DomainError,
     ProtocolKind,
     Scenario,
+    fidelity,
     fidelity_from_arrays,
     output_fidelity,
     pure_loss,
@@ -22,7 +23,6 @@ from cpfkit.protocols import (
     classical_fidelity,
     idler_free_binary_fidelity,
     output_pair_arrays,
-    route,
 )
 from helpers import (
     bipartite_fidelity_numeric,
@@ -95,11 +95,11 @@ def test_route_gives_exactly_one_when_the_hypotheses_coincide(protocol, m, n_s):
     # the kernel gave 0.86 at m = 2, n_s = 3e7 and failed at eta = 1, n_s = 1e8
     eta_b = np.array([0.0, 0.3, 0.5, 1.0, 0.3, 0.5])
     eta_t = np.array([0.0, 0.3, 0.5, 1.0, 0.7, 0.2])
-    value = route(protocol, m, eta_b, eta_t, n_s, 1.0)[0]
+    value = fidelity(protocol, m, eta_b, eta_t, n_s, 1.0)[0]
     assert value[:4].tolist() == [1.0] * 4
     # the other cells are what they are on their own
-    assert value[4:].tolist() == route(protocol, m, eta_b[4:], eta_t[4:], n_s, 1.0)[0].tolist()
-    assert float(route(protocol, m, 0.5, 0.5, n_s, 1.0)[0]) == 1.0
+    assert value[4:].tolist() == fidelity(protocol, m, eta_b[4:], eta_t[4:], n_s, 1.0)[0].tolist()
+    assert float(fidelity(protocol, m, 0.5, 0.5, n_s, 1.0)[0]) == 1.0
 
 
 @pytest.mark.parametrize("protocol, m", [("mixed", 2), ("idler_free", 3), ("mixed", 5)])
@@ -107,9 +107,9 @@ def test_route_gives_exactly_one_when_the_hypotheses_coincide(protocol, m, n_s):
 def test_a_pair_point_comes_back_as_a_numpy_scalar(protocol, m, eta_t):
     # one point is evaluated as it is, not as a one-cell batch, and its value
     # is a float (json.dumps takes it) at equal etas too
-    value, path = route(protocol, m, 0.3, eta_t, 2.0, 0.4)
+    value, _, path = fidelity(protocol, m, 0.3, eta_t, 2.0, 0.4)
     assert path != "closed-form" and type(value) is np.float64
-    batch = route(protocol, m, np.array([0.3]), np.array([eta_t]), 2.0, 0.4)[0]
+    batch = fidelity(protocol, m, np.array([0.3]), np.array([eta_t]), 2.0, 0.4)[0]
     assert value == pytest.approx(batch[0], rel=1e-14)
 
 
@@ -301,7 +301,7 @@ def test_output_fidelity_dispatch_labels():
 def test_two_box_mixed_protocol_runs_no_kernel(monkeypatch):
     sizes = count_kernel_elements(monkeypatch)
     eta_t = np.array([0.9, 0.6, 1.0])
-    value, path = route("mixed", 2, 0.6, eta_t, 5.0, 0.4)
+    value, _, path = fidelity("mixed", 2, 0.6, eta_t, 5.0, 0.4)
     report = output_fidelity(Scenario(2, 0.6, 0.9, 5.0, kappa=0.4), "mixed")
     assert sizes == []
     assert path == report.path == "direct" and value.shape == (3,)
@@ -327,9 +327,16 @@ def test_output_fidelity_builds_one_pair_per_pair_protocol_report(m, protocol, k
     assert report.diagnostics["min_symplectic_eigenvalue"] >= 1.0 - 1e-9
 
 
-def test_mixed_requires_kappa():
-    with pytest.raises(DomainError):
-        output_fidelity(Scenario(2, 0.6, 0.9, 5.0), "mixed")
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_a_mixed_scenario_without_kappa_is_optimized(m):
+    # the auto path is fidelity's: kappa is minimized, and the report holds it
+    # (the direct path still refuses the scenario, kappa is required)
+    value, kappa, path = fidelity("mixed", m, 0.6, 0.9, 5.0)
+    report = output_fidelity(Scenario(m, 0.6, 0.9, 5.0), "mixed")
+    assert np.float64(report.value).tobytes() == value.tobytes()
+    assert np.float64(report.kappa).tobytes() == kappa.tobytes()
+    assert report.path == path == "optimized" and report.kind is ProtocolKind.MIXED
+    assert report.diagnostics == {} and report.warnings == ()
 
 
 def test_idler_free_ignores_scenario_kappa():
@@ -387,4 +394,4 @@ def test_bipartite_direct_uses_idlers():
 @pytest.mark.parametrize("m", [None, 1, 2.5])
 def test_route_checks_m_also_for_the_closed_forms(protocol, m):
     with pytest.raises(DomainError, match="^m "):
-        route(protocol, m, 0.3, 0.5, 1.0)
+        fidelity(protocol, m, 0.3, 0.5, 1.0)

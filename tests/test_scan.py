@@ -19,7 +19,7 @@ from cpfkit import (
     scan,
 )
 from cpfkit.cli import main
-from cpfkit.protocols import classical_fidelity, idler_free_binary_fidelity, route
+from cpfkit.protocols import classical_fidelity, idler_free_binary_fidelity
 from cpfkit.scan import _optimize_kappa_batch, _sweep_columns
 from helpers import (
     KAPPA_BUDGET_ROW,
@@ -61,11 +61,12 @@ _DISPATCHED = [(p, None) for p in PROTOCOL_IDS] + [("mixed", 0.4)]
 def test_dispatcher_rejects_non_finite(m, protocol, kappa, field, value):
     # also out of the domain; a swapped protocol's refusal names the field
     # the caller set, not the one its probe family sees
-    point = {"eta_b": 0.3, "eta_t": 0.5, "n_s": 1.0, "kappa": kappa}
-    point[field] = np.array([0.4, value])
-    with pytest.raises(DomainError, match=f"^{field} must be ") as info:
-        fidelity(protocol, m, **point)
-    assert info.value.field == field
+    # a Python float too: fidelity cannot tell a Scenario's checked one
+    for bad in (np.array([0.4, value]), value):
+        point = {"eta_b": 0.3, "eta_t": 0.5, "n_s": 1.0, "kappa": kappa, field: bad}
+        with pytest.raises(DomainError, match=f"^{field} must be ") as info:
+            fidelity(protocol, m, **point)
+        assert info.value.field == field
 
 
 def test_a_fixed_kappa_two_box_fidelity_builds_no_pair(monkeypatch):
@@ -213,22 +214,30 @@ def test_optimize_kappa_kernel_budget(m, monkeypatch):
 
 
 def test_the_kappa_search_and_route_check_each_value_once(monkeypatch, capsys):
-    # the search checks its four inputs on entry and nothing per Brent step
+    # fidelity, the one dispatcher, checks m, eta_b, eta_t and n_s once on
+    # each branch (closed form, kappa search, pair), and kappa on the
+    # fixed-kappa pair only
+    point = ["m", "eta_b", "eta_t", "n_s"]
+    etas = np.linspace(0.0, 1.0, 5)
+    for m in (2, 3):
+        for protocol in PROTOCOL_IDS:
+            for kappa in (None, 0.4):
+                with counting_checks() as fields:
+                    fidelity(protocol, m, 0.3, etas, 2.0, kappa)
+                read = ["kappa"] if protocol == "mixed" and kappa is not None else []
+                assert fields == point + read, (m, protocol, kappa)
+    # the search behind it checks nothing, on entry or per Brent step
     kernel = count_kernel_elements(monkeypatch)
     with counting_checks() as fields:
         _optimize_kappa_batch(3, **KAPPA_BUDGET_ROW)
     assert len(kernel) > 2  # the coarse grid and several steps
-    assert fields == ["m", "eta_b", "eta_t", "n_s"]
-    # route checks each field it reads once, kappa where the pair reads it
-    etas = np.linspace(0.0, 1.0, 5)
-    for protocol, read in (("mixed", ["kappa"]), ("idler_free_reversed", []),
-                           ("classical", [])):
-        with counting_checks() as fields:
-            route(protocol, 3, 0.3, etas, 2.0, 0.4)
-        assert fields == ["m", "eta_b", "eta_t", "n_s", *read], protocol
-    # behind a map or a sweep they are the only checkers: the bounds of a
+    assert fields == []
+    searched = len(kernel)
+    with counting_checks() as fields:
+        fidelity("mixed", 3, **KAPPA_BUDGET_ROW)
+    assert len(kernel) == 2 * searched and fields == point
+    # behind a map or a sweep fidelity is the only checker: the bounds of a
     # map and the fields of a sweep are not checked again
-    point = ["m", "eta_b", "eta_t", "n_s"]
     for quantum, total_energy in (("mixed", None), ("idler_free", 1800.0)):
         spec = RegionSpec(Scenario(3, 0.55, None, 50.0), "eta_t", KAPPA_BUDGET_ROW["eta_t"],
                           "eta_b", (0.55, 0.9), quantum, total_energy)
@@ -285,7 +294,7 @@ def test_optimize_kappa_closed_form_batches_are_bounded_by_the_chunk(monkeypatch
 
 
 def test_fixed_kappa_pair_batches_are_bounded_by_the_chunk(monkeypatch):
-    # route's pair branch chunks as the search does: two columns of 2,000
+    # fidelity's pair branch chunks as the search does: two columns of 2,000
     # cells, none at eta_t == eta_b, in batches of at most one chunk
     sizes = _sweep_batches(3, count_kernel_elements, monkeypatch, 0.4, ("idler_free", "mixed"))
     assert max(sizes) == protocols._CHUNK
@@ -538,7 +547,7 @@ _CHUNKED_ARGV = {
     "figure_7": ["figure", "--id", "7", "--resolution", "5", "--format", "json"],
     "mixed_sweep": ["sweep", "--variable", "eta_t", "--start", "0", "--stop", "1", "--points",
                     "30", "--protocols", "mixed", "--m", "3", "--eta-b", "0.5", "--ns", "5"],
-    # route's pair branch at a fixed kappa, with one cell at eta_t == eta_b
+    # fidelity's pair branch at a fixed kappa, with one cell at eta_t == eta_b
     "fixed_kappa_sweep": ["sweep", "--variable", "eta_t", "--start", "0", "--stop", "1",
                           "--points", "21", "--protocols", "idler_free,mixed", "--m", "3",
                           "--kappa", "0.4", "--eta-b", "0.5", "--ns", "5"],
