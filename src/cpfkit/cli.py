@@ -429,8 +429,7 @@ def _region_figure(fig_id: int, resolution: int, workers) -> Table:
     """An idler-free map from its row of :data:`_REGION_FIGURES`."""
     scenario, y_name, y_range, budget = _REGION_FIGURES[fig_id]
     x, y = np.linspace(0.0, 1.0, resolution), np.linspace(*y_range, resolution)
-    grid = region_scan(RegionSpec(scenario, "eta_t", x, y_name, y, "idler_free", budget),
-                       workers)
+    grid = region_scan(RegionSpec(scenario, "eta_t", x, y_name, y, "idler_free", budget), workers)
     columns, rows = _region_rows(grid)
     parameters = _given({"id": fig_id, **asdict(scenario), "quantum": "idler_free",
                          "total_energy": budget, "resolution": resolution})

@@ -13,6 +13,7 @@ checked dispatcher, and scan.output_fidelity call these unchecked internals.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Tuple
@@ -233,13 +234,14 @@ def output_pair_arrays(m: int, eta_b, eta_t, n_s, kappa):
     return cov_1, cov_1[..., swap[:, None], swap], mean_1, mean_1[..., swap]
 
 
-_CHUNK = 512  # cells per kernel or closed-form call of a pair, a kappa search or a map
+_CHUNK = 512  # evaluated cells per kernel or closed-form call of a pair or a kappa search
 
 
-def _cellwise(evaluate, defaults, eta_b, eta_t, *rest) -> tuple:
+def _cellwise(evaluate, defaults, eta_b, eta_t, *rest, workers: int = 1) -> tuple:
     """Per default, an array of the broadcast shape (one point: a scalar), the
     default where eta_b == eta_t (one output state; the kernel fails there),
-    else evaluate(eta_b, eta_t, *rest) on _CHUNK raveled cells at a time."""
+    else evaluate(eta_b, eta_t, *rest) on _CHUNK raveled cells at a time, in
+    min(workers, chunks) threads (one: the caller's thread), written by index."""
     if not any(map(np.ndim, (eta_b, eta_t, *rest))):  # one point, unraveled: scalar arithmetic
         values = defaults if eta_b == eta_t else evaluate(eta_b, eta_t, *rest)
         return tuple(np.reshape(value, ())[()] for value in values)
@@ -247,9 +249,18 @@ def _cellwise(evaluate, defaults, eta_b, eta_t, *rest) -> tuple:
     cells = [array.ravel() for array in arrays]
     out = [np.full(cells[0].size, default) for default in defaults]
     todo = np.flatnonzero(cells[0] != cells[1])
-    for chunk in (todo[start:start + _CHUNK] for start in range(0, todo.size, _CHUNK)):
+    chunks = [todo[start:start + _CHUNK] for start in range(0, todo.size, _CHUNK)]
+
+    def run(chunk):
         for array, value in zip(out, evaluate(*(cell[chunk] for cell in cells))):
             array[chunk] = value
+
+    threads = min(workers, len(chunks))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, chunks))  # re-raises the first failing chunk's error
+    else:
+        list(map(run, chunks))
     return tuple(array.reshape(arrays[0].shape) for array in out)
 
 

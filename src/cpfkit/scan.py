@@ -5,7 +5,7 @@ advantage maps.
 and :func:`output_fidelity` its one-point report; the kappa search, sweeps
 and maps behind them check nothing again.  All engines here are
 deterministic: every cell is evaluated on its own, with no stateful
-accumulation, and cells run protocols._CHUNK at a time, so results are
+accumulation, in protocols._cellwise's chunks and threads, so results are
 byte-identical across runs, worker counts and chunk sizes.
 """
 
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 import numpy as np
 
@@ -46,7 +44,7 @@ REGION_AXES = ("eta_b", "eta_t", "n_s")
 QUANTUM_PROTOCOLS = ("idler_free", "bipartite", "mixed")
 
 
-def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
+def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None, *, workers: int = 1):
     """Output fidelity of any protocol in :data:`PROTOCOL_IDS`, vectorized.
 
     Returns (fidelity, kappa_used, path).  Parameters broadcast.  The one
@@ -61,11 +59,15 @@ def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     :func:`protocols.pair_fidelity`'s, path "direct" at m = 2 (the pair's
     closed form, with no output pair built) and "reduced" beyond (the kernel
     on the reduced pair).  Where eta_b == eta_t the value is exactly 1.
+    ``workers`` (an integer >= 1) threads take the chunks of protocols._cellwise;
+    a closed form is one vectorized call.
     """
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise DomainError(f"must be an integer >= 1, got {workers!r}", "workers")
     kind, m, eta_b, eta_t, n_s, kappa = protocols._checked(protocol, m, eta_b, eta_t, n_s, kappa)
     mixed = kind is ProtocolKind.MIXED
     if mixed and kappa is None:
-        kappa, value = _optimize_kappa_batch(m, eta_b, eta_t, n_s)
+        kappa, value = _optimize_kappa_batch(m, eta_b, eta_t, n_s, workers)
         return value, kappa, "optimized"
     # through the protocols module's attributes, as in _search_log_kappa
     if kind is ProtocolKind.CLASSICAL:
@@ -77,7 +79,7 @@ def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None):
     else:
         kappa = check("kappa", kappa) if mixed else kappa
         value, = protocols._cellwise(lambda *c: (protocols.pair_fidelity(m, *c),), (1.0,),
-                                     eta_b, eta_t, n_s, kappa)
+                                     eta_b, eta_t, n_s, kappa, workers=workers)
         kappa = np.broadcast_to(kappa, np.shape(value)) if mixed else None
         return value, kappa, "direct" if m == 2 else "reduced"
     # the etas, not the arrays: sqrt(eta * eta) need not equal eta
@@ -121,7 +123,7 @@ def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityRep
     return FidelityReport(float(value), label, probe, *report, kappa)
 
 
-def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray]:
+def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s, workers: int = 1) -> tuple:
     """Minimize the mixed-probe fidelity over kappa, element-wise on a batch.
 
     Returns (kappa, fidelity) with the broadcast shape of the parameters,
@@ -143,10 +145,10 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.nda
     evaluated, so it never loses to either endpoint.
     """
     return protocols._cellwise(lambda *c: _search_log_kappa(m, *map(np.ravel, c)), (0.0, 1.0),
-                               eta_b, eta_t, n_s)
+                               eta_b, eta_t, n_s, workers=workers)
 
 
-def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> Tuple[np.ndarray, np.ndarray]:
+def _search_log_kappa(m: int, eta_b, eta_t, n_s) -> tuple:
     """:func:`_optimize_kappa_batch` on checked 1-d cells with eta_b != eta_t."""
 
     def mixed(cells, kappa):
@@ -352,40 +354,19 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
     Per cell: one-shot quantum and classical fidelities, the raw (unclamped)
     quantum upper bound and classical lower bound at M rounds, their ratio as
     log10 (computed in log space, so huge M cannot underflow it), and the
-    M-independent certificate flag F_quantum < F_classical^2.  Everything is
-    evaluated on the whole grid at once except the quantum fidelity (with
-    its kappa search for the mixed protocol), which runs on the raveled grid
-    protocols._CHUNK cells at a time to bound the kernel's batches; ``workers``
-    threads (None is 1) take the chunks, and one chunk or one worker runs in
-    the caller's thread; what is not an integer >= 1 is refused.  A cell's
-    result does not depend on its chunk, and the chunks are assembled in
-    grid order.
+    M-independent certificate flag F_quantum < F_classical^2, each evaluated
+    on the whole grid at once.  The quantum fidelity (with its kappa search
+    for the mixed protocol) is one :func:`fidelity` call with ``workers``
+    threads (None is 1), which refuses what is not an integer >= 1.
     """
-    workers = 1 if workers is None else workers
-    if not isinstance(workers, numbers.Integral) or workers < 1:
-        raise DomainError(f"must be an integer >= 1, got {workers!r}", "workers")
     x, y, base = spec.x_values, spec.y_values, spec.scenario
     axes = dict(zip((spec.x_name, spec.y_name), np.meshgrid(x, y)))
     eta_b, eta_t, n_s = (
         axes[name] if name in axes else np.full((y.size, x.size), getattr(base, name))
         for name in ("eta_b", "eta_t", "n_s")
     )
-    cells = [v.ravel() for v in (eta_b, eta_t, n_s)]
-    chunks = [slice(i, i + protocols._CHUNK) for i in range(0, x.size * y.size, protocols._CHUNK)]
-
-    def quantum(chunk: slice):
-        return fidelity(spec.quantum, base.m, *(v[chunk] for v in cells))[:2]
-
-    threads = min(workers, len(chunks))
-    if threads == 1:
-        parts = list(map(quantum, chunks))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(quantum, chunks))
-    f_quantum = np.concatenate([f for f, _ in parts]).reshape(eta_b.shape)
-    kappa_star = (np.concatenate([k for _, k in parts]).reshape(eta_b.shape)
-                  if spec.quantum == "mixed" else None)
-
+    f_quantum, kappa_star = fidelity(spec.quantum, base.m, eta_b, eta_t, n_s,
+                                     workers=1 if workers is None else workers)[:2]
     f_classical = fidelity("classical", base.m, eta_b, eta_t, n_s)[0]
     rounds = spec.rounds(n_s)
     with np.errstate(divide="ignore", under="ignore"):

@@ -1,11 +1,14 @@
 """Protocol fidelities: closed forms, reduction, dispatch, symmetries."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpfkit import (
+    N_S_MAX,
     DomainError,
     ProtocolKind,
     Scenario,
@@ -200,6 +203,40 @@ def test_two_box_mixed_closed_form_meets_the_endpoint_forms(eta_b, eta_t, log_n_
     for kappa, closed in ((0.0, classical_fidelity), (1.0, idler_free_binary_fidelity)):
         value = float(_mixed_binary_fidelity(eta_b, eta_t, n_s, kappa))
         assert value == pytest.approx(float(closed(eta_b, eta_t, n_s)), rel=1e-11, abs=1e-300)
+
+
+@st.composite
+def _eta_pairs(draw):
+    """(eta_b, eta_t): each uniform or at an edge, or eta_t one ulp or a
+    small step away from eta_b."""
+    eta_b = draw(_ETAS)
+    near = st.one_of(
+        st.sampled_from([0.0, 1.0]).map(lambda to: float(np.nextafter(eta_b, to))),
+        st.sampled_from([-1e-6, -1e-9, -1e-15, 1e-15, 1e-9, 1e-6]).map(
+            lambda step: min(1.0, max(0.0, eta_b + step))),
+    )
+    return eta_b, draw(st.one_of(_ETAS, near))
+
+
+# n_s across the whole accepted range, its edges included
+_N_S = st.one_of(st.sampled_from([5e-324, 1e-300, N_S_MAX]),
+                 st.floats(-30.0, 75.0).map(lambda exponent: min(10.0**exponent, N_S_MAX)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(protocol=st.sampled_from(PROTOCOL_IDS),
+       m=st.one_of(st.integers(2, 5), st.integers(2, 1000)), etas=_eta_pairs(), n_s=_N_S,
+       kappa=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_fidelity_lies_in_the_unit_interval_or_is_refused_on_n_s(protocol, m, etas, n_s, kappa):
+    # a NumPy floating-point warning is a failure too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = fidelity(protocol, m, *etas, n_s, kappa)[0]
+        except DomainError as exc:
+            assert exc.field == "n_s"
+            return
+    assert 0.0 <= value <= 1.0
 
 
 def _through_boxes(probe, modes, scenario, target):

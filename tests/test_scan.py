@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpfkit import (
     PROTOCOL_IDS,
@@ -538,6 +540,47 @@ def test_region_scan_worker_count_invariant(spec, monkeypatch):
     assert serial.metadata == threaded.metadata
 
 
+# etas on a lattice with both edges, where axes and fixed fields meet at
+# equal-eta cells, or uniform; energies where the kernel keeps its digits
+_MAP_VALUES = {
+    "eta_b": st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    "n_s": st.one_of(st.sampled_from([0.5, 5.0, 50.0]), st.floats(0.01, 100.0)),
+}
+_MAP_VALUES["eta_t"] = _MAP_VALUES["eta_b"]
+
+
+@st.composite
+def _small_maps(draw):
+    """A RegionSpec of at most 4 x 4 cells over any two axes, any quantum
+    protocol, m in {2, 3, 5}, with or without an energy budget."""
+    x_name, y_name, _ = draw(st.permutations(scan.REGION_AXES))
+    axes = [draw(st.lists(_MAP_VALUES[name], min_size=1, max_size=4, unique=True))
+            for name in (x_name, y_name)]
+    fixed = {name: draw(values) for name, values in _MAP_VALUES.items()}
+    scenario = Scenario(draw(st.sampled_from([2, 3, 5])), m_probes=3.0, **fixed)
+    return RegionSpec(scenario, x_name, axes[0], y_name, axes[1],
+                      draw(st.sampled_from(scan.QUANTUM_PROTOCOLS)),
+                      draw(st.sampled_from([None, 900.0])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=_small_maps(), workers=st.sampled_from([1, 2, 5]),
+       chunk=st.sampled_from([1, 7, 512]))
+def test_map_bytes_depend_on_neither_workers_nor_chunk_size(spec, workers, chunk):
+    serial = region_scan(spec, workers=1)
+    default = protocols._CHUNK
+    protocols._CHUNK = chunk  # not monkeypatch: a fixture outlives one example
+    try:
+        grid = region_scan(spec, workers)
+    finally:
+        protocols._CHUNK = default
+    for name in _GRID_ARRAYS:
+        a, b = getattr(serial, name), getattr(grid, name)
+        assert (a is None and b is None) or (
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), name
+    assert serial.metadata == grid.metadata
+
+
 _CHUNKED_ARGV = {
     # the diagonal cells, at eta_b == eta_t, skip the kappa search
     "mixed_region": ["region", "--quantum", "mixed", "--m", "2", "--ns", "20", "--x-points", "5",
@@ -602,7 +645,8 @@ def test_region_scan_mixed_tracks_kappa():
     assert grid.kappa_star[0, 0] == pytest.approx(float(kappa), abs=1e-9)
 
 
-def test_workers_resolution(monkeypatch):
+def _recording_pools(monkeypatch) -> list:
+    """The max_workers of every thread pool protocols._cellwise starts."""
     pools = []
 
     class Recorder(ThreadPoolExecutor):
@@ -610,8 +654,15 @@ def test_workers_resolution(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(scan, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(protocols, "_CHUNK", 10)  # the 5 x 7 map is four chunks
+    monkeypatch.setattr(protocols, "ThreadPoolExecutor", Recorder)
+    return pools
+
+
+def test_workers_resolution(monkeypatch):
+    pools = _recording_pools(monkeypatch)
+    # the 5 x 7 map's 30 cells at eta_t != eta_b are three chunks; its 5 cells
+    # at eta_t = eta_b = 1 are in none
+    monkeypatch.setattr(protocols, "_CHUNK", 10)
     serial = region_scan(_small_region_spec(), workers=1)
     # no worker count is one worker, in the caller's thread
     assert region_scan(_small_region_spec()).f_quantum.tobytes() == serial.f_quantum.tobytes()
@@ -619,14 +670,55 @@ def test_workers_resolution(monkeypatch):
     # a pool has the workers asked for, but never more than there are chunks
     region_scan(_small_region_spec(), workers=2)
     region_scan(_small_region_spec(), workers=6)
-    assert pools == [2, 4]
+    assert pools == [2, 3]
     region_scan(_small_region_spec(), workers=np.int64(2))
-    assert pools == [2, 4, 2]
+    assert pools == [2, 3, 2]
     for workers in (0, -1, 2.5, "2"):
         with pytest.raises(DomainError, match="^workers must be ") as info:
             region_scan(_small_region_spec(), workers=workers)
         assert info.value.field == "workers"
-    assert pools == [2, 4, 2]
+    assert pools == [2, 3, 2]
+
+
+@pytest.mark.parametrize("m, quantum", [(2, "idler_free"), (2, "bipartite"), (3, "bipartite")])
+def test_closed_form_maps_start_no_pool(m, quantum, monkeypatch):
+    # a closed form is one vectorized call over the whole map, at any worker count
+    pools = _recording_pools(monkeypatch)
+    monkeypatch.setattr(protocols, "_CHUNK", 1)
+    grid = np.linspace(0.0, 1.0, 6)
+    spec = RegionSpec(Scenario(m, None, None, 20.0), "eta_t", grid, "eta_b", grid, quantum)
+    serial = region_scan(spec, workers=1)
+    for workers in (2, 5):
+        assert region_scan(spec, workers).f_quantum.tobytes() == serial.f_quantum.tobytes()
+    assert pools == []
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+@pytest.mark.parametrize("workers", [0, -1, 2.5, "2"])
+def test_fidelity_refuses_a_worker_count_that_is_no_positive_integer(protocol, workers):
+    with pytest.raises(DomainError, match="^workers must be ") as info:
+        fidelity(protocol, 3, 0.5, np.array([0.2, 0.4]), 5.0, workers=workers)
+    assert info.value.field == "workers"
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("protocol, kappa", [("idler_free", None), ("mixed", 0.4),
+                                             ("mixed", None)],
+                         ids=["idler_free", "fixed_kappa", "kappa_search"])
+def test_fidelity_threads_give_the_serial_bytes(m, protocol, kappa, monkeypatch):
+    # at 3 cells a chunk the 10 cells at eta_t != 0.5 are four chunks, taken
+    # by two threads; the cell at eta_t = 0.5 is in none
+    pools = _recording_pools(monkeypatch)
+    monkeypatch.setattr(protocols, "_CHUNK", 3)
+    eta_t = np.linspace(0.0, 1.0, 11)
+    serial = fidelity(protocol, m, 0.5, eta_t, 5.0, kappa, workers=1)
+    assert pools == []
+    threaded = fidelity(protocol, m, 0.5, eta_t, 5.0, kappa, workers=2)
+    if protocol != "idler_free" or m > 2:  # the two-box idler-free form is closed
+        assert pools == [2]
+    assert serial[2] == threaded[2]
+    for a, b in zip(serial[:2], threaded[:2]):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "", "0", "-2"])

@@ -7,6 +7,7 @@ the form those claims read.  No digest value is pinned: the CLI goldens pin
 the bytes.
 """
 
+import functools
 import os
 import re
 import subprocess
@@ -17,18 +18,25 @@ _ROOT = Path(__file__).resolve().parent.parent
 _WORKLOADS = ("mixed_map", "closed_map")
 
 
-def _tool(name: str, *args) -> list:
+@functools.lru_cache(maxsize=None)  # a replay takes seconds; tests share its lines
+def _tool(name: str, *args) -> tuple:
     env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
     done = subprocess.run([sys.executable, str(_ROOT / "tests" / "tools" / name), *args],
                           cwd=_ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    return tuple(done.stdout.splitlines())
 
 
 def test_replay_digest_prints_the_op_count_and_one_digest():
     lines = _tool("replay_digest.py", "--seeds", "3")
     assert lines[-2] == "218 ops"
     assert re.fullmatch(r"[0-9a-f]{64}", lines[-1])
+
+
+def test_replay_digest_does_not_move_at_a_small_chunk_size():
+    # at 7 cells a chunk the benchmark's multi-worker maps really run threads
+    assert _tool("replay_digest.py", "--seeds", "3", "--chunk", "7") == _tool(
+        "replay_digest.py", "--seeds", "3")
 
 
 def test_count_checks_prints_one_total_per_workload():

@@ -13,7 +13,10 @@ Point PYTHONPATH at another checkout's ``src`` to digest that code with the
 same ops.  The digest is the last line printed; the op count comes before
 it, and before that one digest per op class (``op.cls``), over the same
 parts of that class's ops only, so a change that alters known ops shows
-which classes moved.
+which classes moved.  ``--chunk N`` sets ``cpfkit.protocols._CHUNK`` to N
+cells before the replay, so that maps of more than N evaluated cells run in
+several chunks and their ``--workers`` threads really run; the digest must
+not move.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import sys
 from pathlib import Path
 
 import cpfkit.cli
+import cpfkit.protocols
 
 _WORKLOADS = Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
 
@@ -65,7 +69,12 @@ def replay(seeds) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 11])
+    parser.add_argument("--chunk", type=int, default=cpfkit.protocols._CHUNK,
+                        help="cells per chunk of a pair or kappa search (default %(default)s)")
     args = parser.parse_args(argv)
+    if args.chunk < 1:
+        parser.error(f"--chunk must be at least 1, got {args.chunk}")
+    cpfkit.protocols._CHUNK = args.chunk
     count, digest, classes = replay(args.seeds)
     for cls, class_digest in classes.items():
         print(f"{cls} {class_digest}")
