@@ -33,9 +33,9 @@ from .scan import (
     REGION_AXES,
     SWEEP_VARIABLES,
     RegionSpec,
-    fidelity,
     output_fidelity,
     region_scan,
+    _fidelity,
     _sweep_columns,
 )
 
@@ -205,8 +205,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
 # ----------------------------------------------------------------- values
 #
 # Values are only parsed here.  Their domains are checked by errors.check,
-# in the engines or, for grid endpoints, under the flag's own field; main()
-# turns the field a DomainError names into the flag.
+# in a Scenario or a RegionSpec or, for grids, under the flag's own field;
+# main() turns the field a DomainError names into the flag.
 
 
 def _num(p: dict, key: str, required: bool = True) -> float | None:
@@ -216,6 +216,8 @@ def _num(p: dict, key: str, required: bool = True) -> float | None:
             raise DomainError("is required", key)
         return None
     try:
+        if isinstance(value, bool):  # a JSON true is no number, though float() reads 1
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"expects a number, got {value!r}", key) from None
@@ -270,14 +272,11 @@ def _grid(p: dict, prefix: str, variable: str, logspace: bool = False) -> tuple:
 
 def _fidelity_table(p: dict) -> Table:
     scenario = _scenario_from(p)
-    protocol = _choice(p, "protocol")
-    path = _choice(p, "path")
+    protocol, path = _choice(p, "protocol"), _choice(p, "path")
     names = listed_protocols(scenario.m) if protocol == "all" else [protocol]
 
-    columns = [
-        "protocol", "fidelity", "kappa", "path",
-        "min_symplectic_eigenvalue", "perr_upper", "perr_lower",
-    ]
+    columns = ["protocol", "fidelity", "kappa", "path", "min_symplectic_eigenvalue",
+               "perr_upper", "perr_lower"]
     rows, notes = [], []
     for name in names:
         row_path = path
@@ -344,8 +343,7 @@ def _region_rows(grid) -> tuple:
 
 
 def _region_table(p: dict) -> Table:
-    x_name = _choice(p, "x")
-    y_name = _choice(p, "y")
+    x_name, y_name = _choice(p, "x"), _choice(p, "y")
     if x_name == y_name:
         raise DomainError("and --y must name different parameters", "x")
     quantum = _choice(p, "quantum")
@@ -361,16 +359,13 @@ def _region_table(p: dict) -> Table:
 
 
 def _kappa_table(p: dict) -> Table:
-    scenario = _scenario_from(p)
-    point = (scenario.m, scenario.eta_b, scenario.eta_t, scenario.n_s)
-    f_mix, kappa, _ = fidelity("mixed", *point)
-    f_class, f_if = (float(fidelity(name, *point)[0]) for name in ("classical", "idler_free"))
-    columns = ["m", "eta_b", "eta_t", "n_s", "kappa_star", "fidelity",
-               "f_classical", "f_idler_free"]
+    scenario, names = _scenario_from(p), ("m", "eta_b", "eta_t", "n_s")
+    point = [getattr(scenario, name) for name in names]  # checked by the Scenario
+    f_mix, kappa, _ = _fidelity("mixed", *point)
+    f_class, f_if = (float(_fidelity(name, *point)[0]) for name in ("classical", "idler_free"))
+    columns = [*names, "kappa_star", "fidelity", "f_classical", "f_idler_free"]
     rows = _Rows(*point, float(kappa), float(f_mix), f_class, f_if)
-    parameters = {"m": scenario.m, "eta_b": scenario.eta_b, "eta_t": scenario.eta_t,
-                  "n_s": scenario.n_s}
-    return Table("kappa", parameters, columns, rows,
+    return Table("kappa", dict(zip(names, point)), columns, rows,
                  ("fidelity", "f_classical", "f_idler_free"))
 
 

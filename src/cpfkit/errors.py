@@ -54,17 +54,20 @@ def check(field: str, values, name: str | None = None) -> np.ndarray:
     """``values`` as a float array, each finite and in ``field``'s domain.
 
     Otherwise raises a :class:`DomainError` whose ``field`` is ``name``
-    (default ``field``), quoting the first offending value, or saying that
-    the value is required when it is None.
+    (default ``field``), quoting the first offending value, saying that it
+    is required when it is None, or no number (a bool too).
     """
     name = field if name is None else name
     if values is None:
         raise DomainError("is required", name)
     rule, inside = DOMAINS[field]
     try:
-        array = np.asarray(values, dtype=float)
+        given = np.asarray(values)
+        array = np.asarray(given, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"must be a number, got {values!r}", name) from None
+    if given.dtype == bool and given.size:  # NumPy would read True as 1
+        raise DomainError(f"must be a number, got {given.flat[0]}", name)
     ok = np.isfinite(array) & inside(array)
     if not ok.all():
         where = "" if name == field else f" for {field}"

@@ -6,8 +6,8 @@ to telling apart the m possible output states, whose pairwise fidelity is
 what everything downstream (error bounds, advantage maps) consumes.  This
 module provides the closed forms where they exist and Gaussian-numerics
 paths (full-size "direct" and three-mode "reduced") where they do not.
-Only Scenario and _checked check their inputs; scan.fidelity, the one
-checked dispatcher, and scan.output_fidelity call these unchecked internals.
+Only Scenario checks its inputs: the internals here are unchecked, and
+scan._fidelity calls them with values checked where they entered.
 """
 
 from __future__ import annotations
@@ -60,11 +60,10 @@ class Scenario:
     kappa: float | None = None  # the mixed protocol's, given or optimized
 
     def __post_init__(self):
-        if self.m is not None:
-            object.__setattr__(self, "m", int(check("m", self.m)))
-        for name in ("eta_b", "eta_t", "n_s", "m_probes", "kappa"):
+        for name in ("m", "eta_b", "eta_t", "n_s", "m_probes", "kappa"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(check(name, getattr(self, name))))
+                value = check(name, getattr(self, name))
+                object.__setattr__(self, name, int(value) if name == "m" else float(value))
 
 
 @dataclass(frozen=True)
@@ -103,21 +102,12 @@ def listed_protocols(m: int) -> tuple:
 def _oriented(protocol, eta_b, eta_t, kappa) -> tuple:
     """(family, eta_b, eta_t, kappa) that a protocol id's output pair sees,
     unchecked: a swapped protocol's etas exchanged, and the family's own
-    kappa where it has one."""
+    kappa where it has one.  An unknown id is refused."""
+    if protocol not in _PROTOCOLS:
+        raise DomainError(f"unknown protocol {protocol!r}; valid: {PROTOCOL_IDS}")
     kind, swapped = _PROTOCOLS[protocol]
     eta_b, eta_t = (eta_t, eta_b) if swapped else (eta_b, eta_t)
     return kind, eta_b, eta_t, FAMILY_KAPPA.get(kind, kappa)
-
-
-def _checked(protocol, m, eta_b, eta_t, n_s, kappa=None) -> tuple:
-    """(family, m, eta_b, eta_t, n_s, kappa): m, eta_b, eta_t and n_s checked
-    under the caller's field names, then :func:`_oriented`."""
-    m = int(check("m", m))
-    if protocol not in _PROTOCOLS:
-        raise DomainError(f"unknown protocol {protocol!r}; valid: {PROTOCOL_IDS}")
-    eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
-    kind, eta_b, eta_t, kappa = _oriented(protocol, eta_b, eta_t, kappa)
-    return kind, m, eta_b, eta_t, n_s, kappa
 
 
 def classical_fidelity(eta_b, eta_t, n_s):

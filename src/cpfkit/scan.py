@@ -1,9 +1,9 @@
 """Fidelity dispatch, parameter scans: sweeps, mixing optimization, and
 advantage maps.
 
-:func:`fidelity` is the one checked, vectorized dispatcher of every protocol,
-and :func:`output_fidelity` its one-point report; the kappa search, sweeps
-and maps behind them check nothing again.  All engines here are
+:func:`fidelity` checks an API caller's values, and :func:`output_fidelity`,
+the sweeps and the maps take those their entry checked; all of them answer
+through :func:`_fidelity`, which checks nothing again.  All engines here are
 deterministic: every cell is evaluated on its own, with no stateful
 accumulation, in protocols._cellwise's chunks and threads, so results are
 byte-identical across runs, worker counts and chunk sizes.
@@ -47,24 +47,35 @@ QUANTUM_PROTOCOLS = ("idler_free", "bipartite", "mixed")
 def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None, *, workers: int = 1):
     """Output fidelity of any protocol in :data:`PROTOCOL_IDS`, vectorized.
 
-    Returns (fidelity, kappa_used, path).  Parameters broadcast.  The one
-    checked dispatcher: m, eta_b, eta_t and n_s are checked once, under the
-    caller's field names, before a swapped protocol exchanges the etas, and a
-    given mixed kappa too; nothing behind it checks again.  Classical,
-    bipartite and the two-box idler-free protocol use their closed forms
-    (path "closed-form").  The mixed protocol uses ``kappa`` when given and
-    otherwise minimizes over it per element (path "optimized"); its
-    kappa_used has the fidelity's shape, and every other protocol's is None.
-    The idler-free protocol at m >= 3 and the mixed one at a given kappa are
-    :func:`protocols.pair_fidelity`'s, path "direct" at m = 2 (the pair's
-    closed form, with no output pair built) and "reduced" beyond (the kernel
-    on the reduced pair).  Where eta_b == eta_t the value is exactly 1.
-    ``workers`` (an integer >= 1) threads take the chunks of protocols._cellwise;
-    a closed form is one vectorized call.
+    Returns (fidelity, kappa_used, path).  Parameters broadcast.  The
+    checked entry for API callers: m, eta_b, eta_t and n_s are checked once,
+    under the caller's field names, before a swapped protocol exchanges the
+    etas, and a given mixed kappa too; then :func:`_fidelity`, which checks
+    none of them again, answers.  Classical, bipartite and the two-box
+    idler-free protocol use their closed forms (path "closed-form").  The
+    mixed protocol uses ``kappa`` when given and otherwise minimizes over it
+    per element (path "optimized"); its kappa_used has the fidelity's shape,
+    and every other protocol's is None.  The idler-free protocol at m >= 3
+    and the mixed one at a given kappa are :func:`protocols.pair_fidelity`'s,
+    path "direct" at m = 2 (the pair's closed form, with no output pair
+    built) and "reduced" beyond (the kernel on the reduced pair).  Where
+    eta_b == eta_t the value is exactly 1.  ``workers`` (an integer >= 1)
+    threads take the chunks of protocols._cellwise; a closed form is one
+    vectorized call.
     """
-    if not isinstance(workers, numbers.Integral) or workers < 1:
+    m = int(check("m", m))
+    eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
+    kappa = check("kappa", kappa) if protocol == "mixed" and kappa is not None else kappa
+    return _fidelity(protocol, m, eta_b, eta_t, n_s, kappa, workers)
+
+
+def _fidelity(protocol, m, eta_b, eta_t, n_s, kappa=None, workers=1):
+    """:func:`fidelity` on values checked where they entered (a Scenario, a RegionSpec,
+    the CLI's grid or fidelity); it refuses only what no entry carries, an unknown
+    protocol id and a bad ``workers``."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise DomainError(f"must be an integer >= 1, got {workers!r}", "workers")
-    kind, m, eta_b, eta_t, n_s, kappa = protocols._checked(protocol, m, eta_b, eta_t, n_s, kappa)
+    kind, eta_b, eta_t, kappa = protocols._oriented(protocol, eta_b, eta_t, kappa)
     mixed = kind is ProtocolKind.MIXED
     if mixed and kappa is None:
         kappa, value = _optimize_kappa_batch(m, eta_b, eta_t, n_s, workers)
@@ -77,7 +88,6 @@ def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None, *, workers: int = 
     elif kind is ProtocolKind.IDLER_FREE and m == 2:
         value = protocols.idler_free_binary_fidelity(eta_b, eta_t, n_s)
     else:
-        kappa = check("kappa", kappa) if mixed else kappa
         value, = protocols._cellwise(lambda *c: (protocols.pair_fidelity(m, *c),), (1.0,),
                                      eta_b, eta_t, n_s, kappa, workers=workers)
         kappa = np.broadcast_to(kappa, np.shape(value)) if mixed else None
@@ -97,27 +107,28 @@ def output_fidelity(scenario: Scenario, kind, path: str = "auto") -> FidelityRep
     ``path="direct"`` forces the full m-mode (2m for bipartite) computation
     for any protocol, which exists as a cross-check of the fast paths, and
     needs scenario.kappa for the mixed protocol.  Whenever the fidelity
-    comes from an output pair at a given kappa (on the auto path built here,
-    after fidelity's checks), the report carries the smaller min symplectic
-    eigenvalue of the two states and a warning for each unphysical one.  A
-    None in m, eta_b, eta_t or n_s is refused as required.
+    comes from an output pair at a given kappa (on the auto path built here
+    too), the report carries the smaller min symplectic eigenvalue of the
+    two states and a warning for each unphysical one.  :func:`_fidelity`
+    takes the scenario's checked fields unchecked; a None in m, eta_b, eta_t
+    or n_s is refused as required.
     """
     if path not in ("auto", "direct"):
         raise DomainError(f"path must be 'auto' or 'direct', got {path!r}")
-    s, pair = scenario, None
+    m, eta_b, eta_t, n_s = (_required(scenario, name) for name in ("m", "eta_b", "eta_t", "n_s"))
+    probe, pair_b, pair_t, kappa = protocols._oriented(kind, eta_b, eta_t, scenario.kappa)
     if path == "direct":
-        probe, *point, kappa = protocols._checked(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
-        kappa = check("kappa", kappa) if probe is ProtocolKind.MIXED else kappa
-        pair = protocols._direct_pair(probe, *point, kappa)
+        kappa = _required(scenario, "kappa") if probe is ProtocolKind.MIXED else kappa
+        pair = protocols._direct_pair(probe, m, pair_b, pair_t, n_s, kappa)
         try:
             value, label = protocols.fidelity_from_arrays(*pair), "direct"
         except NumericError as exc:
             raise DomainError(f"direct cannot evaluate this point: {exc}", "path") from exc
     else:
-        value, kappa, label = fidelity(kind, s.m, s.eta_b, s.eta_t, s.n_s, s.kappa)
-        probe, eta_b, eta_t, pair_kappa = protocols._oriented(kind, s.eta_b, s.eta_t, s.kappa)
-        if label in ("direct", "reduced"):
-            pair = protocols.output_pair_arrays(s.m, eta_b, eta_t, s.n_s, pair_kappa)
+        value, used, label = _fidelity(kind, m, eta_b, eta_t, n_s, scenario.kappa)
+        pair = (protocols.output_pair_arrays(m, pair_b, pair_t, n_s, kappa)
+                if label in ("direct", "reduced") else None)
+        kappa = used
     report = ({}, ()) if pair is None else protocols._physicality(pair)
     kappa = float(kappa) if probe is ProtocolKind.MIXED else None
     return FidelityReport(float(value), label, probe, *report, kappa)
@@ -127,7 +138,7 @@ def _optimize_kappa_batch(m: int, eta_b, eta_t, n_s, workers: int = 1) -> tuple:
     """Minimize the mixed-probe fidelity over kappa, element-wise on a batch.
 
     Returns (kappa, fidelity) with the broadcast shape of the parameters,
-    which :func:`fidelity` has checked; like :func:`protocols.pair_fidelity`
+    which were checked where they entered; like :func:`protocols.pair_fidelity`
     it checks nothing.  Through :func:`protocols._cellwise`, a cell at
     eta_b == eta_t returns kappa = 0 and fidelity 1 unsearched, and every
     other cell is searched on its own, whatever its batch.  The search works in
@@ -244,26 +255,26 @@ def _required(scenario: Scenario, name: str):
 
 def _sweep_column(base: Scenario, variable: str, protocol: str, values: np.ndarray):
     """Fidelity grid and kappa grid (None unless mixed) for one protocol."""
+    fixed = {name: _required(base, name) for name in ("m", "eta_b", "eta_t", "n_s")
+             if name != variable}
     if variable == "m":
         # structural variable: matrix sizes change, evaluate point by point
-        points = [
-            fidelity(protocol, int(m), base.eta_b, base.eta_t, base.n_s, base.kappa)
-            for m in values
-        ]
+        points = [_fidelity(protocol, int(m), **fixed, kappa=base.kappa) for m in values]
         fids, kappas = np.stack([p[0] for p in points]), [p[1] for p in points]
         return fids, None if kappas[0] is None else np.stack(kappas)
     cells = values[:1] if variable == "m_probes" else values  # no fidelity reads M
-    eta_b, eta_t, n_s = (cells if variable == name else np.full(cells.shape, _required(base, name))
+    eta_b, eta_t, n_s = (cells if variable == name else np.full(cells.shape, fixed[name])
                          for name in ("eta_b", "eta_t", "n_s"))
     return tuple(grid if grid is None else np.broadcast_to(grid, values.shape)
-                 for grid in fidelity(protocol, base.m, eta_b, eta_t, n_s, base.kappa)[:2])
+                 for grid in _fidelity(protocol, fixed["m"], eta_b, eta_t, n_s, base.kappa)[:2])
 
 
 def _sweep_columns(scenario: Scenario, variable: str, values: np.ndarray, protocols) -> dict:
     """(fidelity, kappa) grids along the checked float grid ``values`` of
     ``variable``, one of :data:`SWEEP_VARIABLES`, per protocol in
-    ``protocols``, in canonical order; :func:`fidelity` checks the fields it
-    reads.  The scenario's ``variable`` field is None or ignored."""
+    ``protocols``, in canonical order.  :func:`_fidelity` takes the
+    scenario's checked fields unchecked (a None it reads is refused as
+    required), and its ``variable`` field is None or ignored."""
     return {p: _sweep_column(scenario, variable, p, values)
             for p in PROTOCOL_IDS if p in protocols}
 
@@ -355,8 +366,9 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
     quantum upper bound and classical lower bound at M rounds, their ratio as
     log10 (computed in log space, so huge M cannot underflow it), and the
     M-independent certificate flag F_quantum < F_classical^2, each evaluated
-    on the whole grid at once.  The quantum fidelity (with its kappa search
-    for the mixed protocol) is one :func:`fidelity` call with ``workers``
+    on the whole grid at once.  The spec has checked every value, and
+    :func:`_fidelity` takes them unchecked: the quantum fidelity (with its
+    kappa search for the mixed protocol) is one call with ``workers``
     threads (None is 1), which refuses what is not an integer >= 1.
     """
     x, y, base = spec.x_values, spec.y_values, spec.scenario
@@ -365,9 +377,9 @@ def region_scan(spec: RegionSpec, workers: int | None = None) -> RegionGrid:
         axes[name] if name in axes else np.full((y.size, x.size), getattr(base, name))
         for name in ("eta_b", "eta_t", "n_s")
     )
-    f_quantum, kappa_star = fidelity(spec.quantum, base.m, eta_b, eta_t, n_s,
-                                     workers=1 if workers is None else workers)[:2]
-    f_classical = fidelity("classical", base.m, eta_b, eta_t, n_s)[0]
+    f_quantum, kappa_star = _fidelity(spec.quantum, base.m, eta_b, eta_t, n_s,
+                                      workers=1 if workers is None else workers)[:2]
+    f_classical = _fidelity("classical", base.m, eta_b, eta_t, n_s)[0]
     rounds = spec.rounds(n_s)
     with np.errstate(divide="ignore", under="ignore"):
         ub = perr_upper_raw(f_quantum, base.m, rounds)

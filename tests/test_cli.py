@@ -536,3 +536,20 @@ def test_map_with_overflowing_energy_prints_no_nan_and_no_warning(capsys):
     assert (code, err) == (0, "")
     assert "nan" not in out
 
+
+
+@pytest.mark.parametrize("argv, config, flag", [
+    (["fidelity", "--m", "3", "--eta-b", ".3", "--eta-t", ".5", "--protocol", "classical"],
+     {"ns": True}, "--ns"),
+    (["figure"], {"id": True}, "--id"),
+    (["region", "--ns", "5"], {"workers": True}, "--workers"),
+    (["sweep", "--variable", "eta_t", "--start", "0", "--stop", "1", "--eta-b", ".5",
+      "--ns", "1"], {"points": True}, "--points"),
+])
+def test_config_refuses_a_bool_number(capsys, tmp_path, argv, config, flag):
+    # JSON true is no number, though float() reads it as 1
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} expects a number, got True\n"

@@ -194,3 +194,47 @@ def test_a_region_spec_keeps_the_floats_it_checked(n_s, m_probes, total_energy, 
     for name in ("f_quantum", "f_classical", "ub_quantum", "lb_classical", "log10_ratio",
                  "m_probes"):
         assert getattr(given, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
+# ------------------------------------------------------ a bool is no number
+
+
+@pytest.mark.parametrize("flag", [True, np.True_, np.array([True, False])],
+                         ids=["python", "numpy", "array"])
+def test_check_refuses_a_bool(flag):
+    # NumPy reads True as 1.0, which every domain but n_s's floor would accept
+    with pytest.raises(DomainError, match="^eta_b must be a number, got True$"):
+        check("eta_b", flag)
+    with pytest.raises(DomainError, match="^x_start must be a number, got True$"):
+        check("eta_t", flag, "x_start")
+
+
+@pytest.mark.parametrize("field", ["m", "eta_b", "eta_t", "n_s", "m_probes", "kappa"])
+def test_a_scenario_refuses_a_bool(field):
+    fields = {"m": 3, "eta_b": 0.3, "eta_t": 0.5, "n_s": 1.0, "m_probes": 1.0, "kappa": 0.4}
+    with pytest.raises(DomainError, match=f"^{field} must be a number, got True$"):
+        Scenario(**{**fields, field: True})
+
+
+@pytest.mark.parametrize("protocol", ["classical", "idler_free", "mixed"])
+def test_fidelity_refuses_a_bool(protocol):
+    point = {"m": 3, "eta_b": 0.3, "eta_t": 0.5, "n_s": 1.0, "kappa": 0.4}
+    for field in ("m", "eta_b", "eta_t", "n_s"):
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got True$"):
+            fidelity(protocol, **{**point, field: True})
+    with pytest.raises(DomainError, match="^workers must be an integer >= 1, got True$"):
+        fidelity(protocol, **point, workers=True)
+
+
+def test_fidelity_refuses_a_bool_mixed_kappa():
+    with pytest.raises(DomainError, match="^kappa must be a number, got True$"):
+        fidelity("mixed", 3, 0.3, 0.5, 1.0, True)
+
+
+def test_a_map_refuses_a_bool():
+    scenario = Scenario(3, None, None, 5.0)
+    with pytest.raises(DomainError, match="^eta_t must be a number, got True$"):
+        RegionSpec(scenario, "eta_t", [True, False], "eta_b", [0.5])
+    spec = RegionSpec(scenario, "eta_t", [0.3, 0.6], "eta_b", [0.5], "mixed")
+    with pytest.raises(DomainError, match="^workers must be an integer >= 1, got True$"):
+        region_scan(spec, workers=True)

@@ -216,9 +216,8 @@ def test_optimize_kappa_kernel_budget(m, monkeypatch):
 
 
 def test_the_kappa_search_and_route_check_each_value_once(monkeypatch, capsys):
-    # fidelity, the one dispatcher, checks m, eta_b, eta_t and n_s once on
-    # each branch (closed form, kappa search, pair), and kappa on the
-    # fixed-kappa pair only
+    # fidelity, the API's checked entry, checks m, eta_b, eta_t and n_s once
+    # on each branch (closed form, kappa search, pair), and a mixed kappa only
     point = ["m", "eta_b", "eta_t", "n_s"]
     etas = np.linspace(0.0, 1.0, 5)
     for m in (2, 3):
@@ -238,21 +237,24 @@ def test_the_kappa_search_and_route_check_each_value_once(monkeypatch, capsys):
     with counting_checks() as fields:
         fidelity("mixed", 3, **KAPPA_BUDGET_ROW)
     assert len(kernel) == 2 * searched and fields == point
-    # behind a map or a sweep fidelity is the only checker: the bounds of a
-    # map and the fields of a sweep are not checked again
+    # behind a RegionSpec, a sweep's Scenario or a report's Scenario nothing
+    # is checked again: not the fidelities, not the bounds of a map
     for quantum, total_energy in (("mixed", None), ("idler_free", 1800.0)):
         spec = RegionSpec(Scenario(3, 0.55, None, 50.0), "eta_t", KAPPA_BUDGET_ROW["eta_t"],
                           "eta_b", (0.55, 0.9), quantum, total_energy)
         with counting_checks() as fields:
             region_scan(spec)
-        assert fields == point * 2, quantum  # the quantum chunk, then the classical map
+        assert fields == [], quantum
     pinned, free = Scenario(3, 0.5, None, 5.0, kappa=0.4), Scenario(None, 0.5, 0.6, 5.0)
     with counting_checks() as fields:
         _sweep_columns(pinned, "eta_t", etas, PROTOCOL_IDS)
-    assert fields == point * len(PROTOCOL_IDS) + ["kappa"]  # the mixed column is last
-    with counting_checks() as fields:
         _sweep_columns(free, "m", np.array([2.0, 3.0]), ("mixed",))
-    assert fields == point * 2
+    assert fields == []
+    point_scenario = replace(pinned, eta_t=0.7)
+    for protocol in PROTOCOL_IDS:
+        with counting_checks() as fields:
+            output_fidelity(point_scenario, protocol)
+        assert fields == [], protocol
     # a fidelity table checks its bounds' fields once, not once per row
     argv = ["fidelity", "--protocol", "all", "--m", "3", "--eta-b", "0.3", "--eta-t", "0.5",
             "--ns", "2", "--m-probes", "4"]

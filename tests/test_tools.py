@@ -46,6 +46,21 @@ def test_count_checks_prints_one_total_per_workload():
         assert re.fullmatch(r"\w+ seed 3: [1-9]\d* checks in [1-9]\d* ops", line), line
 
 
+# where values enter: a Scenario, a RegionSpec, the command line, and the
+# public bounds; the fidelities, sweeps and maps behind them check nothing
+_ENTRIES = ("cpfkit.protocols.Scenario.__post_init__", "cpfkit.scan.RegionSpec.__post_init__",
+            "cpfkit.bounds.perr_upper", "cpfkit.bounds.perr_lower")
+
+
+def test_every_check_at_workload_scale_is_made_where_a_value_enters():
+    # the per-caller lines of the run above, one check count and caller each
+    callers = [line.split()[1] for line in _tool("count_checks.py", "--seeds", "3")
+               if line.startswith(" ")]
+    assert callers
+    for caller in callers:
+        assert caller in _ENTRIES or caller.startswith("cpfkit.cli."), caller
+
+
 def test_peak_rss_reports_the_exit_code_memory_and_cpu():
     lines = _tool("peak_rss.py", "fidelity", "--m", "3", "--eta-b", ".3", "--eta-t", ".5",
                   "--ns", "2")
