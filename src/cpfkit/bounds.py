@@ -29,18 +29,14 @@ def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
 def perr_upper(fidelity, m: int, m_probes: float = 1.0):
     """Upper bound on the error probability with equiprobable hypotheses,
     (m-1) F^M clamped to [0, 1] (Barnum and Knill, J. Math. Phys. 43, 2097 (2002))."""
-    fidelity = check("fidelity", fidelity)
-    check("m", m)
-    check("m_probes", m_probes)
+    fidelity, m, m_probes = check("fidelity", fidelity), check("m", m), check("m_probes", m_probes)
     return np.minimum(1.0, perr_upper_raw(fidelity, m, m_probes))
 
 
 def perr_lower(fidelity, m: int, m_probes: float = 1.0):
     """Lower bound (m-1)/(2m) F^(2M) on the error probability with
     equiprobable hypotheses (Montanaro, IEEE Information Theory Workshop (ITW) 2008)."""
-    fidelity = check("fidelity", fidelity)
-    check("m", m)
-    check("m_probes", m_probes)
+    fidelity, m, m_probes = check("fidelity", fidelity), check("m", m), check("m_probes", m_probes)
     return (m - 1.0) / (2.0 * m) * fidelity ** (2.0 * m_probes)
 
 

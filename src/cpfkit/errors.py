@@ -55,7 +55,7 @@ def check(field: str, values, name: str | None = None) -> np.ndarray:
 
     Otherwise raises a :class:`DomainError` whose ``field`` is ``name``
     (default ``field``), quoting the first offending value, saying that it
-    is required when it is None, or no number (a bool too).
+    is required when it is None, or no number (a bool or a string too).
     """
     name = field if name is None else name
     if values is None:
@@ -63,13 +63,23 @@ def check(field: str, values, name: str | None = None) -> np.ndarray:
     rule, inside = DOMAINS[field]
     try:
         given = np.asarray(values)
+        if given.dtype == object:  # the values' own dtype: "3" as text, True as bool
+            given = np.asarray(given.tolist())
         array = np.asarray(given, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"must be a number, got {values!r}", name) from None
-    if given.dtype == bool and given.size:  # NumPy would read True as 1
-        raise DomainError(f"must be a number, got {given.flat[0]}", name)
+    if given.dtype.kind in "bSU" and given.size:  # NumPy would read True as 1, "3" as 3
+        raise DomainError(f"must be a number, got {given.flat[0].item()!r}", name)
     ok = np.isfinite(array) & inside(array)
     if not ok.all():
         where = "" if name == field else f" for {field}"
         raise DomainError(f"must be {rule}{where}, got {array[~ok][0]:.12g}", name)
     return array
+
+
+def one(array: np.ndarray, name: str) -> float:
+    """A checked ``array`` of field ``name`` as a float: a field that takes
+    one number refuses an array of them."""
+    if array.ndim:
+        raise DomainError(f"must be one number, got shape {array.shape}", name)
+    return float(array)

@@ -1,20 +1,20 @@
-"""Gaussian-state toolbox for continuous-variable sensing calculations.
+"""The fidelity kernel of Gaussian states, and a physicality test of a
+covariance.  Both work on arrays.
 
-States are (mean, covariance) pairs in the convention q = a + a†,
-p = i(a† − a), so the vacuum covariance matrix is the identity and a
-coherent state of amplitude α has mean (2 Re α, 2 Im α).  Quadratures are
-ordered (q₁, p₁, …, qₙ, pₙ).
+A state is its quadrature mean vector and covariance matrix, in the
+convention q = a + a†, p = i(a† − a), so the vacuum covariance matrix is
+the identity and a coherent state of amplitude α has mean
+(2 Re α, 2 Im α).  Quadratures are ordered (q₁, p₁, …, qₙ, pₙ).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidStateError, NumericError
+from .errors import InvalidStateError, NumericError
 
 # A covariance matrix is accepted as physical when its smallest symplectic
 # eigenvalue is at least 1 - PHYSICALITY_TOL.
@@ -25,103 +25,23 @@ PHYSICALITY_TOL = 1e-9
 SNAP_ULPS = 64.0
 _EPS = float(np.finfo(float).eps)
 
-_SYMMETRY_RTOL = 1e-12
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form Omega, a direct sum of [[0,1],[-1,0]]."""
-    if n_modes < 1:
-        raise DomainError(f"n_modes must be at least 1, got {n_modes}")
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """An n-mode Gaussian state: quadrature mean vector and covariance matrix.
-
-    ``mean`` has length 2n, ``cm`` is 2n x 2n and symmetric.  Construction
-    checks shape, finiteness and symmetry only; physicality (positive
-    definiteness and symplectic eigenvalues >= 1) is reported separately by
-    :func:`check_physical` so that diagnostic states can still be built.
-    """
-
-    mean: np.ndarray
-    cm: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cm = np.asarray(self.cm, dtype=float)
-        if mean.ndim != 1 or mean.size == 0 or mean.size % 2:
-            raise InvalidStateError(f"mean must have even length 2n, got shape {mean.shape}")
-        if cm.shape != (mean.size, mean.size):
-            raise InvalidStateError(
-                f"cm must be {mean.size} x {mean.size} to match the mean, got {cm.shape}"
-            )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cm))):
-            raise InvalidStateError("state contains non-finite entries")
-        scale = max(1.0, float(np.abs(cm).max()))
-        if float(np.abs(cm - cm.T).max()) > _SYMMETRY_RTOL * scale:
-            raise InvalidStateError("covariance matrix is not symmetric")
-        object.__setattr__(self, "mean", mean.copy())
-        # store the exactly symmetric part so downstream eigensolves are stable
-        object.__setattr__(self, "cm", (cm + cm.T) / 2.0)
-
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
-
-
-@dataclass(frozen=True)
-class PhysicalityReport:
-    """Outcome of a physicality check; ``ok`` is the overall verdict."""
-
-    min_symplectic_eigenvalue: float
-    positive_definite: bool
-    ok: bool
-
-
-def pure_loss(state: GaussianState, mode, eta) -> GaussianState:
-    """Send a mode, or each of a sequence of distinct modes, through a
-    pure-loss channel of transmissivity ``eta`` (a sequence of equal length).
-
-    A mode's mean scales by sqrt(eta), its diagonal covariance block becomes
-    eta*block + (1-eta)*I, and cross blocks scale by sqrt(eta).  The result
-    rounds exactly as the modes sent one at a time in ascending order.
-    """
-    modes, etas = np.asarray(mode), np.asarray(eta, dtype=float)
-    if modes.shape != etas.shape:
-        raise DomainError(f"mode and eta must have the same length, got {mode} and {eta}")
-    if not np.all((etas >= 0.0) & (etas <= 1.0)):
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    if modes.dtype.kind not in "iu":
-        raise InvalidStateError(f"mode must be an integer, got {mode!r}")
-    if not np.all((modes >= 0) & (modes < state.n_modes)):
-        raise InvalidStateError(f"mode {mode} out of range for {state.n_modes}-mode state")
-    if np.unique(modes).size != modes.size:
-        raise InvalidStateError(f"modes must be distinct, got {mode}")
-    transmit = np.ones(2 * state.n_modes)  # eta per quadrature, 1 where no loss
-    transmit.reshape(-1, 2)[modes] = etas[..., None]
-    root = np.sqrt(transmit)
-    # one mode at a time scales an entry by its lower mode's root first
-    full = state.cm * root[:, None] * root
-    cm = np.triu(full) + np.triu(full, 1).T
-    cm[np.diag_indices_from(cm)] += 1.0 - transmit
-    return GaussianState(state.mean * root, cm)
-
 
 def _symplectic_moduli(cm: np.ndarray) -> np.ndarray:
-    """Moduli of the eigenvalues of Omega V, one per mode, ascending."""
-    omega = symplectic_form(cm.shape[-1] // 2)
+    """Moduli of the eigenvalues of Omega V, one per mode, ascending, with
+    Omega the direct sum of [[0, 1], [-1, 0]]."""
+    omega = np.kron(np.eye(cm.shape[-1] // 2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     mods = np.sort(np.abs(np.linalg.eigvals(omega @ cm)), axis=-1)
     # eigenvalues come in +/- i nu pairs; keep one of each
     return mods[..., ::2]
 
 
-def check_physical(state: GaussianState) -> PhysicalityReport:
-    """Report whether ``state`` is a valid quantum state.  Never raises."""
-    pd = bool(np.linalg.eigvalsh(state.cm)[0] > 0.0)
-    min_nu = float(_symplectic_moduli(state.cm)[0])
-    return PhysicalityReport(min_nu, pd, pd and min_nu >= 1.0 - PHYSICALITY_TOL)
+def check_physical(cm: np.ndarray) -> tuple:
+    """(min symplectic eigenvalue, ok) of a finite symmetric covariance: ok
+    when it is positive definite and that eigenvalue is at least
+    1 - PHYSICALITY_TOL, so that it is the covariance of a quantum state."""
+    positive = bool(np.linalg.eigvalsh(cm)[0] > 0.0)
+    min_nu = float(_symplectic_moduli(cm)[0])
+    return min_nu, positive and min_nu >= 1.0 - PHYSICALITY_TOL
 
 
 @functools.lru_cache(maxsize=None)

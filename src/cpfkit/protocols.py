@@ -20,8 +20,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError, check
-from .gaussian import GaussianState, check_physical, fidelity_from_arrays, pure_loss
+from .errors import DomainError, NumericError, check, one
+from .gaussian import check_physical, fidelity_from_arrays
 
 
 class ProtocolKind(str, Enum):
@@ -62,8 +62,8 @@ class Scenario:
     def __post_init__(self):
         for name in ("m", "eta_b", "eta_t", "n_s", "m_probes", "kappa"):
             if getattr(self, name) is not None:
-                value = check(name, getattr(self, name))
-                object.__setattr__(self, name, int(value) if name == "m" else float(value))
+                value = one(check(name, getattr(self, name)), name)
+                object.__setattr__(self, name, int(value) if name == "m" else value)
 
 
 @dataclass(frozen=True)
@@ -278,14 +278,15 @@ DIRECT_M_MAX = 128
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
-def build_probe(kind: ProtocolKind, m: int, n_s, kappa) -> GaussianState:
-    """The direct path's full-size probe of family ``kind`` for m boxes at
-    energy n_s per box mode, unchecked: m, n_s and a mixed kappa have been
-    checked, and ``kappa`` is the family's own.  The bipartite probe is the
-    tensor product of m two-mode squeezed pairs, ordered (idler, signal)
-    per box, and ignores ``kappa``.  Every other probe is the symmetric
-    mixed one: it spends kappa*n_s on correlations (mu*I on the diagonal,
-    the largest physical c*Z off it) and the rest on coherent amplitude.
+def build_probe(kind: ProtocolKind, m: int, n_s, kappa) -> tuple:
+    """(mean, cm) of the direct path's full-size probe of family ``kind`` for
+    m boxes at energy n_s per box mode, unchecked: m, n_s and a mixed kappa
+    have been checked, and ``kappa`` is the family's own.  The bipartite
+    probe is the tensor product of m two-mode squeezed pairs, ordered
+    (idler, signal) per box, and ignores ``kappa``.  Every other probe is
+    the symmetric mixed one: it spends kappa*n_s on correlations (mu*I on
+    the diagonal, the largest physical c*Z off it) and the rest on coherent
+    amplitude.
     """
     boxes = m
     if kind is ProtocolKind.BIPARTITE:  # a pair is the idler-free probe of two boxes
@@ -294,31 +295,40 @@ def build_probe(kind: ProtocolKind, m: int, n_s, kappa) -> GaussianState:
     c = math.sqrt(mu * mu - 1.0) / (m - 1)
     cm = np.kron(np.eye(m), mu * np.eye(2)) + np.kron(1.0 - np.eye(m), c * _Z)
     if kind is ProtocolKind.BIPARTITE:
-        return GaussianState(np.zeros(4 * boxes), np.kron(np.eye(boxes), cm))
+        return np.zeros(4 * boxes), np.kron(np.eye(boxes), cm)
     mean = np.zeros(2 * m)
     mean[0::2] = 2.0 * math.sqrt((1.0 - kappa) * n_s)
-    return GaussianState(mean, cm)
+    return mean, cm
 
 
 def _direct_pair(kind: ProtocolKind, m: int, eta_b, eta_t, n_s, kappa) -> tuple:
-    """The full-size output pair, in :func:`output_pair_arrays`'s order."""
+    """The full-size output pair, in :func:`output_pair_arrays`'s order: the
+    probe's box modes (every mode, or every signal of the bipartite probe)
+    sent through the boxes, the target at box 0 resp. 1.  A box of
+    transmissivity eta scales its mode's mean and covariance rows and
+    columns by sqrt(eta) and adds 1 - eta on its diagonal; the pair rounds
+    exactly as the boxes applied one at a time in ascending order."""
     if m > DIRECT_M_MAX:
         raise DomainError(f"must be at most {DIRECT_M_MAX} on the direct path, got {m}", "m")
-    probe = build_probe(kind, m, n_s, kappa)
-    # the box modes: every mode, or every signal (odd) mode of the bipartite probe
-    step = probe.n_modes // m
-    modes = np.arange(step - 1, probe.n_modes, step)
-    out_1, out_2 = (pure_loss(probe, modes, np.where(np.arange(m) == target, eta_t, eta_b))
-                    for target in (0, 1))
-    return out_1.cm, out_2.cm, out_1.mean, out_2.mean
+    mean, cm = build_probe(kind, m, n_s, kappa)
+    # eta per quadrature, 1 on an idler; a box's mode is the last of its row
+    transmit = np.ones((2, m, mean.size // m))
+    transmit[..., -2:] = np.where(np.eye(2, m, dtype=bool), eta_t, eta_b)[..., None]
+    transmit = transmit.reshape(2, -1)
+    root = np.sqrt(transmit)
+    # one box at a time scales an entry by its lower mode's root first
+    full = cm * root[:, :, None] * root[:, None, :]
+    cov = np.triu(full) + np.triu(full, 1).swapaxes(-1, -2)
+    cov[:, np.arange(mean.size), np.arange(mean.size)] += 1.0 - transmit
+    means = mean * root
+    return cov[0], cov[1], means[0], means[1]
 
 
 def _physicality(pair) -> tuple:
     """(diagnostics, warnings) of an output pair in :func:`output_pair_arrays`'s
     order: the smaller min symplectic eigenvalue of the two states, and a
     warning for each unphysical one."""
-    reports = [check_physical(GaussianState(mean, cov)) for cov, mean in zip(pair[:2], pair[2:])]
-    nus = [r.min_symplectic_eigenvalue for r in reports]
+    reports = [check_physical(cov) for cov in pair[:2]]
     warnings = tuple(f"output state {i} has min symplectic eigenvalue {nu:.12g}"
-                     for i, (nu, r) in enumerate(zip(nus, reports)) if not r.ok)
-    return {"min_symplectic_eigenvalue": min(nus)}, warnings
+                     for i, (nu, ok) in enumerate(reports) if not ok)
+    return {"min_symplectic_eigenvalue": min(nu for nu, _ in reports)}, warnings

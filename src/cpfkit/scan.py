@@ -19,7 +19,7 @@ import numpy as np
 
 from . import protocols
 from .bounds import classical_perr_lower, log10_bound_ratio, perr_upper_raw
-from .errors import DomainError, NumericError, check
+from .errors import DomainError, NumericError, check, one
 from .protocols import PROTOCOL_IDS, FidelityReport, ProtocolKind, Scenario
 
 # The mixed-probe kappa search runs in t = log(kappa).  Its coarse grid is
@@ -63,7 +63,7 @@ def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None, *, workers: int = 
     threads take the chunks of protocols._cellwise; a closed form is one
     vectorized call.
     """
-    m = int(check("m", m))
+    m = int(one(check("m", m), "m"))
     eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
     kappa = check("kappa", kappa) if protocol == "mixed" and kappa is not None else kappa
     return _fidelity(protocol, m, eta_b, eta_t, n_s, kappa, workers)
@@ -322,7 +322,7 @@ class RegionSpec:
             if name not in axes and (name != "m_probes" or self.total_energy is None):
                 _required(self.scenario, name)
         if self.total_energy is not None:
-            total_energy = float(check("total_energy", self.total_energy))
+            total_energy = one(check("total_energy", self.total_energy), "total_energy")
             object.__setattr__(self, "total_energy", total_energy)
             n_s = self.x_values if self.x_name == "n_s" else (
                 self.y_values if self.y_name == "n_s" else self.scenario.n_s)

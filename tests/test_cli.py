@@ -3,6 +3,7 @@
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -335,23 +336,18 @@ def test_kappa_command_reports_optimum(capsys):
 # ------------------------------------------------------------------- JSON
 
 
-def test_json_output_validates_against_schema(capsys):
-    schema = load_schema()
-    for argv in (
-        ["fidelity", "--m", "2", "--eta-b", "0.9", "--eta-t", "0.95", "--ns", "50",
-         "--format", "json"],
-        ["region", "--x", "eta_t", "--x-start", "0.8", "--x-stop", "0.9",
-         "--x-points", "2", "--y", "eta_b", "--y-start", "0.5", "--y-stop", "0.6",
-         "--y-points", "2", "--ns", "20", "--format", "json"],
-        ["kappa", "--m", "2", "--eta-b", "0.55", "--eta-t", "0.9", "--ns", "50",
-         "--format", "json"],
-    ):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        document = json.loads(out)
-        jsonschema.validate(document, schema)
-        assert document["command"] == argv[0]
-        assert len(document["rows"][0]) == len(document["columns"])
+# every JSON document the goldens pin, as the command line prints it
+_JSON_GOLDENS = [case for case in json.loads(
+    (Path(__file__).parent / "data" / "cli_goldens.json").read_text(encoding="utf-8"))["cases"]
+    if case["argv"][-2:] == ["--format", "json"]]
+
+
+@pytest.mark.parametrize("case", _JSON_GOLDENS, ids=lambda case: " ".join(case["argv"]))
+def test_json_output_validates_against_schema(case):
+    document = json.loads(case["stdout"])
+    jsonschema.validate(document, load_schema())
+    assert document["command"] == case["argv"][0]
+    assert all(len(row) == len(document["columns"]) for row in document["rows"])
 
 
 def test_json_preserves_booleans(capsys):

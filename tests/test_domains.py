@@ -14,6 +14,7 @@ from cpfkit import (
     Scenario,
     fidelity,
     output_fidelity,
+    perr_lower,
     perr_upper,
     region_scan,
 )
@@ -164,10 +165,10 @@ def test_optimize_kappa_refuses_a_none_field(field):
 # float fields at values a float32 holds exactly, so that every spelling
 # below is the same number
 _FLOAT_FIELDS = {"eta_b": 0.25, "eta_t": 0.5, "n_s": 2.0, "m_probes": 3.0, "kappa": 0.75}
-_SPELLINGS = [str, np.float32, np.array]
+_SPELLINGS = [np.float32, np.array]
 
 
-@pytest.mark.parametrize("spelling", _SPELLINGS, ids=["text", "float32", "0-d"])
+@pytest.mark.parametrize("spelling", _SPELLINGS, ids=["float32", "0-d"])
 @pytest.mark.parametrize("field", _FLOAT_FIELDS)
 def test_a_scenario_keeps_the_float_it_checked(field, spelling):
     plain = Scenario(3, **_FLOAT_FIELDS)
@@ -177,7 +178,7 @@ def test_a_scenario_keeps_the_float_it_checked(field, spelling):
         assert output_fidelity(given, protocol) == output_fidelity(plain, protocol)
 
 
-@pytest.mark.parametrize("spelling", _SPELLINGS, ids=["text", "float32", "0-d"])
+@pytest.mark.parametrize("spelling", _SPELLINGS, ids=["float32", "0-d"])
 @pytest.mark.parametrize("n_s, m_probes, total_energy", [(20.0, 20.0, None),
                                                         (20.0, None, 100.0)])
 def test_a_region_spec_keeps_the_floats_it_checked(n_s, m_probes, total_energy, spelling):
@@ -238,3 +239,58 @@ def test_a_map_refuses_a_bool():
     spec = RegionSpec(scenario, "eta_t", [0.3, 0.6], "eta_b", [0.5], "mixed")
     with pytest.raises(DomainError, match="^workers must be an integer >= 1, got True$"):
         region_scan(spec, workers=True)
+
+
+# ------------------------------- a string is no number, and a field one number
+
+
+@pytest.mark.parametrize("text", ["0.25", b"0.25", np.array(["0.25", "0.5"]),
+                                  np.array(["0.25", 0.5], dtype=object)],
+                         ids=["str", "bytes", "array", "object array"])
+def test_check_refuses_a_string(text):
+    # NumPy reads "0.25" as 0.25; the command line parses its text before a check
+    with pytest.raises(DomainError, match=r"^eta_b must be a number, got b?'0\.25'$"):
+        check("eta_b", text)
+
+
+_POINT = {"m": 3, "eta_b": 0.3, "eta_t": 0.5, "n_s": 1.0, "m_probes": 1.0, "kappa": 0.4}
+
+
+@pytest.mark.parametrize("field", _POINT)
+def test_a_scenario_takes_one_number_per_field(field):
+    value = _POINT[field]
+    with pytest.raises(DomainError, match=f"^{field} must be a number, got '{value}'$"):
+        Scenario(**{**_POINT, field: str(value)})
+    with pytest.raises(DomainError, match=rf"^{field} must be one number, got shape \(2,\)$"):
+        Scenario(**{**_POINT, field: [value, value]})
+
+
+@pytest.mark.parametrize("protocol", ["classical", "idler_free", "mixed"])
+def test_fidelity_refuses_a_string_and_takes_one_m(protocol):
+    point = {name: _POINT[name] for name in ("m", "eta_b", "eta_t", "n_s", "kappa")}
+    for field in ("m", "eta_b", "eta_t", "n_s", *(("kappa",) if protocol == "mixed" else ())):
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got '"):
+            fidelity(protocol, **{**point, field: str(point[field])})
+    with pytest.raises(DomainError, match=r"^m must be one number, got shape \(2,\)$"):
+        fidelity(protocol, **{**point, "m": [2, 3]})
+
+
+@pytest.mark.parametrize("total_energy, reason", [
+    ("10", "must be a number, got '10'"),
+    ([10.0, 20.0], r"must be one number, got shape \(2,\)"),
+], ids=["text", "array"])
+def test_a_map_takes_one_total_energy(total_energy, reason):
+    scenario = Scenario(2, None, None, 20.0, None)
+    with pytest.raises(DomainError, match=f"^total_energy {reason}$"):
+        RegionSpec(scenario, "eta_t", (0.25, 0.5), "eta_b", (0.75,), "idler_free", total_energy)
+
+
+def test_the_bounds_compute_with_the_values_they_checked():
+    assert perr_upper(0.5, [2, 3]).tolist() == [perr_upper(0.5, 2), perr_upper(0.5, 3)]
+    assert perr_lower(0.5, 3, [1.0, 2.0]).tolist() == [perr_lower(0.5, 3, 1.0),
+                                                       perr_lower(0.5, 3, 2.0)]
+    for bound in (perr_upper, perr_lower):
+        with pytest.raises(DomainError, match="^m must be a number, got '3'$"):
+            bound(0.5, "3")
+        with pytest.raises(DomainError, match="^m_probes must be a number, got '2'$"):
+            bound(0.5, 3, "2")

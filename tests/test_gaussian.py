@@ -1,4 +1,5 @@
-"""Gaussian-state toolbox tests: constructors, channels, physicality, fidelity."""
+"""The Gaussian layer on arrays: the state fixtures and the reference loss the
+tests build on, the physicality test, and the fidelity kernel."""
 
 import math
 
@@ -6,20 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import random_decoupled_state, random_physical_state
-from cpfkit import (
-    DomainError,
-    GaussianState,
-    InvalidStateError,
-    check_physical,
-    fidelity_from_arrays,
-    pure_loss,
-    symplectic_form,
-)
-from cpfkit.gaussian import _symplectic_moduli
+from cpfkit import InvalidStateError, fidelity_from_arrays
+from cpfkit.gaussian import _symplectic_moduli, check_physical
 from helpers import (
     coherent_state,
     displace,
     keep_modes,
+    loss_on_one_mode,
     photon_number,
     state_fidelity,
     symmetric_cm,
@@ -31,30 +25,6 @@ from helpers import (
 
 
 # ------------------------------------------------------------- structure
-
-
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_symplectic_form_properties(n):
-    omega = symplectic_form(n)
-    assert omega.shape == (2 * n, 2 * n)
-    assert np.array_equal(omega.T, -omega)
-    assert np.array_equal(omega @ omega, -np.eye(2 * n))
-
-
-def test_state_requires_matching_shapes():
-    with pytest.raises(InvalidStateError):
-        GaussianState(np.zeros(3), np.eye(3))
-    with pytest.raises(InvalidStateError):
-        GaussianState(np.zeros(2), np.eye(4))
-    with pytest.raises(InvalidStateError):
-        GaussianState(np.array([0.0, np.inf]), np.eye(2))
-
-
-def test_state_requires_symmetry():
-    cm = np.eye(2)
-    cm[0, 1] = 0.5
-    with pytest.raises(InvalidStateError):
-        GaussianState(np.zeros(2), cm)
 
 
 def test_vacuum_and_coherent_layout():
@@ -109,14 +79,14 @@ def test_keep_modes_validates_indices():
 
 def test_pure_loss_on_vacuum_is_identity():
     vac = vacuum_state(1)
-    out = pure_loss(vac, 0, 0.3)
+    out = loss_on_one_mode(vac, 0, 0.3)
     # eta*1 + (1 - eta)*1 rounds to 1 within one ulp, not exactly
     assert np.allclose(out.cm, vac.cm, rtol=0.0, atol=1e-15)
     assert np.array_equal(out.mean, vac.mean)
 
 
 def test_pure_loss_scales_coherent_amplitude():
-    out = pure_loss(coherent_state([2.0]), 0, 0.25)
+    out = loss_on_one_mode(coherent_state([2.0]), 0, 0.25)
     assert np.allclose(out.mean, [2.0 * 2.0 * 0.5, 0.0])
     assert np.array_equal(out.cm, np.eye(2))
 
@@ -124,61 +94,9 @@ def test_pure_loss_scales_coherent_amplitude():
 def test_pure_loss_attenuates_energy(rng):
     state = random_physical_state(rng, 2)
     eta = 0.6
-    out = pure_loss(state, 1, eta)
+    out = loss_on_one_mode(state, 1, eta)
     assert photon_number(out, 1) == pytest.approx(eta * photon_number(state, 1), rel=1e-12)
-    assert check_physical(out).ok
-
-
-def _loss_on_one_mode(mean, cm, mode, eta):
-    """One mode through the loss, written out: rows, then columns, then noise."""
-    root, i, j = math.sqrt(eta), 2 * mode, 2 * mode + 1
-    mean, cm = mean.copy(), cm.copy()
-    mean[i : j + 1] *= root
-    cm[[i, j], :] *= root
-    cm[:, [i, j]] *= root
-    cm[i, i] += 1.0 - eta
-    cm[j, j] += 1.0 - eta
-    return mean, cm
-
-
-def test_pure_loss_on_several_modes_rounds_as_one_at_a_time(rng):
-    for _ in range(300):
-        n_modes = int(rng.integers(1, 7))
-        state = random_physical_state(rng, n_modes)
-        modes = rng.permutation(n_modes)[: rng.integers(1, n_modes + 1)]
-        etas = rng.choice([0.0, 1.0, *rng.uniform(0.0, 1.0, 4)], size=modes.size)
-        mean, cm = state.mean, state.cm
-        stepwise = state
-        for k in np.argsort(modes):
-            mean, cm = _loss_on_one_mode(mean, cm, int(modes[k]), float(etas[k]))
-            stepwise = pure_loss(stepwise, int(modes[k]), float(etas[k]))
-        once = pure_loss(state, modes, etas)
-        for out in (once, stepwise):
-            assert np.array_equal(out.cm, cm) and np.array_equal(out.mean, mean)
-
-
-@pytest.mark.parametrize(
-    "mode, eta, error, match",
-    [
-        ([0, 2, 0], [0.3, 0.4, 0.5], InvalidStateError, "distinct"),
-        ([0, 1], [0.3], DomainError, "same length"),
-        (0, [0.3], DomainError, "same length"),
-        (0, 1.2, DomainError, r"\[0, 1\]"),
-        ([0, 1], [0.3, 1.5], DomainError, r"\[0, 1\]"),
-        ([0, 1], [0.3, -0.1], DomainError, r"\[0, 1\]"),
-        ([0, 1], [float("nan"), 0.3], DomainError, r"\[0, 1\]"),
-        ([1, 3], [0.3, 0.4], InvalidStateError, "out of range"),
-        (-1, 0.3, InvalidStateError, "out of range"),
-        (0.5, 0.3, InvalidStateError, "integer"),
-        (1.0, 0.3, InvalidStateError, "integer"),
-        ([0, 1.5], [0.3, 0.4], InvalidStateError, "integer"),
-        (np.array([True, False, True]), [0.3, 0.4, 0.5], InvalidStateError, "integer"),
-        (True, 0.3, InvalidStateError, "integer"),
-    ],
-)
-def test_pure_loss_refusals(mode, eta, error, match):
-    with pytest.raises(error, match=match):
-        pure_loss(vacuum_state(3), mode, eta)
+    assert check_physical(out.cm)[1]
 
 
 # ---------------------------------------------------- symplectic spectrum
@@ -199,15 +117,13 @@ def test_symmetric_cm_spectrum_analytic(m, mu, fraction):
 
 
 def test_check_physical_boundary():
-    assert check_physical(vacuum_state(3)).ok
+    assert check_physical(vacuum_state(3).cm)[1]
     mu = 3.0
     c_max = math.sqrt(mu * mu - 1.0) / 3.0  # the largest physical c at m = 4
-    at_edge = GaussianState(np.zeros(8), symmetric_cm(4, mu, c_max))
-    assert check_physical(at_edge).ok
-    beyond = GaussianState(np.zeros(8), symmetric_cm(4, mu, 1.01 * c_max))
-    report = check_physical(beyond)
-    assert not report.ok
-    assert report.min_symplectic_eigenvalue < 1.0 - 1e-4
+    assert check_physical(symmetric_cm(4, mu, c_max))[1]
+    min_nu, ok = check_physical(symmetric_cm(4, mu, 1.01 * c_max))
+    assert not ok
+    assert min_nu < 1.0 - 1e-4
 
 
 # --------------------------------------------------------------- fidelity

@@ -15,10 +15,9 @@ from cpfkit import (
     fidelity,
     fidelity_from_arrays,
     output_fidelity,
-    pure_loss,
-    symplectic_form,
 )
 from cpfkit.protocols import (
+    FAMILY_KAPPA,
     PROTOCOL_IDS,
     _direct_pair,
     _mixed_binary_fidelity,
@@ -29,10 +28,12 @@ from cpfkit.protocols import (
     output_pair_arrays,
 )
 from helpers import (
+    State,
     bipartite_fidelity_numeric,
     count_kernel_elements,
     count_pair_builds,
     counting_checks,
+    loss_on_one_mode,
     photon_number,
     reduced_output_pair,
     reduction_symplectic,
@@ -333,16 +334,36 @@ def test_the_full_size_bipartite_pair_keeps_its_digits(m, eta_b, eta_t, n_s, ref
 
 
 def _through_boxes(probe, modes, scenario, target):
-    """The probe's box modes sent through the boxes, the target at ``target``."""
-    etas = [scenario.eta_t if box == target else scenario.eta_b for box in range(len(modes))]
-    return pure_loss(probe, modes, etas)
+    """The probe's box modes, ascending, sent through the boxes one at a time,
+    the target at ``target``."""
+    for box, mode in enumerate(modes):
+        probe = loss_on_one_mode(probe, mode, scenario.eta_t if box == target else scenario.eta_b)
+    return probe
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda kind: kind.value)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(2, 12), etas=st.tuples(_ETAS, _ETAS), equal=st.booleans(),
+       log_n_s=st.floats(-3.0, 6.0), kappa=st.floats(0.0, 1.0))
+def test_the_direct_pair_rounds_as_the_boxes_one_at_a_time(kind, m, etas, equal, log_n_s,
+                                                           kappa):
+    # the direct path applies every box's loss to the probe's arrays at once
+    eta_b, eta_t = (etas[0], etas[0]) if equal else etas
+    scenario, kappa = Scenario(m, eta_b, eta_t, 10.0**log_n_s), FAMILY_KAPPA.get(kind, kappa)
+    probe = State(*build_probe(kind, m, scenario.n_s, kappa))
+    step = probe.n_modes // m  # the box modes: every mode, or every signal
+    out_1, out_2 = (_through_boxes(probe, range(step - 1, probe.n_modes, step), scenario, target)
+                    for target in (0, 1))
+    pair = _direct_pair(kind, m, eta_b, eta_t, scenario.n_s, kappa)
+    for got, expected in zip(pair, (out_1.cm, out_2.cm, out_1.mean, out_2.mean)):
+        assert np.array_equal(got, expected)
 
 
 def test_hypothesis_pairs_equivalent(rng):
     # outputs for any two distinct target positions have the same fidelity
     for m in (3, 4):
         scenario = Scenario(m, 0.7, 0.35, 2.0, kappa=0.6)
-        probe = build_probe(ProtocolKind.MIXED, m, scenario.n_s, scenario.kappa)
+        probe = State(*build_probe(ProtocolKind.MIXED, m, scenario.n_s, scenario.kappa))
         outputs = [_through_boxes(probe, range(m), scenario, t) for t in range(m)]
         reference = state_fidelity(outputs[0], outputs[1])
         for i in range(m):
@@ -358,7 +379,7 @@ def test_hypothesis_pairs_equivalent(rng):
 @pytest.mark.parametrize("m", [3, 4, 6])
 def test_reduction_symplectic_is_orthogonal_symplectic(m):
     s = reduction_symplectic(m)
-    omega = symplectic_form(m)
+    omega = np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]])
     assert np.allclose(s @ s.T, np.eye(2 * m), atol=1e-12)
     assert np.allclose(s @ omega @ s.T, omega, atol=1e-12)
 
@@ -366,7 +387,7 @@ def test_reduction_symplectic_is_orthogonal_symplectic(m):
 @pytest.mark.parametrize("m", [4, 5, 7])
 def test_reduction_block_diagonalizes_output(m):
     scenario = Scenario(m, 0.8, 0.4, 3.0, kappa=0.5)
-    probe = build_probe(ProtocolKind.MIXED, m, scenario.n_s, scenario.kappa)
+    probe = State(*build_probe(ProtocolKind.MIXED, m, scenario.n_s, scenario.kappa))
     out = _through_boxes(probe, range(m), scenario, 0)
     s = reduction_symplectic(m)
     cm = s @ out.cm @ s.T
@@ -512,7 +533,7 @@ def test_output_fidelity_rejects_bad_path():
 def test_bipartite_direct_uses_idlers():
     # the 2m-mode probe keeps one idler per box; only signals meet the loss
     scenario = Scenario(2, 0.7, 0.2, 3.0)
-    probe = build_probe(ProtocolKind.BIPARTITE, 2, 3.0, None)
+    probe = State(*build_probe(ProtocolKind.BIPARTITE, 2, 3.0, None))
     out = _through_boxes(probe, [1, 3], scenario, 0)
 
     assert photon_number(out, 0) == pytest.approx(3.0, rel=1e-12)  # idler untouched
