@@ -55,7 +55,7 @@ def check(field: str, values, name: str | None = None) -> np.ndarray:
 
     Otherwise raises a :class:`DomainError` whose ``field`` is ``name``
     (default ``field``), quoting the first offending value, saying that it
-    is required when it is None, or no number (a bool or a string too).
+    is required when it is None, or no number (a bool, a string, a None in a list).
     """
     name = field if name is None else name
     if values is None:
@@ -70,6 +70,8 @@ def check(field: str, values, name: str | None = None) -> np.ndarray:
         raise DomainError(f"must be a number, got {values!r}", name) from None
     if given.dtype.kind in "bSU" and given.size:  # NumPy would read True as 1, "3" as 3
         raise DomainError(f"must be a number, got {given.flat[0].item()!r}", name)
+    if given.dtype == object and any(v is None for v in given.flat):  # NumPy reads it as nan
+        raise DomainError("must be a number, got None", name)
     ok = np.isfinite(array) & inside(array)
     if not ok.all():
         where = "" if name == field else f" for {field}"

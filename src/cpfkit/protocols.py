@@ -35,8 +35,7 @@ class ProtocolKind(str, Enum):
     MIXED = "mixed"
 
 
-# the correlation fraction of each probe family that is a fixed member of the
-# mixed family
+# the probe families that are the mixed family at a fixed kappa, and that kappa
 FAMILY_KAPPA = {ProtocolKind.CLASSICAL: 0.0, ProtocolKind.IDLER_FREE: 1.0}
 
 
@@ -126,24 +125,11 @@ def bipartite_fidelity(eta_b, eta_t, n_s):
     return (1.0 + n_s * np.maximum(0.0, gap)) ** -2.0
 
 
-def idler_free_binary_fidelity(eta_b, eta_t, n_s):
-    """Output fidelity of the two-box idler-free probe (a squeezed pair split
-    across the boxes)."""
-    gap = (
-        eta_b
-        + eta_t
-        - 2.0 * eta_b * eta_t
-        - 2.0 * np.sqrt(eta_b * eta_t * (1.0 - eta_b) * (1.0 - eta_t))
-    )
-    # algebraically (sqrt(eta_b(1-eta_t)) - sqrt(eta_t(1-eta_b)))^2 >= 0
-    return (1.0 + n_s * np.maximum(0.0, gap)) ** -1.0
-
-
 def _mixed_binary_fidelity(eta_b, eta_t, n_s, kappa):
     """Fidelity of the two-box mixed-probe output pair, element-wise.
 
-    Unchecked: the parameters must lie in their domains, and eta_b != eta_t
-    (equal etas divide 0 by 0 where both are 0).  In the basis
+    Unchecked: the parameters must lie in their domains, and the caller
+    sets the cells where eta_b == eta_t (both 0 divide 0 by 0).  In the basis
     (e_0 +/- e_1)/sqrt(2) both covariance sums are diagonal, and both
     eigenvalues of the kernel's XY are equal, so with x = 2 kappa n_s
     (= mu - 1), h = eta_b(1-eta_t) + eta_t(1-eta_b) and gap = |eta_b - eta_t|

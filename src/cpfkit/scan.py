@@ -52,16 +52,16 @@ def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None, *, workers: int = 
     under the caller's field names, before a swapped protocol exchanges the
     etas, and a given mixed kappa too; then :func:`_fidelity`, which checks
     none of them again, answers.  Classical, bipartite and the two-box
-    idler-free protocol use their closed forms (path "closed-form").  The
-    mixed protocol uses ``kappa`` when given and otherwise minimizes over it
-    per element (path "optimized"); its kappa_used has the fidelity's shape,
-    and every other protocol's is None.  The idler-free protocol at m >= 3
-    and the mixed one at a given kappa are :func:`protocols.pair_fidelity`'s,
-    path "direct" at m = 2 (the pair's closed form, with no output pair
-    built) and "reduced" beyond (the kernel on the reduced pair).  Where
-    eta_b == eta_t the value is exactly 1.  ``workers`` (an integer >= 1)
-    threads take the chunks of protocols._cellwise; a closed form is one
-    vectorized call.
+    idler-free protocol (the mixed pair's form at kappa = 1) use closed
+    forms (path "closed-form").  The mixed protocol uses ``kappa`` when
+    given and otherwise minimizes over it per element (path "optimized");
+    its kappa_used has the fidelity's shape, and every other protocol's is
+    None.  The idler-free protocol at m >= 3 and the mixed one at a given
+    kappa are :func:`protocols.pair_fidelity`'s, path "direct" at m = 2
+    (the pair's closed form, with no output pair built) and "reduced"
+    beyond (the kernel on the reduced pair).  Where eta_b == eta_t the
+    value is exactly 1.  ``workers`` (an integer >= 1) threads take the
+    chunks of protocols._cellwise; a closed form is one vectorized call.
     """
     m = int(one(check("m", m), "m"))
     eta_b, eta_t, n_s = check("eta_b", eta_b), check("eta_t", eta_t), check("n_s", n_s)
@@ -86,7 +86,8 @@ def _fidelity(protocol, m, eta_b, eta_t, n_s, kappa=None, workers=1):
     elif kind is ProtocolKind.BIPARTITE:
         value = protocols.bipartite_fidelity(eta_b, eta_t, n_s)
     elif kind is ProtocolKind.IDLER_FREE and m == 2:
-        value = protocols.idler_free_binary_fidelity(eta_b, eta_t, n_s)
+        with np.errstate(invalid="ignore"):  # 0/0 at equal etas of 0, overwritten below
+            value = protocols._mixed_binary_fidelity(eta_b, eta_t, n_s, kappa)
     else:
         value, = protocols._cellwise(lambda *c: (protocols.pair_fidelity(m, *c),), (1.0,),
                                      eta_b, eta_t, n_s, kappa, workers=workers)

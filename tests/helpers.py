@@ -18,17 +18,13 @@ from cpfkit import (
     ProtocolKind,
     Scenario,
     errors,
+    fidelity,
     fidelity_from_arrays,
     protocols,
 )
 from cpfkit.errors import check
 from cpfkit.gaussian import check_physical
-from cpfkit.protocols import (
-    bipartite_fidelity,
-    classical_fidelity,
-    idler_free_binary_fidelity,
-    output_pair_arrays,
-)
+from cpfkit.protocols import bipartite_fidelity, classical_fidelity, output_pair_arrays
 
 
 class State(NamedTuple):
@@ -220,6 +216,14 @@ def bipartite_fidelity_numeric(eta_b: float, eta_t: float, n_s: float) -> float:
     return state_fidelity(through_t, through_b) ** 2
 
 
+def idler_free_two_box(eta_b, eta_t, n_s):
+    """The paper's two-box idler-free fidelity as written,
+    1 / (1 + n_s (sqrt(eta_b (1 - eta_t)) - sqrt(eta_t (1 - eta_b)))^2): a
+    reference whose difference cancels at nearly equal etas and large n_s."""
+    gap = np.sqrt(eta_b * (1.0 - eta_t)) - np.sqrt(eta_t * (1.0 - eta_b))
+    return 1.0 / (1.0 + n_s * gap * gap)
+
+
 def reduction_symplectic(m: int) -> np.ndarray:
     """Symplectic of the collective rotation that decouples boxes 3..m.
 
@@ -293,7 +297,8 @@ def traced_block_cm(scenario: Scenario) -> np.ndarray:
 _EXPANSION_FORMS = {
     ProtocolKind.CLASSICAL: classical_fidelity,
     ProtocolKind.BIPARTITE: bipartite_fidelity,
-    ProtocolKind.IDLER_FREE: idler_free_binary_fidelity,
+    # what cpfkit prints: the mixed pair's closed form at kappa = 1
+    ProtocolKind.IDLER_FREE: lambda *point: fidelity("idler_free", 2, *point)[0],
 }
 
 _EXPANSION_STEPS = (1e-3, 5e-4)

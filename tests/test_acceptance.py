@@ -19,18 +19,19 @@ from cpfkit import (
     region_scan,
 )
 from cpfkit.bounds import classical_perr_lower
-from cpfkit.protocols import bipartite_fidelity, classical_fidelity, idler_free_binary_fidelity
+from cpfkit.protocols import bipartite_fidelity, classical_fidelity
 from helpers import (
     advantage_certificate,
     expansion_coefficient,
     extreme_point_check,
+    idler_free_two_box,
     pgm_pure_upper,
 )
 
 CLOSED_FORMS = {
     "classical": classical_fidelity,
     "bipartite": bipartite_fidelity,
-    "idler_free": idler_free_binary_fidelity,
+    "idler_free": idler_free_two_box,
 }
 
 
@@ -126,7 +127,7 @@ def test_binary_advantage_threshold():
     m, n_s, rounds, eta_b = 2, 20.0, 20.0, 1.0
     threshold = None
     for eta_t in np.arange(0.30, 0.90, 0.001):
-        f_if = float(idler_free_binary_fidelity(eta_b, float(eta_t), n_s))
+        f_if = float(fidelity("idler_free", 2, eta_b, float(eta_t), n_s)[0])
         upper = float(perr_upper(f_if, m, rounds))
         lower = float(classical_perr_lower(eta_b, float(eta_t), n_s, m, rounds))
         if upper < lower:
@@ -164,7 +165,7 @@ def test_mixed_certificate_region():
     failures = []
     for eta_t in np.linspace(0.88, 1.0, 61):
         f_cl = float(classical_fidelity(eta_b, float(eta_t), n_s))
-        f_if = float(idler_free_binary_fidelity(eta_b, float(eta_t), n_s))
+        f_if = float(fidelity("idler_free", 2, eta_b, float(eta_t), n_s)[0])
         best = float(fidelity("mixed", m, eta_b, float(eta_t), n_s)[0])
         if not (
             advantage_certificate(best, f_cl)
@@ -215,9 +216,7 @@ def test_large_energy_scaling_slopes():
     n_s = np.logspace(3.0, 5.0, 40)
     log_n = np.log10(n_s)
     slope_bip = np.polyfit(log_n, np.log10(bipartite_fidelity(0.2, 0.7, n_s)), 1)[0]
-    slope_if = np.polyfit(
-        log_n, np.log10(idler_free_binary_fidelity(0.2, 0.7, n_s)), 1
-    )[0]
+    slope_if = np.polyfit(log_n, np.log10(idler_free_two_box(0.2, 0.7, n_s)), 1)[0]
     decibels = 10.0 * np.log10(classical_fidelity(0.9, 0.95, n_s))
     r = np.corrcoef(n_s, decibels)[0, 1]
     ok = abs(slope_bip + 2.0) <= 0.05 and abs(slope_if + 1.0) <= 0.05 and r * r > 0.9999
@@ -262,7 +261,7 @@ def test_mixed_strategy_dominates_endpoints():
     worst = -np.inf
     for eta_t in np.linspace(0.0, 1.0, 50):
         f_cl = float(classical_fidelity(eta_b, float(eta_t), n_s))
-        f_if = float(idler_free_binary_fidelity(eta_b, float(eta_t), n_s))
+        f_if = float(fidelity("idler_free", 2, eta_b, float(eta_t), n_s)[0])
         best = float(fidelity("mixed", m, eta_b, float(eta_t), n_s)[0])
         worst = max(worst, best - min(f_cl, f_if))
     _report(

@@ -144,6 +144,18 @@ def test_check_refuses_none_as_required():
         perr_upper(None, 2)
 
 
+@pytest.mark.parametrize("values", [[0.3, None], np.array([0.3, None], dtype=object),
+                                    [[0.3], [None]]], ids=["list", "object array", "nested"])
+def test_check_refuses_a_none_among_values_as_no_number(values):
+    # NumPy reads a None among numbers as nan, which no domain holds
+    with pytest.raises(DomainError, match="^eta_b must be a number, got None$"):
+        check("eta_b", values)
+    with pytest.raises(DomainError, match="^x_start must be a number, got None$"):
+        check("eta_t", values, "x_start")
+    with pytest.raises(DomainError, match="^eta_b must be a number, got None$"):
+        fidelity("classical", 3, values, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("field", ["m", "eta_b", "eta_t", "n_s"])
 @pytest.mark.parametrize("protocol, path", [
     ("classical", "auto"), ("idler_free_reversed", "auto"), ("mixed", "auto"),

@@ -127,6 +127,26 @@ def test_two_box_closed_form_at_hard_points(point):
     assert value == pytest.approx(reference, rel=TOL_TWO_BOX)
 
 
+# the printed two-box idler-free fidelity, the mixed pair's closed form at
+# kappa = 1, at nearly equal etas and at a pure output, where the paper's
+# form, its gap written as a difference, loses digits (99% at the first point)
+IDLER_FREE_POINTS = [
+    (0.5, 0.500000001, 1e20),
+    (0.5, 0.500000001, 1e8),
+    (0.5, 0.5000001, 1e6),
+    (0.21038235709201447, 0.21204690385035185, 252278.6944643696),
+    (0.999, 1.0, 1e5),
+]
+
+
+@pytest.mark.parametrize("point", IDLER_FREE_POINTS, ids=str)
+def test_two_box_idler_free_meets_the_oracle(point):
+    reference = oracle.output_fidelity(2, *point, 1.0, digits=HARD_DIGITS)
+    for eta_b, eta_t in (point[:2], point[1::-1]):
+        value = float(fidelity("idler_free", 2, eta_b, eta_t, point[2])[0])
+        assert value == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+
 # the kernel refused these, on n_s, before the two-box closed form
 _NEAR_LINE = ["--x", "eta_t", "--x-start", "0.500000001", "--x-stop", "0.500000001",
               "--x-points", "1", "--y", "eta_b", "--y-start", "0.5", "--y-stop", "0.5",

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from cpfkit.gaussian import _symplectic_moduli
-from cpfkit.protocols import bipartite_fidelity, classical_fidelity, idler_free_binary_fidelity
+from cpfkit import fidelity
+from cpfkit.protocols import bipartite_fidelity, classical_fidelity
 from helpers import pgm_pure_upper, symmetric_cm, thermal_fidelity_oracle
 
 # F between thermal states of mean photon number n1, n2: geometric series
@@ -64,11 +65,11 @@ def test_bipartite_fidelity_frozen():
 
 
 def test_idler_free_binary_fidelity_frozen():
-    assert idler_free_binary_fidelity(0.55, 0.9, 50.0) == pytest.approx(
+    assert fidelity("idler_free", 2, 0.55, 0.9, 50.0)[0] == pytest.approx(
         0.1101905493463533, rel=1e-12
     )
     # eta_b = 1, eta_t = 0.5, n_s = 1: gap = 1/2, F = 1/(1 + 1/2) = 2/3
-    assert idler_free_binary_fidelity(1.0, 0.5, 1.0) == pytest.approx(
+    assert fidelity("idler_free", 2, 1.0, 0.5, 1.0)[0] == pytest.approx(
         2.0 / 3.0, rel=1e-14
     )
 

@@ -24,7 +24,6 @@ from cpfkit.protocols import (
     bipartite_fidelity,
     build_probe,
     classical_fidelity,
-    idler_free_binary_fidelity,
     output_pair_arrays,
 )
 from helpers import (
@@ -33,6 +32,7 @@ from helpers import (
     count_kernel_elements,
     count_pair_builds,
     counting_checks,
+    idler_free_two_box,
     loss_on_one_mode,
     photon_number,
     reduced_output_pair,
@@ -73,14 +73,20 @@ def test_scenario_rejects_non_finite(field, value):
 # ------------------------------------------------------------ closed forms
 
 
+def _idler_free_closed(eta_b, eta_t, n_s):
+    """The two-box idler-free fidelity as cpfkit answers it: the mixed pair's
+    closed form at kappa = 1."""
+    return fidelity("idler_free", 2, eta_b, eta_t, n_s)[0]
+
+
 def test_closed_forms_swap_symmetric():
-    for form in (classical_fidelity, bipartite_fidelity, idler_free_binary_fidelity):
+    for form in (classical_fidelity, bipartite_fidelity, _idler_free_closed):
         assert form(0.3, 0.8, 5.0) == pytest.approx(form(0.8, 0.3, 5.0), rel=1e-14)
 
 
 def test_quantum_forms_complement_symmetric():
     # eta -> 1 - eta leaves both entangled-probe fidelities unchanged
-    for form in (bipartite_fidelity, idler_free_binary_fidelity):
+    for form in (bipartite_fidelity, _idler_free_closed):
         assert form(0.3, 0.8, 5.0) == pytest.approx(form(0.7, 0.2, 5.0), rel=1e-12)
     # the coherent-state fidelity is not complement symmetric
     assert abs(
@@ -89,7 +95,7 @@ def test_quantum_forms_complement_symmetric():
 
 
 def test_closed_forms_equal_one_on_diagonal():
-    for form in (classical_fidelity, bipartite_fidelity, idler_free_binary_fidelity):
+    for form in (classical_fidelity, bipartite_fidelity, _idler_free_closed):
         assert float(form(0.45, 0.45, 20.0)) == 1.0
 
 
@@ -120,7 +126,7 @@ def test_a_pair_point_comes_back_as_a_numpy_scalar(protocol, m, eta_t):
 
 def test_closed_forms_vectorize():
     etas = np.linspace(0.0, 1.0, 7)
-    for form in (classical_fidelity, bipartite_fidelity, idler_free_binary_fidelity):
+    for form in (classical_fidelity, bipartite_fidelity, _idler_free_closed):
         batch = form(0.6, etas, 2.0)
         assert batch.shape == etas.shape
         assert batch[4] == pytest.approx(float(form(0.6, etas[4], 2.0)))
@@ -143,7 +149,7 @@ def test_direct_matches_closed_form_binary(kind, eta_b, eta_t, n_s):
     closed = {
         "classical": classical_fidelity,
         "bipartite": bipartite_fidelity,
-        "idler_free": idler_free_binary_fidelity,
+        "idler_free": idler_free_two_box,
     }[kind]
     report = output_fidelity(Scenario(2, eta_b, eta_t, n_s), kind, path="direct")
     assert report.path == "direct"
@@ -195,14 +201,14 @@ def test_two_box_mixed_closed_form_properties(eta_b, eta_t, log_n_s, kappa):
         assert abs(value - float(fidelity_from_arrays(*pair))) <= 1e-6
 
 
-# up to n_s = 1e4: beyond it the idler-free form's gap cancels at nearly equal
-# etas and loses more than 1e-11 relative by itself
+# up to n_s = 1e4: beyond it the paper's idler-free form's gap cancels at
+# nearly equal etas and loses more than 1e-11 relative by itself
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(eta_b=_ETAS, eta_t=_ETAS, log_n_s=st.floats(-6.0, 4.0))
 def test_two_box_mixed_closed_form_meets_the_endpoint_forms(eta_b, eta_t, log_n_s):
     assume(eta_b != eta_t)
     n_s = 10.0**log_n_s
-    for kappa, closed in ((0.0, classical_fidelity), (1.0, idler_free_binary_fidelity)):
+    for kappa, closed in ((0.0, classical_fidelity), (1.0, idler_free_two_box)):
         value = float(_mixed_binary_fidelity(eta_b, eta_t, n_s, kappa))
         assert value == pytest.approx(float(closed(eta_b, eta_t, n_s)), rel=1e-11, abs=1e-300)
 
@@ -282,8 +288,8 @@ def test_the_kernel_on_the_reduced_pair_is_symmetric_in_the_hypotheses(m, etas, 
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(protocol=st.sampled_from(["classical", "bipartite", "mixed"]), etas=_eta_pairs(),
-       n_s=_N_S, kappa=st.one_of(st.none(), st.floats(0.0, 1.0)))
+@given(protocol=st.sampled_from(["classical", "bipartite", "idler_free", "mixed"]),
+       etas=_eta_pairs(), n_s=_N_S, kappa=st.one_of(st.none(), st.floats(0.0, 1.0)))
 def test_two_box_fidelities_are_symmetric_in_the_etas(protocol, etas, n_s, kappa):
     # the closed forms, the mixed pair's closed form and its kappa search
     forward = fidelity(protocol, 2, *etas, n_s, kappa)
@@ -293,13 +299,31 @@ def test_two_box_fidelities_are_symmetric_in_the_etas(protocol, etas, n_s, kappa
         assert float(forward[1]).hex() == float(swapped[1]).hex()
 
 
-@pytest.mark.xfail(strict=True, reason="the idler-free form's gap cancels at nearly equal "
-                   "etas and keeps other digits in either order (ROADMAP item 2)")
 def test_the_two_box_idler_free_form_is_symmetric_in_the_etas():
     etas, n_s = (0.21038235709201447, 0.21204690385035185), 252278.6944643696
-    # 0.4880687488060091 against 0.4880687488026732; the mixed pair's form
-    # at kappa = 1 gives 0.48806874880369283 in either order
+    # where a gap written as a difference keeps other digits in the two
+    # orders; the mixed pair's form at kappa = 1 gives 0.48806874880369283
     assert fidelity("idler_free", 2, *etas, n_s)[0] == fidelity("idler_free", 2, *etas[::-1], n_s)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.integers(2, 12),
+       etas=st.lists(st.one_of(_eta_pairs(), _ETAS.map(lambda eta: (eta, eta))),
+                     min_size=1, max_size=6),
+       n_s=st.one_of(st.sampled_from([1e-6, 1e6]), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+       scalar=st.booleans())
+def test_the_idler_free_protocol_is_the_mixed_one_at_kappa_one(m, etas, n_s, scalar):
+    # bit for bit, on every path: the two-box closed form, and the pair beyond
+    eta_b, eta_t = (np.array(column) for column in zip(*etas))
+    if scalar:
+        eta_b, eta_t = float(eta_b[0]), float(eta_t[0])
+    with warnings.catch_warnings():  # a NumPy floating-point warning is a failure too
+        warnings.simplefilter("error")
+        idler_free = fidelity("idler_free", m, eta_b, eta_t, n_s)[0]
+        mixed = fidelity("mixed", m, eta_b, eta_t, n_s, 1.0)[0]
+    if scalar:
+        idler_free, mixed = float(idler_free), float(mixed)
+    assert np.array_equal(idler_free, mixed)
 
 
 # moderate n_s; toward a pure output (an eta near 1) or the vacuum (n_s below

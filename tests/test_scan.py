@@ -21,7 +21,7 @@ from cpfkit import (
     scan,
 )
 from cpfkit.cli import main
-from cpfkit.protocols import classical_fidelity, idler_free_binary_fidelity
+from cpfkit.protocols import classical_fidelity
 from cpfkit.scan import _optimize_kappa_batch, _sweep_columns
 from helpers import (
     KAPPA_BUDGET_ROW,
@@ -31,6 +31,7 @@ from helpers import (
     counting_checks,
     expansion_coefficient,
     extreme_point_check,
+    idler_free_two_box,
 )
 from kernel_oracle import output_fidelity as oracle_fidelity
 
@@ -40,7 +41,7 @@ from kernel_oracle import output_fidelity as oracle_fidelity
 
 def test_idler_free_fidelity_dispatch():
     assert fidelity("idler_free", 2, 0.6, 0.9, 5.0)[0] == pytest.approx(
-        float(idler_free_binary_fidelity(0.6, 0.9, 5.0)), rel=1e-14
+        float(idler_free_two_box(0.6, 0.9, 5.0)), rel=1e-14
     )
     etas = np.linspace(0.1, 0.9, 5)
     batch = fidelity("idler_free", 4, 0.6, etas, 5.0)[0]
@@ -84,7 +85,7 @@ def test_symmetric_pair_fidelity_endpoints():
     classical = fidelity("mixed", 2, 0.7, etas, 8.0, 0.0)[0]
     assert np.allclose(classical, classical_fidelity(0.7, etas, 8.0), atol=1e-12)
     idler_free = fidelity("mixed", 2, 0.7, etas, 8.0, 1.0)[0]
-    assert np.allclose(idler_free, idler_free_binary_fidelity(0.7, etas, 8.0), atol=1e-12)
+    assert np.allclose(idler_free, idler_free_two_box(0.7, etas, 8.0), atol=1e-12)
 
 
 # ---------------------------------------------------- mixing optimization
@@ -113,9 +114,8 @@ def test_optimize_kappa_never_beaten_by_endpoints(rng):
         f_classical = float(
             classical_fidelity(scenario.eta_b, scenario.eta_t, scenario.n_s)
         )
-        f_idler_free = float(
-            idler_free_binary_fidelity(scenario.eta_b, scenario.eta_t, scenario.n_s)
-        )
+        f_idler_free = float(fidelity("idler_free", 2, scenario.eta_b, scenario.eta_t,
+                                      scenario.n_s)[0])
         assert value <= min(f_classical, f_idler_free) + 1e-12
 
 
@@ -362,7 +362,7 @@ def test_sweep_values_match_closed_forms():
     )
     assert np.allclose(
         by_protocol["idler_free"],
-        [float(idler_free_binary_fidelity(0.7, v, 4.0)) for v in values],
+        [float(idler_free_two_box(0.7, v, 4.0)) for v in values],
     )
 
 

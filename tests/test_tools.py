@@ -67,3 +67,26 @@ def test_peak_rss_reports_the_exit_code_memory_and_cpu():
     assert lines[0] == "exit 0"
     figures = dict(line.split(" ") for line in lines[1:])
     assert float(figures["peak_rss_mb"]) > 0.0 and float(figures["cpu_s"]) > 0.0
+
+
+_FAILING_PROPERTY = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(0, 0))
+def test_fails(n):
+    assert 0 < n
+"""
+
+
+def test_a_failing_property_is_reported_under_the_warning_filters(tmp_path):
+    # hypothesis writes a failing property's patch through libcst, which warns
+    # that mypy_extensions.TypedDict is deprecated; as an error that warning
+    # crashed pytest (INTERNALERROR, exit 3) and lost the failure's report
+    (tmp_path / "test_failing.py").write_text(_FAILING_PROPERTY)
+    done = subprocess.run([sys.executable, "-m", "pytest", "-c", str(_ROOT / "pyproject.toml"),
+                           "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+                           "test_failing.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "FAILED test_failing.py::test_fails - assert 0 < 0" in done.stdout

@@ -36,7 +36,7 @@ _STALE = ("cpfkit.cli.sweep", "cpfkit.cli._optimize_kappa_batch",
           "cpfkit.scan.output_pair_arrays", "cpfkit.cli.classical_fidelity",
           "cpfkit.cli.bipartite_fidelity", "cpfkit.scan.classical_fidelity",
           "cpfkit.scan.bipartite_fidelity", "cpfkit.scan.idler_free_binary_fidelity",
-          "cpfkit.scan.fidelity_from_arrays")
+          "cpfkit.scan.fidelity_from_arrays", "cpfkit.protocols.idler_free_binary_fidelity")
 
 
 def _tracer():
