@@ -216,7 +216,7 @@ def test_large_energy_scaling_slopes():
     n_s = np.logspace(3.0, 5.0, 40)
     log_n = np.log10(n_s)
     slope_bip = np.polyfit(log_n, np.log10(bipartite_fidelity(0.2, 0.7, n_s)), 1)[0]
-    slope_if = np.polyfit(log_n, np.log10(idler_free_two_box(0.2, 0.7, n_s)), 1)[0]
+    slope_if = np.polyfit(log_n, np.log10(fidelity("idler_free", 2, 0.2, 0.7, n_s)[0]), 1)[0]
     decibels = 10.0 * np.log10(classical_fidelity(0.9, 0.95, n_s))
     r = np.corrcoef(n_s, decibels)[0, 1]
     ok = abs(slope_bip + 2.0) <= 0.05 and abs(slope_if + 1.0) <= 0.05 and r * r > 0.9999
