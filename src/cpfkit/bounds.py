@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import check
+from .protocols import _root_gap
 
 
 def perr_upper_raw(fidelity, m: int, m_probes: float = 1.0):
@@ -51,7 +52,7 @@ def _classical_exponent(eta_b, eta_t, n_s, m_probes):
     M n_s overflows the product to inf, and inf * 0 would be nan.  Where 2 M n_s
     overflows, M is applied last, so that only an exponent that itself exceeds
     the double range is inf."""
-    gap = (np.sqrt(eta_b) - np.sqrt(eta_t)) ** 2
+    gap = _root_gap(eta_b - eta_t, eta_b, eta_t)
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = 2.0 * m_probes * n_s * gap
         exponent = np.where(np.isinf(exponent), m_probes * (2.0 * n_s * gap), exponent)

@@ -61,17 +61,17 @@ def check(field: str, values, name: str | None = None) -> np.ndarray:
     if values is None:
         raise DomainError("is required", name)
     rule, inside = DOMAINS[field]
+    # a list keeps its elements' types, which NumPy would read as numbers:
+    # True as 1, "3" as 3, None as nan; a bool or text array is no number at all
+    given = np.asarray(values, dtype=object if isinstance(values, (list, tuple)) else None)
+    for value in given.flat if given.dtype.kind in "bSUO" else ():
+        if value is None or isinstance(value, (bool, np.bool_, str, bytes)):
+            value = value.item() if isinstance(value, np.generic) else value
+            raise DomainError(f"must be a number, got {value!r}", name)
     try:
-        given = np.asarray(values)
-        if given.dtype == object:  # the values' own dtype: "3" as text, True as bool
-            given = np.asarray(given.tolist())
         array = np.asarray(given, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"must be a number, got {values!r}", name) from None
-    if given.dtype.kind in "bSU" and given.size:  # NumPy would read True as 1, "3" as 3
-        raise DomainError(f"must be a number, got {given.flat[0].item()!r}", name)
-    if given.dtype == object and any(v is None for v in given.flat):  # NumPy reads it as nan
-        raise DomainError("must be a number, got None", name)
     ok = np.isfinite(array) & inside(array)
     if not ok.all():
         where = "" if name == field else f" for {field}"

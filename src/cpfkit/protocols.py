@@ -109,27 +109,29 @@ def _oriented(protocol, eta_b, eta_t, kappa) -> tuple:
     return kind, eta_b, eta_t, FAMILY_KAPPA.get(kind, kappa)
 
 
-def classical_fidelity(eta_b, eta_t, n_s):
-    """Output fidelity of the coherent-state protocol, one probe round.
-
-    The two hypotheses differ on two modes, each a coherent state, giving
-    exp(-n_s (sqrt(eta_b) - sqrt(eta_t))^2) independent of m.
-    """
-    return np.exp(-n_s * (np.sqrt(eta_b) - np.sqrt(eta_t)) ** 2)
+def _root_gap(diff, a, b):
+    """(sqrt(a) - sqrt(b))^2 from the exact diff = +/-(a - b), unchecked: diff over
+    sqrt(a) + sqrt(b), floored at the smallest normal (0/0 at a = b = 0), squared
+    as a product, so that nearly equal a and b cancel no digits; 0 where diff is."""
+    root = diff / np.maximum(np.sqrt(a) + np.sqrt(b), np.finfo(float).tiny)
+    return root * root
 
 
 def bipartite_fidelity(eta_b, eta_t, n_s):
-    """Output fidelity with one two-mode squeezed pair per box, idlers retained."""
-    gap = 1.0 - np.sqrt((1.0 - eta_b) * (1.0 - eta_t)) - np.sqrt(eta_b * eta_t)
-    # the gap is nonnegative by Cauchy-Schwarz; round-off can leave -1e-16
-    return (1.0 + n_s * np.maximum(0.0, gap)) ** -2.0
+    """Output fidelity with one two-mode squeezed pair per box, idlers retained,
+    1/(1 + n_s g)^2: its gap g = 1 - sqrt((1-eta_b)(1-eta_t)) - sqrt(eta_b eta_t) is
+    [(sqrt(eta_b) - sqrt(eta_t))^2 + (sqrt(1-eta_b) - sqrt(1-eta_t))^2] / 2."""
+    d = eta_b - eta_t
+    y = 1.0 + n_s * (0.5 * (_root_gap(d, eta_b, eta_t) + _root_gap(d, 1.0 - eta_b, 1.0 - eta_t)))
+    return 1.0 / (y * y)
 
 
 def _mixed_binary_fidelity(eta_b, eta_t, n_s, kappa):
-    """Fidelity of the two-box mixed-probe output pair, element-wise.
+    """Fidelity of the two-box mixed-probe output pair, element-wise; at
+    kappa = 0 (x = 0, w = 1) the coherent-state fidelity at every m.
 
     Unchecked: the parameters must lie in their domains, and the caller
-    sets the cells where eta_b == eta_t (both 0 divide 0 by 0).  In the basis
+    sets the cells where eta_b == eta_t, which need not read 1.  In the basis
     (e_0 +/- e_1)/sqrt(2) both covariance sums are diagonal, and both
     eigenvalues of the kernel's XY are equal, so with x = 2 kappa n_s
     (= mu - 1), h = eta_b(1-eta_t) + eta_t(1-eta_b) and gap = |eta_b - eta_t|
@@ -157,7 +159,7 @@ def _mixed_binary_fidelity(eta_b, eta_t, n_s, kappa):
     disc = (2.0 * x * lo * (1.0 - hi) / (s + 1.0 + half) * (p / (s + 1.0) + half)
             * (2.0 + x * h + 2.0 * s))
     root = np.sqrt(eta_b * eta_t)
-    dist = (gap / (np.sqrt(eta_b) + np.sqrt(eta_t))) ** 2  # (sqrt(eta_b) - sqrt(eta_t))^2
+    dist = _root_gap(gap, eta_b, eta_t)  # (sqrt(eta_b) - sqrt(eta_t))^2
     # half the covariance sum along e_0 - e_1; 1 - eta_b eta_t = (1 - hi) + hi (1 - lo)
     w = (0.5 * x * dist + ((1.0 - hi) + hi * (1.0 - lo)) / (1.0 + root)
          + root / (1.0 + x + np.sqrt(x * (x + 2.0))))

@@ -51,14 +51,14 @@ def fidelity(protocol, m: int, eta_b, eta_t, n_s, kappa=None, *, workers: int = 
     checked entry for API callers: m, eta_b, eta_t and n_s are checked once,
     under the caller's field names, before a swapped protocol exchanges the
     etas, and a given mixed kappa too; then :func:`_fidelity`, which checks
-    none of them again, answers.  Classical, bipartite and the two-box
-    idler-free protocol (the mixed pair's form at kappa = 1) use closed
-    forms (path "closed-form").  The mixed protocol uses ``kappa`` when
-    given and otherwise minimizes over it per element (path "optimized");
-    its kappa_used has the fidelity's shape, and every other protocol's is
-    None.  The idler-free protocol at m >= 3 and the mixed one at a given
-    kappa are :func:`protocols.pair_fidelity`'s, path "direct" at m = 2
-    (the pair's closed form, with no output pair built) and "reduced"
+    none of them again, answers.  Bipartite, classical (the two-box mixed
+    pair's form at kappa = 0, at every m) and two-box idler-free (at
+    kappa = 1) use closed forms (path "closed-form").  The mixed protocol
+    uses ``kappa`` when given and otherwise minimizes over it per element
+    (path "optimized"); its kappa_used has the fidelity's shape, and every
+    other protocol's is None.  The idler-free protocol at m >= 3 and the
+    mixed one at a given kappa are :func:`protocols.pair_fidelity`'s, path
+    "direct" at m = 2 (the pair's closed form, no pair built) and "reduced"
     beyond (the kernel on the reduced pair).  Where eta_b == eta_t the
     value is exactly 1.  ``workers`` (an integer >= 1) threads take the
     chunks of protocols._cellwise; a closed form is one vectorized call.
@@ -81,13 +81,10 @@ def _fidelity(protocol, m, eta_b, eta_t, n_s, kappa=None, workers=1):
         kappa, value = _optimize_kappa_batch(m, eta_b, eta_t, n_s, workers)
         return value, kappa, "optimized"
     # through the protocols module's attributes, as in _search_log_kappa
-    if kind is ProtocolKind.CLASSICAL:
-        value = protocols.classical_fidelity(eta_b, eta_t, n_s)
-    elif kind is ProtocolKind.BIPARTITE:
+    if kind is ProtocolKind.BIPARTITE:
         value = protocols.bipartite_fidelity(eta_b, eta_t, n_s)
-    elif kind is ProtocolKind.IDLER_FREE and m == 2:
-        with np.errstate(invalid="ignore"):  # 0/0 at equal etas of 0, overwritten below
-            value = protocols._mixed_binary_fidelity(eta_b, eta_t, n_s, kappa)
+    elif kind is ProtocolKind.CLASSICAL or (kind is ProtocolKind.IDLER_FREE and m == 2):
+        value = protocols._mixed_binary_fidelity(eta_b, eta_t, n_s, kappa)
     else:
         value, = protocols._cellwise(lambda *c: (protocols.pair_fidelity(m, *c),), (1.0,),
                                      eta_b, eta_t, n_s, kappa, workers=workers)

@@ -24,7 +24,7 @@ from cpfkit import (
 )
 from cpfkit.errors import check
 from cpfkit.gaussian import check_physical
-from cpfkit.protocols import bipartite_fidelity, classical_fidelity, output_pair_arrays
+from cpfkit.protocols import bipartite_fidelity, output_pair_arrays
 
 
 class State(NamedTuple):
@@ -216,6 +216,14 @@ def bipartite_fidelity_numeric(eta_b: float, eta_t: float, n_s: float) -> float:
     return state_fidelity(through_t, through_b) ** 2
 
 
+def classical_closed(eta_b, eta_t, n_s):
+    """The paper's coherent-state fidelity as written,
+    exp(-n_s (sqrt(eta_b) - sqrt(eta_t))^2): a reference whose difference
+    cancels at nearly equal etas and large n_s."""
+    gap = np.sqrt(eta_b) - np.sqrt(eta_t)
+    return np.exp(-n_s * gap * gap)
+
+
 def idler_free_two_box(eta_b, eta_t, n_s):
     """The paper's two-box idler-free fidelity as written,
     1 / (1 + n_s (sqrt(eta_b (1 - eta_t)) - sqrt(eta_t (1 - eta_b)))^2): a
@@ -295,9 +303,9 @@ def traced_block_cm(scenario: Scenario) -> np.ndarray:
 
 
 _EXPANSION_FORMS = {
-    ProtocolKind.CLASSICAL: classical_fidelity,
+    # what cpfkit prints: the two-box mixed pair's closed form at kappa = 0 resp. 1
+    ProtocolKind.CLASSICAL: lambda *point: fidelity("classical", 2, *point)[0],
     ProtocolKind.BIPARTITE: bipartite_fidelity,
-    # what cpfkit prints: the mixed pair's closed form at kappa = 1
     ProtocolKind.IDLER_FREE: lambda *point: fidelity("idler_free", 2, *point)[0],
 }
 

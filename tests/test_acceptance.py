@@ -19,9 +19,10 @@ from cpfkit import (
     region_scan,
 )
 from cpfkit.bounds import classical_perr_lower
-from cpfkit.protocols import bipartite_fidelity, classical_fidelity
+from cpfkit.protocols import bipartite_fidelity
 from helpers import (
     advantage_certificate,
+    classical_closed,
     expansion_coefficient,
     extreme_point_check,
     idler_free_two_box,
@@ -29,7 +30,7 @@ from helpers import (
 )
 
 CLOSED_FORMS = {
-    "classical": classical_fidelity,
+    "classical": classical_closed,
     "bipartite": bipartite_fidelity,
     "idler_free": idler_free_two_box,
 }
@@ -147,7 +148,7 @@ def test_idler_free_crossover_three_boxes():
     crossover = None
     for eta_t in np.arange(0.50, 0.94, 0.001):
         f_if = float(fidelity("idler_free", m, eta_b, float(eta_t), n_s)[0])
-        f_cl = float(classical_fidelity(eta_b, float(eta_t), n_s))
+        f_cl = float(fidelity("classical", m, eta_b, float(eta_t), n_s)[0])
         if f_if < f_cl:
             crossover = float(eta_t)
             break
@@ -164,7 +165,7 @@ def test_mixed_certificate_region():
     eta_b, n_s, m = 0.55, 50.0, 2
     failures = []
     for eta_t in np.linspace(0.88, 1.0, 61):
-        f_cl = float(classical_fidelity(eta_b, float(eta_t), n_s))
+        f_cl = float(fidelity("classical", 2, eta_b, float(eta_t), n_s)[0])
         f_if = float(fidelity("idler_free", 2, eta_b, float(eta_t), n_s)[0])
         best = float(fidelity("mixed", m, eta_b, float(eta_t), n_s)[0])
         if not (
@@ -217,7 +218,7 @@ def test_large_energy_scaling_slopes():
     log_n = np.log10(n_s)
     slope_bip = np.polyfit(log_n, np.log10(bipartite_fidelity(0.2, 0.7, n_s)), 1)[0]
     slope_if = np.polyfit(log_n, np.log10(fidelity("idler_free", 2, 0.2, 0.7, n_s)[0]), 1)[0]
-    decibels = 10.0 * np.log10(classical_fidelity(0.9, 0.95, n_s))
+    decibels = 10.0 * np.log10(fidelity("classical", 2, 0.9, 0.95, n_s)[0])
     r = np.corrcoef(n_s, decibels)[0, 1]
     ok = abs(slope_bip + 2.0) <= 0.05 and abs(slope_if + 1.0) <= 0.05 and r * r > 0.9999
     _report(
@@ -260,7 +261,7 @@ def test_mixed_strategy_dominates_endpoints():
     eta_b, n_s, m = 0.55, 50.0, 2
     worst = -np.inf
     for eta_t in np.linspace(0.0, 1.0, 50):
-        f_cl = float(classical_fidelity(eta_b, float(eta_t), n_s))
+        f_cl = float(fidelity("classical", 2, eta_b, float(eta_t), n_s)[0])
         f_if = float(fidelity("idler_free", 2, eta_b, float(eta_t), n_s)[0])
         best = float(fidelity("mixed", m, eta_b, float(eta_t), n_s)[0])
         worst = max(worst, best - min(f_cl, f_if))

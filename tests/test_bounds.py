@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cpfkit import DomainError, perr_lower, perr_upper
+from cpfkit import DomainError, fidelity, perr_lower, perr_upper
 from cpfkit.bounds import classical_perr_lower, log10_bound_ratio, perr_upper_raw
 from cpfkit.cli import main
-from cpfkit.protocols import classical_fidelity
 from helpers import (
     advantage_certificate,
     perr_lower_general,
@@ -156,7 +155,7 @@ def test_ratio_bound_formula():
 
 def test_classical_perr_lower_matches_fidelity_form():
     eta_b, eta_t, n_s, m, rounds = 0.3, 0.8, 2.0, 4, 6.0
-    f = float(classical_fidelity(eta_b, eta_t, n_s))
+    f = float(fidelity("classical", m, eta_b, eta_t, n_s)[0])
     assert classical_perr_lower(eta_b, eta_t, n_s, m, rounds) == pytest.approx(
         float(perr_lower(f, m, rounds)), rel=1e-12
     )

@@ -5,8 +5,8 @@ command line prints, so a refactor of the engines behind it can prove that
 nothing visible changed.  To capture them again (only when a change of output
 is intended), run ``python tests/test_cli_goldens.py`` from the repository
 root with ``src`` on the path.  It prints each case whose bytes change, with
-the largest relative change among its numeric cells and every line that
-changes in anything but its numbers.
+the largest relative change among its numeric cells, the columns whose cells
+moved, and every line that changes in anything but its numbers.
 """
 
 import json
@@ -107,12 +107,24 @@ def test_cli_output_matches_golden(argv, goldens, capsys, monkeypatch):
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+def _table(text: str) -> tuple:
+    """(columns, rows, the rest) of a printed table: a JSON document's, the
+    rest its other keys, or a CSV's header and lines split at commas."""
+    if text.startswith("{"):
+        document = json.loads(text)
+        return document.pop("columns"), document.pop("rows"), document
+    header, *lines = text.splitlines()
+    return header.split(","), [line.split(",") for line in lines], {}
+
+
 def _changes(old: str, new: str) -> tuple:
     """The largest relative change among the numeric cells of two outputs,
-    and the (old, new) lines that differ in anything else."""
+    the columns whose cells moved (as column[protocol] in a table with a
+    protocol column, and a JSON document's other keys that moved), and the
+    (old, new) lines that differ in anything else."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
     if len(old_lines) != len(new_lines):
-        return 0.0, [(f"{len(old_lines)} lines", f"{len(new_lines)} lines")]
+        return 0.0, [], [(f"{len(old_lines)} lines", f"{len(new_lines)} lines")]
     largest, other = 0.0, []
     for before, after in zip(old_lines, new_lines):
         if before == after:
@@ -123,7 +135,27 @@ def _changes(old: str, new: str) -> tuple:
         for a, b in zip(*(map(float, _NUMBER.findall(line)) for line in (before, after))):
             if a != b:
                 largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
-    return largest, other
+    (columns, old_rows, old_rest), (_, new_rows, new_rest) = _table(old), _table(new)
+    moved = [key for key in old_rest if old_rest[key] != new_rest.get(key)]
+    protocol = columns.index("protocol") if "protocol" in columns else None
+    for before, after in zip(old_rows, new_rows):
+        for column, a, b in zip(columns, before, after):
+            label = column if protocol is None else f"{column}[{after[protocol]}]"
+            if a != b and label not in moved:
+                moved.append(label)
+    return largest, moved, other
+
+
+def test_changes_names_the_moved_columns():
+    old = "protocol,fidelity,kappa\nclassical,1.0e-01,\nmixed,2.0e-01,5.0e-01\n"
+    new = old.replace("2.0e-01", "2.5e-01").replace("5.0e-01", "5.0e-02")
+    assert _changes(old, new) == (0.9, ["fidelity[mixed]", "kappa[mixed]"], [])
+    old = json.dumps({"columns": ["x", "f_quantum", "path"], "rows": [[0.5, 0.25, "direct"]],
+                      "parameters": {"n_s": 1.0}}, indent=2)
+    new = old.replace("0.25", "0.125").replace("direct", "reduced")
+    assert _changes(old, new) == (0.5, ["f_quantum", "path"],
+                                  [('      "direct"', '      "reduced"')])
+    assert _changes(old, new.replace("1.0", "2.0"))[1] == ["parameters", "f_quantum", "path"]
 
 
 def _capture() -> None:
@@ -142,8 +174,9 @@ def _capture() -> None:
         if old is None:
             print(f"new: {' '.join(argv)}")
         elif old != out.getvalue():
-            largest, other = _changes(old, out.getvalue())
-            print(f"changed: {' '.join(argv)}: largest relative change {largest:.3g}")
+            largest, moved, other = _changes(old, out.getvalue())
+            print(f"changed: {' '.join(argv)}: largest relative change {largest:.3g} "
+                  f"in {', '.join(moved)}")
             for before, after in other:
                 print(f"  - {before}\n  + {after}")
     GOLDENS.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")

@@ -241,18 +241,19 @@ def test_a_map_refuses_a_bool():
         region_scan(spec, workers=True)
 
 
-# ---------------------- a string or a None is no number, and a field one number
+# --------------- a string, a None or a bool in a list is no number, and a field one number
 
 
 @pytest.mark.parametrize("values, got", [
     ("0.25", r"'0\.25'"), (b"0.25", r"b'0\.25'"), (np.array(["0.25", "0.5"]), r"'0\.25'"),
     (np.array(["0.25", 0.5], dtype=object), r"'0\.25'"), ([0.3, None], "None"),
     (np.array([0.3, None], dtype=object), "None"), ([[0.3], [None]], "None"),
+    ([0.3, True], "True"), ([0.3, "0.5"], r"'0\.5'"),
 ], ids=["str", "bytes", "array", "object array", "None in list", "None in object array",
-        "None in nested list"])
+        "None in nested list", "bool in list", "str in list"])
 def test_check_refuses_no_number(values, got):
-    # NumPy reads "0.25" as 0.25 and a None among numbers as nan; the command
-    # line parses its text and takes one number per option before a check
+    # NumPy reads "0.25" as 0.25, and among numbers True as 1 and None as nan;
+    # the command line parses its text and takes one number per option first
     with pytest.raises(DomainError, match=f"^eta_b must be a number, got {got}$"):
         check("eta_b", values)
     with pytest.raises(DomainError, match=f"^eta_b must be a number, got {got}$"):

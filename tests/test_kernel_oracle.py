@@ -7,11 +7,13 @@ current kernel with both; a few points are re-derived live so that the
 fixture cannot go stale.  The fidelity the command line prints,
 ``scan.fidelity``, is gated on the same points: at m = 2 it comes from the
 two-box pair's closed form, which is also pinned at points beyond the audit
-grid.  Squeezed, displaced pairs outside the probe families are checked
+grid, as are the classical fidelity, its lower bound and the bipartite
+fidelity at nearly equal etas.  Squeezed, displaced pairs outside the probe families are checked
 against the oracle at the end.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 import kernel_oracle as oracle  # noqa: E402
+from cpfkit.bounds import classical_perr_lower  # noqa: E402
 from cpfkit.cli import main  # noqa: E402
 from cpfkit.gaussian import fidelity_from_arrays  # noqa: E402
 from cpfkit.protocols import output_pair_arrays  # noqa: E402
@@ -145,6 +148,41 @@ def test_two_box_idler_free_meets_the_oracle(point):
     for eta_b, eta_t in (point[:2], point[1::-1]):
         value = float(fidelity("idler_free", 2, eta_b, eta_t, point[2])[0])
         assert value == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+
+# The classical fidelity, its lower bound and the bipartite fidelity at nearly
+# equal etas, where the paper's spellings, their gaps written as differences,
+# cancel: at .5/.500000001 and n_s = 1e20 the classical F read 7.7e-6
+# relative off, its bound 3.1e-5 and the bipartite F 1.0.  The oracle is
+# each spelling at 80 digits on the exact doubles; 7.6e-14 observed, at
+# .999/1 and n_s = 1e9, where the bound's exponent is 500.
+CLOSED_ETAS = [(0.5, 0.500000001), (0.3, 0.3000001), (0.1, 0.1000000001),
+               (0.9, 0.9000000001), (0.999, 1.0)]
+CLOSED_N_S = [10.0**k for k in range(21)]
+
+
+def _closed_oracles(eta_b, eta_t, n_s) -> dict:
+    with mpmath.workdps(80):
+        a, b, n = (mpmath.mpf(v) for v in (eta_b, eta_t, n_s))
+        d2 = (mpmath.sqrt(a) - mpmath.sqrt(b)) ** 2
+        gap = 1 - mpmath.sqrt((1 - a) * (1 - b)) - mpmath.sqrt(a * b)
+        return {"classical": float(mpmath.exp(-n * d2)),
+                "lower bound": float(mpmath.exp(-2 * n * d2) / 4),
+                "bipartite": float(1 / (1 + n * gap) ** 2)}
+
+
+@pytest.mark.parametrize("etas", CLOSED_ETAS, ids=str)
+def test_classical_and_bipartite_closed_forms_meet_the_oracle(etas):
+    n_s = np.array(CLOSED_N_S)
+    for eta_b, eta_t in (etas, etas[::-1]):
+        values = {"classical": fidelity("classical", 2, eta_b, eta_t, n_s)[0],
+                  "lower bound": classical_perr_lower(eta_b, eta_t, n_s, 2),
+                  "bipartite": fidelity("bipartite", 2, eta_b, eta_t, n_s)[0]}
+        for i, point in enumerate(n_s):
+            for name, reference in _closed_oracles(eta_b, eta_t, point).items():
+                if reference >= sys.float_info.min:  # a normal double
+                    assert values[name][i] == pytest.approx(reference, rel=1e-13, abs=0.0), (
+                        name, eta_b, eta_t, point)
 
 
 # the kernel refused these, on n_s, before the two-box closed form

@@ -13,7 +13,7 @@ import pytest
 
 from cpfkit.gaussian import _symplectic_moduli
 from cpfkit import fidelity
-from cpfkit.protocols import bipartite_fidelity, classical_fidelity
+from cpfkit.protocols import bipartite_fidelity
 from helpers import pgm_pure_upper, symmetric_cm, thermal_fidelity_oracle
 
 # F between thermal states of mean photon number n1, n2: geometric series
@@ -49,11 +49,11 @@ def test_thermal_oracle_rejects_negative():
 
 def test_classical_fidelity_frozen():
     # exp(-1 * (sqrt(0.2) - sqrt(0.7))^2)
-    assert classical_fidelity(0.2, 0.7, 1.0) == pytest.approx(
+    assert fidelity("classical", 2, 0.2, 0.7, 1.0)[0] == pytest.approx(
         0.8592730631010618, rel=1e-13
     )
     # eta_b = 0: exp(-n_s eta_t) directly
-    assert classical_fidelity(0.0, 0.5, 1.0) == pytest.approx(
+    assert fidelity("classical", 2, 0.0, 0.5, 1.0)[0] == pytest.approx(
         math.exp(-0.5), rel=1e-14
     )
 

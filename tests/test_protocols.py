@@ -23,12 +23,12 @@ from cpfkit.protocols import (
     _mixed_binary_fidelity,
     bipartite_fidelity,
     build_probe,
-    classical_fidelity,
     output_pair_arrays,
 )
 from helpers import (
     State,
     bipartite_fidelity_numeric,
+    classical_closed,
     count_kernel_elements,
     count_pair_builds,
     counting_checks,
@@ -73,6 +73,12 @@ def test_scenario_rejects_non_finite(field, value):
 # ------------------------------------------------------------ closed forms
 
 
+def _classical_form(eta_b, eta_t, n_s):
+    """The coherent-state fidelity as cpfkit answers it: the two-box mixed
+    pair's closed form at kappa = 0."""
+    return fidelity("classical", 2, eta_b, eta_t, n_s)[0]
+
+
 def _idler_free_closed(eta_b, eta_t, n_s):
     """The two-box idler-free fidelity as cpfkit answers it: the mixed pair's
     closed form at kappa = 1."""
@@ -80,7 +86,7 @@ def _idler_free_closed(eta_b, eta_t, n_s):
 
 
 def test_closed_forms_swap_symmetric():
-    for form in (classical_fidelity, bipartite_fidelity, _idler_free_closed):
+    for form in (_classical_form, bipartite_fidelity, _idler_free_closed):
         assert form(0.3, 0.8, 5.0) == pytest.approx(form(0.8, 0.3, 5.0), rel=1e-14)
 
 
@@ -90,12 +96,12 @@ def test_quantum_forms_complement_symmetric():
         assert form(0.3, 0.8, 5.0) == pytest.approx(form(0.7, 0.2, 5.0), rel=1e-12)
     # the coherent-state fidelity is not complement symmetric
     assert abs(
-        classical_fidelity(0.3, 0.8, 5.0) - classical_fidelity(0.7, 0.2, 5.0)
+        _classical_form(0.3, 0.8, 5.0) - _classical_form(0.7, 0.2, 5.0)
     ) > 1e-3
 
 
 def test_closed_forms_equal_one_on_diagonal():
-    for form in (classical_fidelity, bipartite_fidelity, _idler_free_closed):
+    for form in (_classical_form, bipartite_fidelity, _idler_free_closed):
         assert float(form(0.45, 0.45, 20.0)) == 1.0
 
 
@@ -126,7 +132,7 @@ def test_a_pair_point_comes_back_as_a_numpy_scalar(protocol, m, eta_t):
 
 def test_closed_forms_vectorize():
     etas = np.linspace(0.0, 1.0, 7)
-    for form in (classical_fidelity, bipartite_fidelity, _idler_free_closed):
+    for form in (_classical_form, bipartite_fidelity, _idler_free_closed):
         batch = form(0.6, etas, 2.0)
         assert batch.shape == etas.shape
         assert batch[4] == pytest.approx(float(form(0.6, etas[4], 2.0)))
@@ -147,7 +153,7 @@ def test_bipartite_numeric_matches_closed_form():
 )
 def test_direct_matches_closed_form_binary(kind, eta_b, eta_t, n_s):
     closed = {
-        "classical": classical_fidelity,
+        "classical": classical_closed,
         "bipartite": bipartite_fidelity,
         "idler_free": idler_free_two_box,
     }[kind]
@@ -190,7 +196,7 @@ def test_auto_and_direct_paths_agree(protocol, m, eta_b, eta_t, log_n_s, kappa):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(eta_b=_ETAS, eta_t=_ETAS, log_n_s=st.floats(-6.0, 6.0), kappa=st.floats(0.0, 1.0))
 def test_two_box_mixed_closed_form_properties(eta_b, eta_t, log_n_s, kappa):
-    assume(eta_b != eta_t)  # the closed form's domain: equal etas divide 0 by 0
+    assume(eta_b != eta_t)  # the closed form's domain: its callers set equal etas to 1
     n_s = 10.0**log_n_s
     value = float(_mixed_binary_fidelity(eta_b, eta_t, n_s, kappa))
     assert 0.0 <= value <= 1.0
@@ -201,14 +207,14 @@ def test_two_box_mixed_closed_form_properties(eta_b, eta_t, log_n_s, kappa):
         assert abs(value - float(fidelity_from_arrays(*pair))) <= 1e-6
 
 
-# up to n_s = 1e4: beyond it the paper's idler-free form's gap cancels at
-# nearly equal etas and loses more than 1e-11 relative by itself
+# up to n_s = 1e4: beyond it the paper's forms, their gaps written as
+# differences, cancel at nearly equal etas and lose more than 1e-11 relative
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(eta_b=_ETAS, eta_t=_ETAS, log_n_s=st.floats(-6.0, 4.0))
 def test_two_box_mixed_closed_form_meets_the_endpoint_forms(eta_b, eta_t, log_n_s):
     assume(eta_b != eta_t)
     n_s = 10.0**log_n_s
-    for kappa, closed in ((0.0, classical_fidelity), (1.0, idler_free_two_box)):
+    for kappa, closed in ((0.0, classical_closed), (1.0, idler_free_two_box)):
         value = float(_mixed_binary_fidelity(eta_b, eta_t, n_s, kappa))
         assert value == pytest.approx(float(closed(eta_b, eta_t, n_s)), rel=1e-11, abs=1e-300)
 
@@ -306,24 +312,58 @@ def test_the_two_box_idler_free_form_is_symmetric_in_the_etas():
     assert fidelity("idler_free", 2, *etas, n_s)[0] == fidelity("idler_free", 2, *etas[::-1], n_s)[0]
 
 
+@st.composite
+def _eta_columns(draw):
+    """(eta_b, eta_t) as columns of up to six pairs, equal ones included, or
+    as the first pair's floats."""
+    pairs = draw(st.lists(st.one_of(_eta_pairs(), _ETAS.map(lambda eta: (eta, eta))),
+                          min_size=1, max_size=6))
+    return pairs[0] if draw(st.booleans()) else tuple(map(np.array, zip(*pairs)))
+
+
+def _same_values(first, second) -> bool:
+    """Whether two fidelity calls give the same values, with a NumPy
+    floating-point warning a failure too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.array_equal(first()[0], second()[0])
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(etas=st.lists(st.one_of(_eta_pairs(), _ETAS.map(lambda eta: (eta, eta))),
-                     min_size=1, max_size=6),
-       n_s=st.one_of(st.sampled_from([1e-6, 1e6]), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
-       scalar=st.booleans())
-def test_the_idler_free_protocol_is_the_mixed_one_at_kappa_one(etas, n_s, scalar):
+@given(etas=_eta_columns(),
+       n_s=st.one_of(st.sampled_from([1e-6, 1e6]), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)))
+def test_the_idler_free_protocol_is_the_mixed_one_at_kappa_one(etas, n_s):
     # bit for bit: the idler-free closed form against the mixed pair at a
     # given kappa; from m = 3 both are the same call of pair_fidelity
-    eta_b, eta_t = (np.array(column) for column in zip(*etas))
-    if scalar:
-        eta_b, eta_t = float(eta_b[0]), float(eta_t[0])
-    with warnings.catch_warnings():  # a NumPy floating-point warning is a failure too
-        warnings.simplefilter("error")
-        idler_free = fidelity("idler_free", 2, eta_b, eta_t, n_s)[0]
-        mixed = fidelity("mixed", 2, eta_b, eta_t, n_s, 1.0)[0]
-    if scalar:
-        idler_free, mixed = float(idler_free), float(mixed)
-    assert np.array_equal(idler_free, mixed)
+    assert _same_values(lambda: fidelity("idler_free", 2, *etas, n_s),
+                        lambda: fidelity("mixed", 2, *etas, n_s, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.integers(2, 12), etas=_eta_columns(), n_s=_N_S)
+def test_the_classical_protocol_is_the_mixed_one_at_kappa_zero(m, etas, n_s):
+    # bit for bit at every m: the coherent-state fidelity reads no m, and it
+    # is the two-box mixed pair's closed form at kappa = 0
+    assert _same_values(lambda: fidelity("classical", m, *etas, n_s),
+                        lambda: fidelity("mixed", 2, *etas, n_s, 0.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(protocol=st.sampled_from(PROTOCOL_IDS), m=st.integers(2, 8), etas=_eta_pairs(),
+       n_s=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+       kappa=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_one_point_gives_one_value_as_scalars_and_as_one_cell_arrays(protocol, m, etas, n_s,
+                                                                     kappa):
+    # the fidelity table passes a point's floats, a sweep or a map arrays
+    point = (*etas, n_s, kappa)
+    scalar = _answer(lambda: fidelity(protocol, m, *point))
+    cells = _answer(lambda: fidelity(protocol, m, *(v if v is None else np.array([v])
+                                                    for v in point)))
+    if isinstance(scalar, str) or isinstance(cells, str):
+        assert scalar == cells  # both refuse, naming the same field
+        return
+    for one, batch in zip(scalar[:2], cells[:2]):  # fidelity, and kappa where it has one
+        assert (one is None and batch is None) or float(one).hex() == float(batch[0]).hex()
 
 
 # moderate n_s; toward a pure output (an eta near 1) or the vacuum (n_s below
@@ -336,7 +376,7 @@ def test_the_classical_and_bipartite_forms_meet_the_full_size_pair(kind, m, etas
     # the kernel on the full-size pair checks the closed forms from another
     # construction
     n_s = 10.0**log_n_s
-    closed = classical_fidelity if kind is ProtocolKind.CLASSICAL else bipartite_fidelity
+    closed = _classical_form if kind is ProtocolKind.CLASSICAL else bipartite_fidelity
     kappa = 0.0 if kind is ProtocolKind.CLASSICAL else None  # bipartite reads none
     full = float(fidelity_from_arrays(*_direct_pair(kind, m, *etas, n_s, kappa)))
     tolerance = 1e-9 if max(etas) <= 0.99 else 1e-5

@@ -21,10 +21,10 @@ from cpfkit import (
     scan,
 )
 from cpfkit.cli import main
-from cpfkit.protocols import classical_fidelity
 from cpfkit.scan import _optimize_kappa_batch, _sweep_columns
 from helpers import (
     KAPPA_BUDGET_ROW,
+    classical_closed,
     count_closed_form_elements,
     count_kernel_elements,
     count_pair_builds,
@@ -83,7 +83,7 @@ def test_a_fixed_kappa_two_box_fidelity_builds_no_pair(monkeypatch):
 def test_symmetric_pair_fidelity_endpoints():
     etas = np.linspace(0.05, 0.95, 7)
     classical = fidelity("mixed", 2, 0.7, etas, 8.0, 0.0)[0]
-    assert np.allclose(classical, classical_fidelity(0.7, etas, 8.0), atol=1e-12)
+    assert np.allclose(classical, classical_closed(0.7, etas, 8.0), atol=1e-12)
     idler_free = fidelity("mixed", 2, 0.7, etas, 8.0, 1.0)[0]
     assert np.allclose(idler_free, idler_free_two_box(0.7, etas, 8.0), atol=1e-12)
 
@@ -111,9 +111,8 @@ def test_optimize_kappa_never_beaten_by_endpoints(rng):
         )
         value = float(fidelity("mixed", scenario.m, scenario.eta_b, scenario.eta_t,
                                scenario.n_s)[0])
-        f_classical = float(
-            classical_fidelity(scenario.eta_b, scenario.eta_t, scenario.n_s)
-        )
+        f_classical = float(fidelity("classical", 2, scenario.eta_b, scenario.eta_t,
+                                     scenario.n_s)[0])
         f_idler_free = float(fidelity("idler_free", 2, scenario.eta_b, scenario.eta_t,
                                       scenario.n_s)[0])
         assert value <= min(f_classical, f_idler_free) + 1e-12
@@ -129,7 +128,7 @@ def test_optimize_kappa_degenerate_diagonal():
 def test_optimize_kappa_three_boxes():
     value = float(fidelity("mixed", 3, 0.55, 0.9, 50.0)[0])
     f_if = float(fidelity("idler_free", 3, 0.55, 0.9, 50.0)[0])
-    f_cl = float(classical_fidelity(0.55, 0.9, 50.0))
+    f_cl = float(fidelity("classical", 3, 0.55, 0.9, 50.0)[0])
     assert value <= min(f_if, f_cl) + 1e-12
 
 
@@ -358,7 +357,7 @@ def test_sweep_values_match_closed_forms():
                              ("classical", "idler_free"))
     by_protocol = {p: fids for p, (fids, _) in columns.items()}
     assert np.allclose(
-        by_protocol["classical"], [float(classical_fidelity(0.7, v, 4.0)) for v in values]
+        by_protocol["classical"], [float(classical_closed(0.7, v, 4.0)) for v in values]
     )
     assert np.allclose(
         by_protocol["idler_free"],
